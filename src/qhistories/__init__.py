@@ -64,7 +64,6 @@ from .linalg import (
     kron_all,
     maximally_mixed,
     projector_onto,
-    propagator_from_hamiltonian,
 )
 from .structure import (
     ROOT_ID,
@@ -130,7 +129,6 @@ __all__ = [
     "parse_family",
     "product_sum",
     "projector_onto",
-    "propagator_from_hamiltonian",
     "serialize_family",
     "sum_hpo",
     "verify_intra_additivity",

@@ -45,10 +45,6 @@ def event_probability(weights: Sequence[float], subset: Iterable[int]) -> float:
     return math.fsum(table[i] for i in indices)
 
 
-def _leaf_sequence(family: BranchingFamily, leaf_id: int) -> HistorySequence:
-    return family.history_of_leaf(leaf_id)
-
-
 def intra_branch_sum(family: BranchingFamily, leaf_a: int, leaf_b: int,
                      tol: float = DEFAULT_TOL) -> HistorySequence:
     """Merge two sibling leaves into one history.
@@ -68,7 +64,7 @@ def intra_branch_sum(family: BranchingFamily, leaf_a: int, leaf_b: int,
         raise ValueError("cannot sum a leaf with itself")
     if a.parent != b.parent:
         raise TransBranchError(leaf_a, leaf_b)
-    base = _leaf_sequence(family, leaf_a)
+    base = family.history_of_leaf(leaf_a)
     merged = base.steps[:-1] + ((base.steps[-1][0], a.projector + b.projector),)
     return HistorySequence(merged)
 
@@ -84,8 +80,8 @@ def verify_intra_additivity(family: BranchingFamily, leaf_a: int, leaf_b: int,
     evolution = family.evolution
     rho = family.initial_state
     w_sum = weight(merged, evolution, rho, tol)
-    w_a = weight(_leaf_sequence(family, leaf_a), evolution, rho, tol)
-    w_b = weight(_leaf_sequence(family, leaf_b), evolution, rho, tol)
+    w_a = weight(family.history_of_leaf(leaf_a), evolution, rho, tol)
+    w_b = weight(family.history_of_leaf(leaf_b), evolution, rho, tol)
     return abs(w_sum - (w_a + w_b)) <= tol
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .chain import weight
 from .dynamics import TrivialEvolution
 from .errors import EmbeddingError
-from .linalg import DEFAULT_TOL, as_operator, is_projector, kron_all
+from .linalg import DEFAULT_TOL, as_operator, decomposition_defects, is_projector, kron_all
 from .structure import BranchingFamily, HistorySequence
 
 __all__ = [
@@ -177,13 +177,8 @@ def is_hpo_family(members, tol: float = DEFAULT_TOL) -> bool:
     """
     if not isinstance(members, HPOFamily):
         members = HPOFamily(tuple(members))
-    mats = [m.matrix for m in members.members]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if np.max(np.abs(mats[i] @ mats[j])) > tol:
-                return False
-    total = sum(mats[1:], start=mats[0])
-    return bool(np.max(np.abs(total - np.eye(members.dim))) <= tol)
+    clashes, complete = decomposition_defects([m.matrix for m in members.members], tol)
+    return not clashes and complete
 
 
 def _selector_indices(selector: Sequence, size: int) -> list[int]:
@@ -221,7 +216,7 @@ def _schmidt_rank_one(matrix: np.ndarray, d: int, slots: int, cutoff: float) -> 
     realigned = (matrix.reshape(d, e, d, e)
                  .transpose(0, 2, 1, 3)
                  .reshape(d * d, e * e))
-    _, s, vh = np.linalg.svd(realigned)
+    _, s, vh = np.linalg.svd(realigned, full_matrices=False)
     if s[0] <= 1e-300:
         return True  # zero operator factorizes trivially
     if len(s) > 1 and s[1] > cutoff * s[0]:
@@ -255,8 +250,9 @@ def extended_weight(d, selector: Sequence, tol: float = DEFAULT_TOL) -> float:
     dmat = np.asarray(d, dtype=complex)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {dmat.shape}")
-    picked = _selector_indices(selector, dmat.shape[0])
-    total = complex(sum(dmat[a, b] for a in picked for b in picked))
+    s = np.zeros(dmat.shape[0])
+    s[_selector_indices(selector, dmat.shape[0])] = 1.0
+    total = complex(s @ dmat @ s)
     if abs(total.imag) > tol:
         raise ValueError(f"extended weight has imaginary part {total.imag}")
     return float(total.real)

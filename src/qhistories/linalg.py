@@ -29,7 +29,6 @@ __all__ = [
     "max_abs",
     "maximally_mixed",
     "projector_onto",
-    "propagator_from_hamiltonian",
     "require_decomposition",
     "require_density_matrix",
     "require_projector",
@@ -123,12 +122,25 @@ def is_decomposition(projectors: Sequence, tol: float = DEFAULT_TOL,
             return False
         if not allow_zero and max_abs(p) <= tol:
             return False
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if max_abs(mats[i] @ mats[j]) > tol:
-                return False
+    clashes, complete = decomposition_defects(mats, tol)
+    return not clashes and complete
+
+
+def decomposition_defects(mats: Sequence[np.ndarray],
+                          tol: float) -> tuple[list[tuple[int, int]], bool]:
+    """Non-orthogonal index pairs of ``mats`` and whether they sum to the identity.
+
+    ``mats`` are square and of one shape.  The pairs ``(i, j)``, ``i < j``,
+    come in lexicographic order; ``tol`` bounds every max-entry norm.
+    """
+    clashes = [
+        (i, j)
+        for i in range(len(mats))
+        for j in range(i + 1, len(mats))
+        if max_abs(mats[i] @ mats[j]) > tol
+    ]
     total = sum(mats[1:], start=mats[0])
-    return max_abs(total - np.eye(dim)) <= tol
+    return clashes, max_abs(total - np.eye(total.shape[0])) <= tol
 
 
 def require_projector(m, tol: float = DEFAULT_TOL, what: str = "projector") -> np.ndarray:
@@ -144,9 +156,7 @@ def require_decomposition(projectors: Sequence, dim: int | None = None,
                           allow_zero: bool = False) -> list[np.ndarray]:
     """Coerce and return a decomposition of the identity, raising on failure."""
     mats = [as_operator(p) for p in projectors]
-    if not mats:
-        raise ValueError("a decomposition needs at least one projector")
-    if dim is not None and mats[0].shape[0] != dim:
+    if mats and dim is not None and mats[0].shape[0] != dim:
         raise ValueError(
             f"decomposition dimension {mats[0].shape[0]} does not match expected {dim}"
         )
@@ -218,16 +228,3 @@ def maximally_mixed(dim: int) -> np.ndarray:
         raise ValueError(f"dimension must be positive, got {dim}")
     return np.eye(dim, dtype=complex) / dim
 
-
-def propagator_from_hamiltonian(h, duration: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Unitary exp(-i * h * duration) for a Hermitian generator ``h``.
-
-    Computed by spectral decomposition, so the result is exactly unitary
-    up to the accuracy of the Hermitian eigensolver.
-    """
-    arr = as_operator(h)
-    if max_abs(arr - arr.conj().T) > tol:
-        raise ValueError("generator is not Hermitian within tol")
-    w, v = np.linalg.eigh(arr)
-    phases = np.exp(-1j * w * float(duration))
-    return (v * phases) @ v.conj().T

@@ -16,7 +16,9 @@ them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +28,8 @@ from .errors import InvalidFamilyError
 from .linalg import (
     DEFAULT_TOL,
     as_operator,
+    decomposition_defects,
+    is_density_matrix,
     is_projector,
     max_abs,
     maximally_mixed,
@@ -216,19 +220,20 @@ class BranchingFamily:
             out.append(self._by_id[parent])
         return list(reversed(out))
 
+    @cached_property
+    def _depth_first(self) -> tuple[Moment, ...]:
+        """Nodes reachable from the root, depth first, siblings in insertion order."""
+        out: list[Moment] = []
+        stack = [self.root()]
+        while stack:
+            m = stack.pop()
+            out.append(m)
+            stack.extend(reversed(self._children[m.id]))
+        return tuple(out)
+
     def leaves(self) -> tuple[Moment, ...]:
         """Leaves in depth-first order; this order indexes weight tables."""
-        out: list[Moment] = []
-
-        def walk(m: Moment):
-            kids = self._children[m.id]
-            if not kids:
-                out.append(m)
-            for child in kids:
-                walk(child)
-
-        walk(self.root())
-        return tuple(out)
+        return tuple(m for m in self._depth_first if not self._children[m.id])
 
     def __len__(self) -> int:
         return len(self.moments)
@@ -261,15 +266,8 @@ class BranchingFamily:
                 issues.append(ValidationIssue(
                     "tree", (m.id,), f"parent {m.parent} does not exist"))
 
-        reachable: set[int] = set()
         if len(roots) == 1:
-            stack = [roots[0].id]
-            while stack:
-                nid = stack.pop()
-                if nid in reachable:
-                    continue
-                reachable.add(nid)
-                stack.extend(c.id for c in self._children[nid])
+            reachable = {m.id for m in self._depth_first}
             unreachable = [m.id for m in self.moments if m.id not in reachable]
             if unreachable:
                 issues.append(ValidationIssue(
@@ -308,17 +306,14 @@ class BranchingFamily:
             mats = [c.projector for c in kids]
             if any(p is None or p.shape != (self.dim, self.dim) for p in mats):
                 continue  # already reported above
-            ids = (m.id,) + tuple(c.id for c in kids)
-            for i in range(len(mats)):
-                for j in range(i + 1, len(mats)):
-                    if max_abs(mats[i] @ mats[j]) > tol:
-                        issues.append(ValidationIssue(
-                            "orthogonality", (kids[i].id, kids[j].id),
-                            "sibling projectors are not orthogonal"))
-            total = sum(mats[1:], start=mats[0])
-            if max_abs(total - np.eye(self.dim)) > tol:
+            clashes, complete = decomposition_defects(mats, tol)
+            for i, j in clashes:
                 issues.append(ValidationIssue(
-                    "completeness", ids,
+                    "orthogonality", (kids[i].id, kids[j].id),
+                    "sibling projectors are not orthogonal"))
+            if not complete:
+                issues.append(ValidationIssue(
+                    "completeness", (m.id,) + tuple(c.id for c in kids),
                     "children projectors do not sum to the identity"))
 
         state = self.initial_state
@@ -326,27 +321,26 @@ class BranchingFamily:
             issues.append(ValidationIssue(
                 "initial-state", (),
                 f"state shape {state.shape} does not match dim {self.dim}"))
-        else:
-            from .linalg import is_density_matrix
-            if not is_density_matrix(state, tol):
-                issues.append(ValidationIssue(
-                    "initial-state", (), "initial state is not a density matrix"))
+        elif not is_density_matrix(state, tol):
+            issues.append(ValidationIssue(
+                "initial-state", (), "initial state is not a density matrix"))
 
         if self.evolution.dim != self.dim:
             issues.append(ValidationIssue(
                 "dynamics", (),
                 f"evolution dimension {self.evolution.dim} does not match "
                 f"family dimension {self.dim}"))
-        if isinstance(self.evolution, PiecewiseUnitary):
-            for m in self.moments:
-                if self._children[m.id] and not self.evolution.covers(m.time):
-                    issues.append(ValidationIssue(
-                        "dynamics", (m.id,),
-                        f"time {m.time} does not align with any breakpoint "
-                        f"of the unitary table"))
+        for m in self.moments:
+            if self._children[m.id] and not self._can_branch_at(m.time):
+                issues.append(ValidationIssue(
+                    "dynamics", (m.id,),
+                    f"time {m.time} does not align with any breakpoint "
+                    f"of the unitary table"))
 
         report = ValidationReport(tuple(issues))
-        if report.ok and (self._valid_tol is None or tol < self._valid_tol):
+        # A relaxed pass may have let zero projectors through.
+        if (report.ok and not allow_zero_projectors
+                and (self._valid_tol is None or tol < self._valid_tol)):
             self._valid_tol = tol
         return report
 
@@ -359,6 +353,25 @@ class BranchingFamily:
             raise InvalidFamilyError(report)
 
     # -- construction ----------------------------------------------------
+
+    def _can_branch_at(self, t: float) -> bool:
+        """A unitary table propagates only from its breakpoints."""
+        return (not isinstance(self.evolution, PiecewiseUnitary)
+                or self.evolution.covers(t))
+
+    def _grown(self, moments: Sequence[Moment], branch_times: Iterable[float],
+               tol: float, zero_free: bool) -> "BranchingFamily":
+        """This family grown to ``moments`` below leaves at ``branch_times``.
+
+        The new decompositions must have been checked at ``tol``.  The
+        validity mark carries over unless zero members were allowed or
+        the dynamics cannot branch at one of ``branch_times``.
+        """
+        fam = BranchingFamily(self.dim, moments, self.initial_state, self.evolution)
+        if (self._valid_tol is not None and tol <= self._valid_tol and zero_free
+                and all(self._can_branch_at(t) for t in branch_times)):
+            fam._valid_tol = self._valid_tol
+        return fam
 
     def extend(self, leaf_id: int, projectors: Sequence,
                child_times: Sequence[float], tol: float = DEFAULT_TOL,
@@ -389,13 +402,7 @@ class BranchingFamily:
         new_moments = list(self.moments)
         for offset, (p, t) in enumerate(zip(mats, times)):
             new_moments.append(Moment(next_id + offset, leaf_id, t, p))
-        fam = BranchingFamily(self.dim, new_moments, self.initial_state,
-                              self.evolution)
-        if self._valid_tol is not None and tol <= self._valid_tol:
-            if not (isinstance(self.evolution, PiecewiseUnitary)
-                    and not self.evolution.covers(leaf.time)):
-                fam._valid_tol = self._valid_tol
-        return fam
+        return self._grown(new_moments, [leaf.time], tol, zero_free=not allow_zero)
 
     # -- histories -------------------------------------------------------
 
@@ -409,15 +416,14 @@ class BranchingFamily:
         """
         self.ensure_valid(tol)
         out: list[HistorySequence] = []
-
-        def walk(m: Moment, prefix: list[tuple[float, np.ndarray]]):
+        prefixes: dict[int, tuple[tuple[float, np.ndarray], ...]] = {}
+        for m in self._depth_first:
+            steps = prefixes.pop(m.id, ())
             kids = self._children[m.id]
             if not kids:
-                out.append(HistorySequence(tuple(prefix)))
+                out.append(HistorySequence(steps))
             for child in kids:
-                walk(child, prefix + [(m.time, child.projector)])
-
-        walk(self.root(), [])
+                prefixes[child.id] = steps + ((m.time, child.projector),)
         return out
 
     def history_of_leaf(self, leaf_id: int, tol: float = DEFAULT_TOL) -> HistorySequence:
@@ -507,10 +513,14 @@ def from_product(dim: int, times: Sequence[float], decompositions: Sequence[Sequ
         raise ValueError("a product family needs at least one step")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError(f"times must be strictly increasing, got {ts}")
-    fam = new_family(dim, ts[0], initial_state, evolution, tol=tol)
-    for i, decomposition in enumerate(decompositions):
-        t_next = ts[i + 1] if i + 1 < len(ts) else ts[-1] + 1.0
-        for leaf in fam.leaves():
-            fam = fam.extend(leaf.id, decomposition,
-                             [t_next] * len(decomposition), tol=tol)
-    return fam
+    root = new_family(dim, ts[0], initial_state, evolution, tol=tol)
+    levels = [require_decomposition(d, dim=dim, tol=tol) for d in decompositions]
+    # Ids run level by level, as leaf-by-leaf ``extend`` calls number them.
+    ids = itertools.count(ROOT_ID + 1)
+    moments = list(root.moments)
+    parents = [ROOT_ID]
+    for mats, t_next in zip(levels, ts[1:] + [ts[-1] + 1.0]):
+        level = [Moment(next(ids), parent, t_next, p) for parent in parents for p in mats]
+        moments.extend(level)
+        parents = [m.id for m in level]
+    return root._grown(moments, ts, tol, zero_free=True)

@@ -2,9 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from qhistories import from_product, serialize_family
+from qhistories import (
+    BranchingFamily,
+    Moment,
+    TrivialEvolution,
+    from_product,
+    load_document,
+    maximally_mixed,
+    serialize_family,
+    weight_table,
+)
 from qhistories.cli import main
 from qhistories.demos import (
     P0,
@@ -174,6 +184,23 @@ def test_hpo_check_mismatched_grid(tmp_path, capsys):
     path = _write(tmp_path, fig2_family())
     assert main(["hpo-check", path]) == 0
     assert "embeddable: no" in capsys.readouterr().out
+
+
+# -- deep trees ---------------------------------------------------------------
+
+def test_deep_chain_document(tmp_path, capsys):
+    # A 2000-node chain is far deeper than Python's recursion limit.
+    moments = [Moment(0, None, 0.0, None)]
+    moments += [Moment(i, i - 1, float(i), np.eye(2)) for i in range(1, 2000)]
+    fam = BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
+    path = _write(tmp_path, fam)
+    assert weight_table(load_document((tmp_path / "family.json").read_bytes())).tolist() == [1.0]
+    for command in ("validate", "weights", "consistency", "hpo-check"):
+        assert main([command, path]) == 0, command
+    out = capsys.readouterr().out
+    assert "sum = 1.0" in out
+    assert "verdict: consistent" in out
+    assert "embeddable: no" in out
 
 
 # -- export-dot ---------------------------------------------------------------

@@ -1,9 +1,16 @@
 """History-projector embeddings, sums and the homogeneity test."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qhistories
 from helpers import random_decomposition
 from qhistories import (
     EmbeddingError,
@@ -217,3 +224,25 @@ def test_history_projector_validation():
         HistoryProjector(np.eye(2), 2, (0.0, 1.0), 2)
     with pytest.raises(ValueError, match="increasing"):
         HistoryProjector(np.eye(4), 2, (1.0, 0.0), 2)
+
+
+def test_is_homogeneous_long_history_fits_in_one_gib():
+    # The first Schmidt split of an 8-slot qubit history is 4 x 16384; a
+    # full right singular factor of it alone would take 4 GiB.
+    pytest.importorskip("resource")
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from qhistories import HistorySequence, embed, is_homogeneous
+        from qhistories.demos import P0, P_PLUS
+        seq = HistorySequence(tuple((float(t), (P0, P_PLUS)[t % 2]) for t in range(8)))
+        print(is_homogeneous(embed(seq)))
+    """)
+    src = str(Path(qhistories.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True"

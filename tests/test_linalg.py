@@ -16,7 +16,6 @@ from qhistories import (
     kron_all,
     maximally_mixed,
     projector_onto,
-    propagator_from_hamiltonian,
 )
 from qhistories.linalg import max_abs, require_decomposition, require_density_matrix, require_projector
 
@@ -26,7 +25,6 @@ P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 P_PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 P_MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def test_adjoint_conjugate_transposes():
@@ -177,34 +175,6 @@ def test_maximally_mixed():
     assert_allclose(maximally_mixed(4), np.eye(4) / 4)
     with pytest.raises(ValueError):
         maximally_mixed(0)
-
-
-def test_propagator_from_hamiltonian_zero_generator():
-    assert_allclose(propagator_from_hamiltonian(np.zeros((2, 2)), 5.0), I2)
-
-
-def test_propagator_from_hamiltonian_sigma_z_half_turn():
-    # Spectral oracle: exp(-i*pi*sigma_z) = diag(e^{-i pi}, e^{i pi}) = -I.
-    u = propagator_from_hamiltonian(SIGMA_Z, np.pi)
-    assert_allclose(u, -I2, atol=1e-12)
-
-
-def test_propagator_from_hamiltonian_sigma_x_quarter_turn():
-    # exp(-i (pi/2) sigma_x) = cos(pi/2) I - i sin(pi/2) sigma_x = -i sigma_x.
-    u = propagator_from_hamiltonian(SIGMA_X, np.pi / 2)
-    assert_allclose(u, -1j * SIGMA_X, atol=1e-12)
-
-
-def test_propagator_from_hamiltonian_is_unitary():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = (a + a.conj().T) / 2
-    assert is_unitary(propagator_from_hamiltonian(h, 0.731), tol=1e-10)
-
-
-def test_propagator_from_hamiltonian_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        propagator_from_hamiltonian(np.array([[0, 1], [0, 0]]), 1.0)
 
 
 def test_conjugated_projector_stays_projector():

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import random_family
+from helpers import (
+    PROVIDER_KINDS,
+    random_decomposition,
+    random_density,
+    random_family,
+    random_provider,
+)
 from qhistories import (
     BranchingFamily,
     HistorySequence,
@@ -16,6 +22,7 @@ from qhistories import (
     from_product,
     maximally_mixed,
     new_family,
+    serialize_family,
     weight_table,
 )
 from qhistories.demos import P0, P1, P_MINUS, P_PLUS, branch_no_prod_family, fig2_family
@@ -186,6 +193,23 @@ def test_validate_reports_root_projector_and_zero():
     assert relaxed.ok
 
 
+def test_zero_projectors_never_mark_a_family_valid():
+    # A relaxed validation, or an extend that admits a zero member, must
+    # not let the family past the default checks of later computations.
+    moments = [
+        Moment(0, None, 0.0, None),
+        Moment(1, 0, 1.0, np.zeros((2, 2))),
+        Moment(2, 0, 1.0, I2),
+    ]
+    relaxed = BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
+    assert relaxed.validate(allow_zero_projectors=True).ok
+    extended = new_family(2, 0.0).extend(0, [np.zeros((2, 2)), I2], [1.0, 1.0],
+                                         allow_zero=True)
+    for fam in (relaxed, extended):
+        with pytest.raises(InvalidFamilyError):
+            weight_table(fam)
+
+
 def test_validate_reports_bad_state_and_dynamics():
     moments = [Moment(0, None, 0.0, None)]
     fam = BranchingFamily(2, moments, np.diag([0.5, 0.4]), TrivialEvolution(3))
@@ -279,6 +303,47 @@ def test_from_product_rejects_bad_times():
         from_product(2, [1.0, 0.5], [[P0, P1], [P0, P1]])
     with pytest.raises(ValueError, match="times"):
         from_product(2, [0.0], [[P0, P1], [P0, P1]])
+
+
+def _product_by_extend(dim, times, decompositions, initial_state, evolution):
+    """Reference: the product family grown one leaf at a time."""
+    fam = new_family(dim, times[0], initial_state, evolution)
+    for i, decomposition in enumerate(decompositions):
+        t_next = times[i + 1] if i + 1 < len(times) else times[-1] + 1.0
+        for leaf in fam.leaves():
+            fam = fam.extend(leaf.id, decomposition, [t_next] * len(decomposition))
+    return fam
+
+
+def _passes_ensure_valid(fam):
+    try:
+        fam.ensure_valid()
+    except InvalidFamilyError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", [*PROVIDER_KINDS, "unitary_table_gap"])
+def test_from_product_matches_extend_reference(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for _ in range(4):
+        dim = int(rng.integers(2, 5))
+        steps = int(rng.integers(1, 4))
+        times = np.cumsum(rng.uniform(0.2, 1.0, size=steps)).tolist()
+        decompositions = [random_decomposition(dim, int(rng.integers(1, dim + 1)), rng)
+                          for _ in range(steps)]
+        grid = times + [times[-1] + 1.0, times[-1] + 2.0]
+        if kind == "unitary_table_gap":
+            # The table misses one branching time, so neither family is valid.
+            del grid[int(rng.integers(steps))]
+        provider = random_provider(dim, rng, kind.removesuffix("_gap"), grid=grid)
+        rho = random_density(dim, rng)
+        fam = from_product(dim, times, decompositions, rho, provider)
+        reference = _product_by_extend(dim, times, decompositions, rho, provider)
+        assert serialize_family(fam) == serialize_family(reference)
+        valid = _passes_ensure_valid(fam)
+        assert valid == _passes_ensure_valid(reference)
+        assert valid == (kind != "unitary_table_gap")
 
 
 def test_is_product_shaped():
