@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qhistories import (
+    ConstantHamiltonian,
     adjoint,
     hs_inner,
     is_decomposition,
@@ -25,6 +26,7 @@ P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 P_PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 P_MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def test_adjoint_conjugate_transposes():
@@ -175,6 +177,27 @@ def test_maximally_mixed():
     assert_allclose(maximally_mixed(4), np.eye(4) / 4)
     with pytest.raises(ValueError):
         maximally_mixed(0)
+
+
+def _propagator_from_hamiltonian(h, t):
+    # exp(-i h t) for a constant Hermitian generator.
+    return ConstantHamiltonian(h).propagator(0.0, t)
+
+
+def test_propagator_from_hamiltonian_zero_generator():
+    assert_allclose(_propagator_from_hamiltonian(np.zeros((2, 2)), 5.0), I2)
+
+
+def test_propagator_from_hamiltonian_sigma_z_half_turn():
+    # Spectral oracle: exp(-i*pi*sigma_z) = diag(e^{-i pi}, e^{i pi}) = -I.
+    u = _propagator_from_hamiltonian(SIGMA_Z, np.pi)
+    assert_allclose(u, -I2, atol=1e-12)
+
+
+def test_propagator_from_hamiltonian_sigma_x_quarter_turn():
+    # exp(-i (pi/2) sigma_x) = cos(pi/2) I - i sin(pi/2) sigma_x = -i sigma_x.
+    u = _propagator_from_hamiltonian(SIGMA_X, np.pi / 2)
+    assert_allclose(u, -1j * SIGMA_X, atol=1e-12)
 
 
 def test_conjugated_projector_stays_projector():
