@@ -3,9 +3,20 @@
 The chain operator of a history is built incrementally in time order: it
 starts as the first projector (no propagator in front of it) and each
 later step left-multiplies the propagator from the previous step's time
-followed by the step's projector.  Weights and decoherence entries are
-state-weighted inner products of chain operators against the family's
-initial state.
+followed by the step's projector.
+
+For a valid family the chains come from one top-down pass over the tree
+rather than one pass per history: every shared prefix of histories is a
+single node, so a node's chain is computed once, as its projector times
+its parent's chain carried forward by one propagator, and each
+propagator is computed once per distinct pair of times.  The leaves'
+chains form a stack ``K`` of shape ``(n, d, d)``.
+
+Weights and decoherence entries are the Gell-Mann--Hartle decoherence
+functional ``D_ab = Tr[rho K_a^dag K_b]``.  With ``A = K`` and
+``B = K rho``, each flattened to ``(n, d*d)``, the whole matrix is the
+Gram form ``D = conj(A) @ B.T``, one matrix product, and the weights are
+its diagonal taken row by row.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import EvolutionProvider
-from .linalg import DEFAULT_TOL, adjoint, as_operator, hs_inner, max_abs
+from .linalg import DEFAULT_TOL, adjoint, as_operator, max_abs
 from .structure import BranchingFamily, HistorySequence
 
 __all__ = [
@@ -54,6 +65,69 @@ def chain_operator(seq: HistorySequence, evolution: EvolutionProvider) -> np.nda
     return k
 
 
+def _leaf_chains(family: BranchingFamily) -> np.ndarray:
+    """Chain operators of a valid family's leaves, stacked in leaf order.
+
+    One top-down pass: the root's chain is the identity and a node's
+    chain is its projector times the chain its parent carries, where a
+    node ``p`` below ``g`` carries ``U(t_g, t_p) K_p`` and the root
+    carries its identity.  Propagators are computed once per distinct
+    ``(t_from, t_to)``.  A bare root yields one identity.
+    """
+    propagators: dict[tuple[float, float], np.ndarray] = {}
+    carried: dict[int, np.ndarray] = {}
+    leaves = []
+    for m in family._depth_first:
+        children = family.children_of(m.id)
+        if m.parent is None:
+            k = np.eye(family.dim, dtype=complex)
+        else:
+            k = m.projector @ carried.pop(m.id)
+            if children:
+                key = (family.moment(m.parent).time, m.time)
+                if key not in propagators:
+                    propagators[key] = family.evolution.propagator(*key)
+                k = propagators[key] @ k
+        if not children:
+            leaves.append(k)
+        for child in children:
+            carried[child.id] = k
+    return np.array(leaves)
+
+
+def _flat_sides(ks: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
+    """``K`` and ``K rho`` for a stack of chains, each flattened to ``(n, d*d)``.
+
+    ``Tr[rho K_a^dag K_b]`` is the sum over entries of ``conj(K_a) * (K_b rho)``.
+    """
+    r = as_operator(rho)
+    n, d, _ = ks.shape
+    if r.shape != (d, d):
+        raise ValueError(
+            f"dimension mismatch: rho {r.shape}, chain operators {(d, d)}")
+    return ks.reshape(n, d * d), (ks @ r).reshape(n, d * d)
+
+
+def _weights(ks: np.ndarray, rho, tol: float) -> np.ndarray:
+    """Weights of a stack of chains, checked and clamped as :func:`weight` says."""
+    a, b = _flat_sides(ks, rho)
+    values = np.einsum("ij,ij->i", a.conj(), b)
+    imag = values.imag[np.abs(values.imag) > tol]
+    if imag.size:
+        raise ValueError(f"weight has imaginary part {imag[0]}")
+    w = values.real
+    negative = w[w < -tol]
+    if negative.size:
+        raise ValueError(f"weight {negative[0]} is negative beyond -tol")
+    return np.where(w < 0.0, 0.0, w)
+
+
+def _gram(ks: np.ndarray, rho) -> np.ndarray:
+    """Decoherence matrix of a stack of chains as one matrix product."""
+    a, b = _flat_sides(ks, rho)
+    return a.conj() @ b.T
+
+
 def weight(seq: HistorySequence, evolution: EvolutionProvider, rho,
            tol: float = DEFAULT_TOL) -> float:
     """Weight Tr[rho K^dag K] of one history.
@@ -62,14 +136,7 @@ def weight(seq: HistorySequence, evolution: EvolutionProvider, rho,
     values (above ``-tol``) are clamped to zero, anything worse is an
     error, as is a non-negligible imaginary part.
     """
-    k = chain_operator(seq, evolution)
-    value = hs_inner(rho, k, k)
-    if abs(value.imag) > tol:
-        raise ValueError(f"weight has imaginary part {value.imag}")
-    w = value.real
-    if w < -tol:
-        raise ValueError(f"weight {w} is negative beyond -tol")
-    return 0.0 if w < 0.0 else float(w)
+    return float(_weights(chain_operator(seq, evolution)[np.newaxis], rho, tol)[0])
 
 
 def evolved_state(seq: HistorySequence, evolution: EvolutionProvider, rho) -> np.ndarray:
@@ -84,10 +151,7 @@ def evolved_state(seq: HistorySequence, evolution: EvolutionProvider, rho) -> np
 def weight_table(family: BranchingFamily, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Weights of every history of a valid family, in depth-first leaf order."""
     family.ensure_valid(tol)
-    return np.array([
-        weight(h, family.evolution, family.initial_state, tol)
-        for h in family.histories(tol)
-    ])
+    return _weights(_leaf_chains(family), family.initial_state, tol)
 
 
 def decoherence_matrix(seqs: Sequence[HistorySequence],
@@ -97,21 +161,16 @@ def decoherence_matrix(seqs: Sequence[HistorySequence],
     The diagonal holds the weights; the matrix is Hermitian up to
     roundoff.
     """
-    ks = [chain_operator(s, evolution) for s in seqs]
-    n = len(ks)
-    d = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            d[a, b] = hs_inner(rho, ks[a], ks[b])
-    return d
+    d = evolution.dim
+    ks = np.array([chain_operator(s, evolution) for s in seqs], dtype=complex)
+    return _gram(ks.reshape(-1, d, d), rho)
 
 
 def family_decoherence_matrix(family: BranchingFamily,
                               tol: float = DEFAULT_TOL) -> np.ndarray:
     """Decoherence matrix of a valid family's histories in leaf order."""
     family.ensure_valid(tol)
-    return decoherence_matrix(family.histories(tol), family.evolution,
-                              family.initial_state)
+    return _gram(_leaf_chains(family), family.initial_state)
 
 
 def _offdiag(d: np.ndarray) -> np.ndarray:

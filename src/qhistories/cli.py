@@ -104,8 +104,9 @@ def _cmd_consistency(args) -> int:
     d = family_decoherence_matrix(family, args.tol)
     n = d.shape[0]
     print(f"|D| ({n} histories):")
-    for row in np.abs(d):
-        print(" ".join(format(v, ".6g") for v in row))
+    row_format = " ".join(["%.6g"] * n)
+    for row in np.abs(d).tolist():
+        print(row_format % tuple(row))
     if args.weak:
         ok = is_weakly_consistent(d, args.tol)
         label = "weak"

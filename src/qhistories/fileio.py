@@ -25,7 +25,10 @@ are a fixed point, so ``serialize(parse(serialize(f)))`` reproduces
 
 Parse failures always raise :class:`~qhistories.errors.ParseError` with a
 line/column (syntax) or a field path (schema); semantic violations are
-reported through :meth:`BranchingFamily.validate` with node ids.
+reported through :meth:`BranchingFamily.validate` with node ids.  A
+``dim`` whose dense complex matrix would take more than
+``MAX_MATRIX_BYTES`` is a schema error, reported before any matrix is
+allocated.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ __all__ = [
     "serialize_family",
     "export_dot",
 ]
+
+# Largest dense d x d complex matrix a document may ask for (64 MiB, d = 2048).
+MAX_MATRIX_BYTES = 1 << 26
 
 
 # -- canonical JSON emission ----------------------------------------------
@@ -239,6 +245,10 @@ def load_document(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamil
     dim = _as_int(doc["dim"], "dim")
     if dim < 1:
         raise _schema("dim", f"dimension must be positive, got {dim}")
+    matrix_bytes = np.dtype(complex).itemsize * dim * dim
+    if matrix_bytes > MAX_MATRIX_BYTES:
+        raise _schema("dim", f"a {dim}x{dim} complex matrix takes {matrix_bytes} "
+                             f"bytes, above the limit of {MAX_MATRIX_BYTES}")
 
     raw_state = doc["initial_state"]
     if isinstance(raw_state, str):

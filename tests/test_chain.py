@@ -1,19 +1,30 @@
 """Chain operators, weights and decoherence matrices."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import haar_unitary, random_decomposition, random_family, random_hermitian
+from helpers import (
+    PROVIDER_KINDS,
+    haar_unitary,
+    random_decomposition,
+    random_family,
+    random_hermitian,
+)
 from qhistories import (
     ConstantHamiltonian,
+    EvolutionProvider,
     HistorySequence,
+    PiecewiseUnitary,
     TrivialEvolution,
     chain_operator,
     decoherence_matrix,
     evolved_state,
     family_decoherence_matrix,
     from_product,
+    hs_inner,
     is_consistent,
     is_dynamically_impossible,
     is_weakly_consistent,
@@ -132,6 +143,83 @@ def test_decoherence_matrix_isham_values():
     assert not is_weakly_consistent(d)
 
 
+def _reference_decoherence(family):
+    """The definition: one chain per history and pairwise ``hs_inner``."""
+    ks = [chain_operator(h, family.evolution) for h in family.histories()]
+    rho = family.initial_state
+    return np.array([[hs_inner(rho, ka, kb) for kb in ks] for ka in ks])
+
+
+def _leaf_depths(family):
+    return {len(family.path(leaf.id)) for leaf in family.leaves()}
+
+
+@pytest.mark.parametrize("kind", PROVIDER_KINDS)
+def test_family_matrices_match_per_history_definition(kind):
+    unequal_depths = 0
+    for seed in range(8):
+        fam = random_family(np.random.default_rng(5000 + seed), kind=kind)
+        ref = _reference_decoherence(fam)
+        assert np.max(np.abs(family_decoherence_matrix(fam) - ref)) <= 1e-12
+        assert np.max(np.abs(weight_table(fam) - ref.diagonal().real)) <= 1e-12
+        unequal_depths += len(_leaf_depths(fam)) > 1
+    assert unequal_depths > 0
+
+
+def test_bare_root_family_has_one_certain_history():
+    fam = new_family(3, 0.0, evolution=ConstantHamiltonian(np.diag([0.0, 1.0, 2.0])))
+    assert weight_table(fam).tolist() == [1.0]
+    assert family_decoherence_matrix(fam).tolist() == [[1.0]]
+
+
+def test_unitary_table_interval_shared_by_branches():
+    # Both children of the root branch again at t=1, so the interval
+    # (0, 1) enters four chains from two nodes; node 2 skips to t=2 and
+    # its children see (0, 2) instead.
+    rng = np.random.default_rng(33)
+    table = PiecewiseUnitary([0.0, 1.0, 2.0, 3.0],
+                             [haar_unitary(2, rng) for _ in range(3)])
+    fam = new_family(2, 0.0, np.eye(2) / 2, table)
+    fam = fam.extend(0, random_decomposition(2, 2, rng), [1.0, 2.0])
+    fam = fam.extend(1, random_decomposition(2, 2, rng), [2.0, 2.0])
+    fam = fam.extend(2, random_decomposition(2, 2, rng), [3.0, 3.0])
+    fam = fam.extend(3, random_decomposition(2, 2, rng), [3.0, 3.0])
+    fam = fam.extend(4, random_decomposition(2, 2, rng), [3.0, 3.0])
+    assert _leaf_depths(fam) == {3, 4}
+    ref = _reference_decoherence(fam)
+    assert np.max(np.abs(family_decoherence_matrix(fam) - ref)) <= 1e-12
+    assert np.max(np.abs(weight_table(fam) - ref.diagonal().real)) <= 1e-12
+
+
+class _CountingEvolution(EvolutionProvider):
+    """Delegates to another provider and counts propagator requests."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def propagator(self, t_from, t_to):
+        self.calls[(t_from, t_to)] += 1
+        return self.inner.propagator(t_from, t_to)
+
+
+def test_each_propagator_is_computed_once_per_pass():
+    rng = np.random.default_rng(34)
+    counting = _CountingEvolution(ConstantHamiltonian(random_hermitian(2, rng)))
+    times = [0.0, 0.5, 1.5, 2.0, 3.0, 3.25]
+    fam = from_product(2, times, [random_decomposition(2, 2, rng) for _ in times],
+                       evolution=counting)
+    assert len(fam.leaves()) == 64
+    for compute in (family_decoherence_matrix, weight_table):
+        counting.calls.clear()
+        compute(fam)
+        assert counting.calls == Counter(zip(times, times[1:]))
+
+
 def test_decoherence_matrix_is_hermitian_with_weight_diagonal():
     rng = np.random.default_rng(31)
     fam = random_family(rng, kind="unitary_table")
@@ -161,6 +249,7 @@ def test_single_history_matrix():
     d = decoherence_matrix([HistorySequence(((0.0, I2),))], prov, RHO0)
     assert d.shape == (1, 1)
     assert d[0, 0] == pytest.approx(1.0)
+    assert decoherence_matrix([], prov, RHO0).shape == (0, 0)
 
 
 def test_weight_invariant_under_global_conjugation():

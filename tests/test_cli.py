@@ -66,6 +66,14 @@ def test_missing_file_is_a_file_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_oversized_dimension_is_a_file_error(tmp_path, capsys):
+    path = _write_text(tmp_path, json.dumps({
+        "dim": 100000000, "dynamics": {"kind": "trivial"},
+        "initial_state": "maximally_mixed", "nodes": [{"id": 0, "time": 0.0}]}))
+    assert main(["weights", path]) == 66
+    assert "above the limit" in capsys.readouterr().err
+
+
 def test_corrupt_file_is_a_file_error(tmp_path, capsys):
     path = _write_text(tmp_path, '{"dim": ')
     assert main(["weights", path]) == 66
@@ -139,6 +147,21 @@ def test_consistency_weak_mode(tmp_path, capsys):
     path = _write(tmp_path, _inconsistent_family())
     assert main(["consistency", path, "--weak"]) == 2
     assert "inconsistent (weak" in capsys.readouterr().out
+
+
+def test_consistency_rows_match_per_entry_format(tmp_path, capsys, monkeypatch):
+    # Extreme magnitudes, exact zeros and six-digit rounding ties; the
+    # printed rows must read exactly as format(v, ".6g") entry by entry.
+    rng = np.random.default_rng(35)
+    n = 256
+    d = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * 10.0 ** rng.integers(
+        -320, 12, size=(n, n))
+    d[0, :3] = [0.0, 1e-300, 1.2e8]
+    d[1, :3] = [0.1234565, -2.5e-5j, 1e16]
+    monkeypatch.setattr("qhistories.cli.family_decoherence_matrix", lambda fam, tol: d)
+    assert main(["consistency", _write(tmp_path, _inconsistent_family())]) == 2
+    rows = capsys.readouterr().out.splitlines()[1:n + 1]
+    assert rows == [" ".join(format(v, ".6g") for v in row) for row in np.abs(d)]
 
 
 # -- coarse -------------------------------------------------------------------

@@ -19,6 +19,7 @@ from qhistories import (
     serialize_family,
 )
 from qhistories.demos import P0, P1, branch_no_prod_family, fig2_family, isham_reversed_family
+from qhistories.fileio import MAX_MATRIX_BYTES
 
 
 # -- round trips -------------------------------------------------------------
@@ -168,6 +169,16 @@ def test_dim_must_be_positive_integer():
     with pytest.raises(ParseError) as exc:
         load_document(_doc(dim=True))
     assert exc.value.field == "dim"
+
+
+def test_dim_beyond_the_matrix_byte_limit():
+    root_only = {"nodes": [{"id": 0, "time": 0.0}]}
+    for dim in (2049, 100000000):
+        with pytest.raises(ParseError, match="above the limit") as exc:
+            load_document(_doc(dim=dim, **root_only))
+        assert exc.value.field == "dim"
+    assert 16 * 2048 ** 2 == MAX_MATRIX_BYTES
+    assert load_document(_doc(dim=2048, **root_only)).dim == 2048
 
 
 def test_unknown_state_literal():
