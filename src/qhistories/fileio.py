@@ -23,16 +23,27 @@ order, every float printed with 17 significant digits.  Canonical bytes
 are a fixed point, so ``serialize(parse(serialize(f)))`` reproduces
 ``serialize(f)`` byte for byte.
 
-Parse failures always raise :class:`~qhistories.errors.ParseError` with a
-line/column (syntax) or a field path (schema); semantic violations are
-reported through :meth:`BranchingFamily.validate` with node ids.  A
-``dim`` whose dense complex matrix would take more than
-``MAX_MATRIX_BYTES`` is a schema error, reported before any matrix is
-allocated.
+Matrices are encoded and decoded whole: one format template per matrix
+shape prints all of a matrix's numbers at once, and reading checks the
+types and lengths of all its rows, pairs and numbers before converting
+them to one float array.  The bytes are those of the per-entry format.
+Only a matrix that fails the bulk check is walked entry by entry, to
+name its first bad entry.
+
+:func:`load_document` raises only :class:`~qhistories.errors.ParseError`,
+with a line/column (syntax) or a field path (schema); semantic violations
+are reported through :meth:`BranchingFamily.validate` with node ids.  A
+number beyond the float range is a schema error at its field; an integer
+literal longer than Python converts, or nesting deeper than the JSON
+decoder follows, is an error at ``$``.  A ``dim`` whose dense complex
+matrix would take more than ``MAX_MATRIX_BYTES`` is a schema error,
+reported before any matrix is allocated.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 
@@ -70,7 +81,13 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+class _Fragment(str):
+    """Canonical JSON text that :func:`_canonical` writes out verbatim."""
+
+
 def _canonical(obj) -> str:
+    if type(obj) is _Fragment:
+        return obj
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, bool):
@@ -87,11 +104,22 @@ def _canonical(obj) -> str:
     raise ValueError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row]
-        for row in np.asarray(m, dtype=complex)
-    ]
+@functools.lru_cache(maxsize=8)
+def _matrix_template(rows: int, cols: int) -> str:
+    # '%.17g' % x and format(x, '.17g') share one C routine, so a template
+    # prints the same bytes as _format_float does entry by entry.
+    row = "[" + ",".join(["[%.17g,%.17g]"] * cols) + "]"
+    return "[" + ",".join([row] * rows) + "]"
+
+
+def _matrix_to_json(m: np.ndarray) -> _Fragment:
+    """A matrix as rows of ``[re, im]`` pairs, formatted in one pass."""
+    a = np.ascontiguousarray(m, dtype=complex)
+    flat = a.view(np.float64).ravel() + 0.0  # + 0.0 turns -0.0 into 0.0
+    finite = np.isfinite(flat)
+    if not finite.all():
+        _format_float(float(flat[np.argmin(finite)]))  # raises for the first one
+    return _Fragment(_matrix_template(*a.shape) % tuple(flat.tolist()))
 
 
 def _dynamics_to_json(evolution: EvolutionProvider) -> dict:
@@ -111,6 +139,9 @@ def _dynamics_to_json(evolution: EvolutionProvider) -> dict:
 def serialize_family(family: BranchingFamily) -> bytes:
     """Canonical UTF-8 document for ``family``."""
     dim = family.dim
+    # Matrices are checked as they are formatted: format them in canonical
+    # key order, so the non-finite number reported is the document's first.
+    dynamics = _dynamics_to_json(family.evolution)
     if np.array_equal(family.initial_state, np.eye(dim, dtype=complex) / dim):
         state = "maximally_mixed"
     else:
@@ -126,7 +157,7 @@ def serialize_family(family: BranchingFamily) -> bytes:
     doc = {
         "dim": dim,
         "initial_state": state,
-        "dynamics": _dynamics_to_json(family.evolution),
+        "dynamics": dynamics,
         "nodes": nodes,
     }
     return _canonical(doc).encode("utf-8")
@@ -147,18 +178,43 @@ def _as_int(value, field: str) -> int:
 def _as_float(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _schema(field, f"expected a number, got {value!r}")
-    result = float(value)
+    try:
+        result = float(value)
+    except OverflowError:  # an integer beyond the float range
+        result = math.inf
     if not math.isfinite(result):
         raise _schema(field, f"expected a finite number, got {value!r}")
     return result
 
 
-def _as_matrix(value, dim: int, field: str) -> np.ndarray:
+def _matrix_numbers(value, dim: int) -> np.ndarray | None:
+    """The numbers of a dim x dim matrix of ``[re, im]`` pairs as one array.
+
+    None unless every row, pair and number has the right type and length;
+    ``type(True) is bool``, so booleans fail the number check.
+    """
+    if type(value) is not list or len(value) != dim:
+        return None
+    if set(map(type, value)) != {list} or set(map(len, value)) != {dim}:
+        return None
+    pairs = list(itertools.chain.from_iterable(value))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    numbers = list(itertools.chain.from_iterable(pairs))
+    if not set(map(type, numbers)) <= {int, float}:
+        return None
+    try:
+        return np.array(numbers, dtype=float)
+    except OverflowError:
+        return None
+
+
+def _raise_first_defect(value, dim: int, field: str) -> None:
+    """Raise the ParseError naming the first malformed entry of a matrix."""
     if not isinstance(value, list):
         raise _schema(field, "expected a matrix (list of rows)")
     if len(value) != dim:
         raise _schema(field, f"expected {dim} rows, got {len(value)}")
-    out = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != dim:
             raise _schema(f"{field}[{i}]", f"expected a row of {dim} entries")
@@ -166,10 +222,15 @@ def _as_matrix(value, dim: int, field: str) -> np.ndarray:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise _schema(f"{field}[{i}][{j}]",
                               "expected an [re, im] pair")
-            re = _as_float(entry[0], f"{field}[{i}][{j}][0]")
-            im = _as_float(entry[1], f"{field}[{i}][{j}][1]")
-            out[i, j] = complex(re, im)
-    return out
+            _as_float(entry[0], f"{field}[{i}][{j}][0]")
+            _as_float(entry[1], f"{field}[{i}][{j}][1]")
+
+
+def _as_matrix(value, dim: int, field: str) -> np.ndarray:
+    numbers = _matrix_numbers(value, dim)
+    if numbers is None or not np.isfinite(numbers).all():
+        _raise_first_defect(value, dim, field)
+    return numbers.view(complex).reshape(dim, dim)
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], field: str):
@@ -236,6 +297,10 @@ def load_document(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamil
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except ValueError as exc:  # an integer literal beyond int's digit limit
+        raise ParseError(str(exc), field="$") from None
+    except RecursionError:
+        raise ParseError("values nest too deeply", field="$") from None
 
     if not isinstance(doc, dict):
         raise _schema("$", "top-level value must be an object")

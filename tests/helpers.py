@@ -6,6 +6,8 @@ controls its own seed and stays reproducible.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from qhistories import (
@@ -157,3 +159,27 @@ def families_equal(f1: BranchingFamily, f2: BranchingFamily) -> bool:
                 and all(np.array_equal(u, v)
                         for u, v in zip(e1.unitaries, e2.unitaries)))
     return True
+
+
+# A JSON integer beyond the float range.
+OUT_OF_RANGE = 10 ** 400
+
+
+def _root_document(initial_state="maximally_mixed", time="0.0") -> str:
+    text = json.dumps({"dim": 2, "initial_state": initial_state,
+                       "dynamics": {"kind": "trivial"},
+                       "nodes": [{"id": 0, "time": "TIME"}]})
+    return text.replace('"TIME"', time)
+
+
+# Documents on which float(), int() or the JSON decoder itself gives up:
+# name -> (text, field of the ParseError load_document must raise).
+HOSTILE_DOCUMENTS = {
+    "matrix-overflow": (
+        _root_document([[[1, 0], [0, 0]], [[0, 0], [OUT_OF_RANGE, 0]]]),
+        "initial_state[1][1][0]"),
+    "time-overflow": (_root_document(time=str(OUT_OF_RANGE)), "nodes[0].time"),
+    # An integer literal past Python's 4300-digit conversion limit.
+    "too-many-digits": (_root_document(time="1" + "0" * 5000), "$"),
+    "deep-nesting": ("[" * 100000, "$"),
+}

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import HOSTILE_DOCUMENTS
 from qhistories import (
     BranchingFamily,
     Moment,
@@ -80,6 +81,15 @@ def test_corrupt_file_is_a_file_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot parse" in err
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_DOCUMENTS))
+def test_numeric_overflow_and_deep_nesting_are_file_errors(tmp_path, capsys, name):
+    text, field = HOSTILE_DOCUMENTS[name]
+    assert main(["weights", _write_text(tmp_path, text)]) == 66
+    err = capsys.readouterr().err
+    assert "cannot parse" in err
+    assert f": {field}: " in err
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -1,13 +1,25 @@
 """Document round trips, parse failures and Graphviz export."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import families_equal, random_family
+from helpers import (
+    HOSTILE_DOCUMENTS,
+    OUT_OF_RANGE,
+    PROVIDER_KINDS,
+    families_equal,
+    random_family,
+    random_provider,
+)
 from qhistories import (
     BranchingFamily,
+    ConstantHamiltonian,
+    PiecewiseUnitary,
     InvalidFamilyError,
     Moment,
     ParseError,
@@ -84,6 +96,149 @@ def test_negative_zero_is_normalized():
     blob = serialize_family(fam)
     assert b"-0" not in blob
     assert serialize_family(parse_family(blob)) == blob
+
+
+# -- codec oracle: the per-entry emitter and parser the bulk codec replaced ---
+
+def _reference_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite number {x}")
+    if x == 0.0:
+        x = 0.0
+    return format(x, ".17g")
+
+
+def _reference_canonical(obj) -> str:
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _reference_float(obj)
+    if isinstance(obj, list):
+        return "[" + ",".join(_reference_canonical(v) for v in obj) + "]"
+    items = sorted(obj.items())
+    return "{" + ",".join(f"{json.dumps(k)}:{_reference_canonical(v)}" for k, v in items) + "}"
+
+
+def _reference_matrix(m) -> list:
+    return [[[float(entry.real), float(entry.imag)] for entry in row]
+            for row in np.asarray(m, dtype=complex)]
+
+
+def _reference_serialize(family) -> bytes:
+    dim = family.dim
+    if np.array_equal(family.initial_state, np.eye(dim, dtype=complex) / dim):
+        state = "maximally_mixed"
+    else:
+        state = _reference_matrix(family.initial_state)
+    evolution = family.evolution
+    if isinstance(evolution, ConstantHamiltonian):
+        dynamics = {"kind": "hamiltonian",
+                    "hamiltonian": _reference_matrix(evolution.hamiltonian)}
+    elif isinstance(evolution, PiecewiseUnitary):
+        dynamics = {"kind": "unitary_table",
+                    "breakpoints": [float(t) for t in evolution.breakpoints],
+                    "unitaries": [_reference_matrix(u) for u in evolution.unitaries]}
+    else:
+        dynamics = {"kind": "trivial"}
+    nodes = []
+    for m in family.moments:
+        node = {"id": int(m.id), "time": float(m.time)}
+        if m.parent is not None:
+            node["parent"] = int(m.parent)
+        if m.projector is not None:
+            node["projector"] = _reference_matrix(m.projector)
+        nodes.append(node)
+    doc = {"dim": dim, "initial_state": state, "dynamics": dynamics, "nodes": nodes}
+    return _reference_canonical(doc).encode("utf-8")
+
+
+def _reference_parse_matrix(value, dim: int) -> np.ndarray:
+    out = np.empty((dim, dim), dtype=complex)
+    for i, row in enumerate(value):
+        for j, (re, im) in enumerate(row):
+            out[i, j] = complex(float(re), float(im))
+    return out
+
+
+def _assert_parses_like_the_reference(text):
+    """Every matrix load_document returns is the per-entry parse, bit for bit."""
+    doc = json.loads(text)
+    family = load_document(text)
+    pairs = [(m.projector, n["projector"])
+             for m, n in zip(family.moments, doc["nodes"]) if "projector" in n]
+    if isinstance(doc["initial_state"], list):
+        pairs.append((family.initial_state, doc["initial_state"]))
+    dynamics = doc["dynamics"]
+    if dynamics["kind"] == "hamiltonian":
+        pairs.append((family.evolution.hamiltonian, dynamics["hamiltonian"]))
+    if dynamics["kind"] == "unitary_table":
+        pairs.extend(zip(family.evolution.unitaries, dynamics["unitaries"]))
+    assert pairs
+    for got, value in pairs:
+        want = _reference_parse_matrix(value, doc["dim"])
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()  # bit-identical, -0.0 included
+
+
+# Dimensions 1-32; larger ones get shallower trees to keep the matrix count small.
+@pytest.mark.parametrize("dim,depth", [(1, 3), (2, 3), (3, 3), (4, 2), (8, 1),
+                                       (16, 1), (32, 1)])
+@pytest.mark.parametrize("kind", PROVIDER_KINDS)
+def test_codec_matches_the_per_entry_reference(dim, depth, kind):
+    rng = np.random.default_rng(9100 + 7 * dim + PROVIDER_KINDS.index(kind))
+    explicit = random_family(rng, dim=dim, max_depth=depth, kind=kind,
+                             stop_probability=0.1)
+    mixed = BranchingFamily(dim, explicit.moments, np.eye(dim, dtype=complex) / dim,
+                            explicit.evolution)
+    for fam in (explicit, mixed):
+        blob = serialize_family(fam)
+        assert blob == _reference_serialize(fam)
+        _assert_parses_like_the_reference(blob)
+    assert b"maximally_mixed" in serialize_family(mixed)
+
+
+def test_codec_hand_set_entries():
+    state = np.array([[-0.0, 5e-324 - 0.0j], [1e300, complex(1e-17, -0.0)]])
+    projector = np.array([[complex(-0.0, -0.0), -5e-324], [-1e300j, 0.1 + 0.2]])
+    fam = BranchingFamily(
+        2, [Moment(0, None, -0.0, None), Moment(1, 0, 1e-17, projector)],
+        state, TrivialEvolution(2))
+    blob = serialize_family(fam)
+    assert blob == _reference_serialize(fam)
+    assert b"-0," not in blob and b"-0]" not in blob
+    assert b"4.9406564584124654e-324" in blob and b"1.0000000000000001e+300" in blob
+    _assert_parses_like_the_reference(blob)
+    assert serialize_family(load_document(blob)) == blob
+
+
+def test_codec_reads_integers_and_signed_zeros_bit_for_bit():
+    # JSON integers, as in the README's [1, 0], -0 and -0.0 literals, and
+    # integers past 2**53 and 2**64 that float() must round the same way.
+    state = [[[1, 0], [-0.0, -0.0]], [[2 ** 53 + 1, 2 ** 64 + 1], [-(2 ** 70) - 1, 0.5]]]
+    text = _doc(initial_state=state).replace("[-0.0, -0.0]", "[-0, -0.0]")
+    assert "[-0, -0.0]" in text
+    _assert_parses_like_the_reference(text)
+    _assert_parses_like_the_reference(_doc())
+    loaded = load_document(text).initial_state
+    assert math.copysign(1.0, loaded[0, 1].imag) == -1.0
+    assert math.copysign(1.0, loaded[0, 1].real) == 1.0
+
+
+@pytest.mark.parametrize("entry,message", [
+    (complex(0, math.inf), "inf"),
+    (complex(-math.inf, 0), "-inf"),
+    (complex(math.nan, 1), "nan"),
+])
+def test_non_finite_projector_is_not_serialized(entry, message):
+    projector = np.array([[1, entry], [math.nan, 0]], dtype=complex)
+    fam = BranchingFamily(
+        2, [Moment(0, None, 0.0, None), Moment(1, 0, 1.0, projector)],
+        np.eye(2, dtype=complex) / 2, TrivialEvolution(2))
+    with pytest.raises(ValueError) as exc:
+        serialize_family(fam)
+    assert str(exc.value) == f"cannot serialize non-finite number {message}"
 
 
 # -- syntax and schema failures ----------------------------------------------
@@ -200,6 +355,45 @@ def test_matrix_entries_must_be_finite_numbers():
     with pytest.raises(ParseError) as exc:
         load_document(_doc(initial_state=bad))
     assert exc.value.field == "initial_state[0][1][0]"
+
+
+_Z = [0, 0]
+
+
+@pytest.mark.parametrize("matrix,field,message", [
+    ([[[1, 0], [True, 0]], [_Z, _Z]],
+     "initial_state[0][1][0]", "expected a number, got True"),
+    ([[[1, 0], _Z], [_Z, ["1", 0]]],
+     "initial_state[1][1][0]", "expected a number, got '1'"),
+    ([[[1, None], _Z], [_Z, _Z]],
+     "initial_state[0][0][1]", "expected a number, got None"),
+    ([[[1, 0], _Z], [[0, 0, 0], _Z]],
+     "initial_state[1][0]", "expected an [re, im] pair"),
+    ([[[1, 0], _Z], [_Z]],
+     "initial_state[1]", "expected a row of 2 entries"),
+    ([[[1, 0], _Z], {"0": _Z}],
+     "initial_state[1]", "expected a row of 2 entries"),
+    ([[[1, 0], _Z]],
+     "initial_state", "expected 2 rows, got 1"),
+    ([[[1, 0], _Z], [_Z, [0, math.nan]]],
+     "initial_state[1][1][1]", "expected a finite number, got nan"),
+    ([[[1, 0], _Z], [_Z, [OUT_OF_RANGE, 0]]],
+     "initial_state[1][1][0]", f"expected a finite number, got {OUT_OF_RANGE}"),
+], ids=["boolean", "string", "null", "three-element-pair", "ragged-row",
+        "dict-row", "too-few-rows", "nan", "out-of-range-integer"])
+def test_malformed_matrix_diagnostics(matrix, field, message):
+    with pytest.raises(ParseError) as exc:
+        load_document(_doc(initial_state=matrix))
+    assert exc.value.field == field
+    assert exc.value.message == message
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_DOCUMENTS))
+def test_numeric_overflow_and_deep_nesting_are_parse_errors(name):
+    text, field = HOSTILE_DOCUMENTS[name]
+    with pytest.raises(ParseError) as exc:
+        load_document(text)
+    assert exc.value.field == field
 
 
 def test_unknown_dynamics_kind():
@@ -333,3 +527,57 @@ def test_export_dot_refuses_invalid_family():
     )
     with pytest.raises(InvalidFamilyError):
         export_dot(overlapping)
+
+
+# -- properties over generated families ----------------------------------------
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _families(draw):
+    """Families of any shape with arbitrary finite matrix entries and times.
+
+    Documents are only schema-checked on load, so the projectors and the
+    explicit state need not be physical; the dynamics must be, and come
+    from a seeded generator.
+    """
+    dim = draw(st.integers(1, 3))
+
+    def matrix():
+        entries = draw(st.lists(_finite, min_size=2 * dim * dim, max_size=2 * dim * dim))
+        return np.array(entries).view(complex).reshape(dim, dim)
+
+    size = draw(st.integers(1, 6))
+    moments = [Moment(0, None, draw(_finite), None)]
+    for i in range(1, size):
+        moments.append(Moment(i, draw(st.integers(0, i - 1)), draw(_finite), matrix()))
+    state = matrix() if draw(st.booleans()) else np.eye(dim, dtype=complex) / dim
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    provider = random_provider(dim, rng, draw(st.sampled_from(PROVIDER_KINDS)),
+                               grid=[0.0, 1.0, 2.0])
+    return BranchingFamily(dim, moments, state, provider)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_families())
+def test_serialize_load_serialize_is_a_byte_fixed_point(family):
+    blob = serialize_family(family)
+    assert blob == _reference_serialize(family)
+    assert serialize_family(load_document(blob)) == blob
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_families(), st.data())
+def test_damaged_documents_raise_only_parse_errors(family, data):
+    # A damaged document may still load; any exception but ParseError fails.
+    blob = serialize_family(family)
+    at = data.draw(st.integers(0, len(blob) - 1))
+    if data.draw(st.booleans()):
+        damaged = blob[:at]
+    else:
+        damaged = blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1:]
+    try:
+        load_document(damaged)
+    except ParseError:
+        pass
