@@ -6,6 +6,25 @@ dimensional history space.  On that space the histories of one family
 become an exhaustive set of mutually orthogonal projectors, sums of
 histories are literal operator sums, and the question "is this summed
 object itself a product history?" becomes a tensor factorization test.
+
+Members built by :func:`embed` are *factored*: they keep their step
+projectors as ``factors`` and build the dense d^n x d^n ``matrix`` only
+when it is asked for, anew on each access.  Members built from a dense
+matrix, :func:`sum_hpo` results among them, have ``factors = None``.
+For factored members
+
+- the projector check at construction bounds the max-entry hermiticity
+  and idempotence defects of the Kronecker product from per-slot norms
+  (a telescoped sum, exact in its use of max|A (x) B| = max|A| max|B|);
+  only when that bound exceeds the tolerance is the dense matrix built
+  and checked, so the verdict is always the dense check's;
+- :func:`is_homogeneous` is True without a test;
+- :func:`is_hpo_family` decides orthogonality slot by slot, from
+  (x)P (x)Q = (x)(PQ), and completeness from one dense total.
+
+Every dense d^n x d^n allocation is checked first against a budget of
+256 MiB (one 4096 x 4096 complex matrix); a larger one raises
+``ValueError`` naming its byte count.
 """
 
 from __future__ import annotations
@@ -19,7 +38,14 @@ import numpy as np
 from .chain import weight
 from .dynamics import TrivialEvolution
 from .errors import EmbeddingError
-from .linalg import DEFAULT_TOL, as_operator, decomposition_defects, is_projector, kron_all
+from .linalg import (
+    DEFAULT_TOL,
+    as_operator,
+    decomposition_defects,
+    is_projector,
+    kron_all,
+    max_abs,
+)
 from .structure import BranchingFamily, HistorySequence
 
 __all__ = [
@@ -39,45 +65,111 @@ __all__ = [
 # point are no longer a desk-scale object.
 _MAX_HISTORY_BITS = 20.0
 
+# Largest dense array this module allocates: 256 MiB, one 4096 x 4096
+# complex matrix.
+_MAX_DENSE_BYTES = 256 << 20
+
 # Relative cutoff for the rank-1 factorization test: the second singular
 # value must not exceed this multiple of the first.
 RANK1_CUTOFF = 1e-7
 
 
-@dataclass(frozen=True, eq=False)
+def _check_dense(dim: int) -> None:
+    """Refuse a dense ``dim`` x ``dim`` complex matrix over the byte budget."""
+    nbytes = 16 * dim * dim
+    if nbytes > _MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a dense {dim} x {dim} history-space matrix needs {nbytes} bytes, "
+            f"over the {_MAX_DENSE_BYTES}-byte budget")
+
+
+def _telescoped(x: list[float], e: list[float], y: list[float]) -> float:
+    """Bound on max|(x)X_s - (x)Y_s| from per-slot max-entry norms.
+
+    With x_s = max|X_s|, y_s = max|Y_s| and e_s = max|X_s - Y_s|, the
+    telescoped difference sum_k (x)_{s<k} X_s (x) (X_k - Y_k) (x)_{s>k} Y_s
+    gives sum_k prod_{s<k} x_s * e_k * prod_{s>k} y_s.
+    """
+    return sum(math.prod(x[:k]) * e[k] * math.prod(y[k + 1:]) for k in range(len(e)))
+
+
+def _factors_certified(stack: np.ndarray, tol: float) -> bool:
+    """True if the Kronecker product of ``stack`` is surely a projector within ``tol``.
+
+    False only means the bound exceeds ``tol``; the dense check decides.
+    """
+    square = stack @ stack
+    norms = np.abs(np.stack([stack, square, stack.conj().transpose(0, 2, 1) - stack,
+                             square - stack])).max(axis=(2, 3))
+    p, p2, herm, idem = norms.tolist()
+    return _telescoped(p, herm, p) <= tol and _telescoped(p2, idem, p) <= tol
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class HistoryProjector:
     """A projector on the n-slot history space of a d-dimensional system.
 
     ``matrix`` has shape (d^n, d^n) with ``d = base_dim`` and
     ``n = slots``; ``slot_times`` records the physical time of each slot.
+    A projector made by :func:`embed` is factored: ``factors`` holds its
+    n read-only (d, d) step projectors and ``matrix`` is their Kronecker
+    product, built on every access and never kept.  One made from a
+    dense matrix has ``factors = None``.
     """
 
-    matrix: np.ndarray
     slots: int
     slot_times: tuple[float, ...]
     base_dim: int
+    _matrix: np.ndarray | None
+    _stack: np.ndarray | None
 
-    def __post_init__(self):
-        if self.slots < 1:
-            raise ValueError("a history projector needs at least one slot")
-        if self.base_dim < 1:
-            raise ValueError(f"base dimension must be positive, got {self.base_dim}")
-        times = tuple(float(t) for t in self.slot_times)
-        if len(times) != self.slots:
-            raise ValueError(
-                f"{self.slots} slots need {self.slots} slot times, got {len(times)}")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError(f"slot times must be strictly increasing, got {times}")
-        mat = as_operator(self.matrix)
-        expected = self.base_dim ** self.slots
+    def __init__(self, matrix, slots: int, slot_times: Sequence[float], base_dim: int):
+        times = _slot_times(slots, slot_times, base_dim)
+        expected = base_dim ** slots
+        _check_dense(expected)
+        mat = as_operator(matrix)
         if mat.shape != (expected, expected):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match "
                 f"base_dim^slots = {expected}")
         if not is_projector(mat, DEFAULT_TOL):
             raise ValueError("matrix is not a projector on the history space")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "slot_times", times)
+        self._init(mat, None, slots, times, base_dim)
+
+    @classmethod
+    def _factored(cls, stack: np.ndarray, slot_times: Sequence[float]) -> "HistoryProjector":
+        """The projector whose factors are the (slots, d, d) ``stack``, which it takes over."""
+        slots, base_dim = stack.shape[0], stack.shape[1]
+        times = _slot_times(slots, slot_times, base_dim)
+        self = cls.__new__(cls)
+        self._init(None, stack, slots, times, base_dim)
+        if not (_factors_certified(stack, DEFAULT_TOL)
+                or is_projector(self.matrix, DEFAULT_TOL)):
+            raise ValueError("matrix is not a projector on the history space")
+        return self
+
+    def _init(self, matrix, stack, slots, times, base_dim) -> None:
+        for name, value in (("_matrix", matrix), ("_stack", stack), ("slots", slots),
+                            ("slot_times", times), ("base_dim", base_dim)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def factors(self) -> tuple[np.ndarray, ...] | None:
+        """The step projectors of a factored projector, as read-only views, else None."""
+        if self._stack is None:
+            return None
+        views = tuple(self._stack)
+        for v in views:
+            v.flags.writeable = False
+        return views
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (d^n, d^n) matrix; built anew for a factored projector."""
+        if self._stack is None:
+            return self._matrix
+        _check_dense(self.dim)
+        return kron_all(self._stack)
 
     @property
     def dim(self) -> int:
@@ -89,6 +181,21 @@ class HistoryProjector:
                 f"times={list(self.slot_times)})")
 
 
+def _slot_times(slots: int, slot_times: Sequence[float], base_dim: int) -> tuple[float, ...]:
+    """Check the slot structure of a history projector; return its times as floats."""
+    if slots < 1:
+        raise ValueError("a history projector needs at least one slot")
+    if base_dim < 1:
+        raise ValueError(f"base dimension must be positive, got {base_dim}")
+    times = tuple(float(t) for t in slot_times)
+    if len(times) != slots:
+        raise ValueError(
+            f"{slots} slots need {slots} slot times, got {len(times)}")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"slot times must be strictly increasing, got {times}")
+    return times
+
+
 def _check_space(base_dim: int, slots: int) -> None:
     if slots * math.log2(base_dim) > _MAX_HISTORY_BITS + 1e-9:
         raise ValueError(
@@ -97,13 +204,14 @@ def _check_space(base_dim: int, slots: int) -> None:
 
 
 def embed(seq: HistorySequence) -> HistoryProjector:
-    """Embed a history as the Kronecker product of its step projectors."""
+    """Embed a history as the Kronecker product of its step projectors.
+
+    The result is factored: it holds the step projectors, not the product.
+    """
     if len(seq) == 0:
         raise ValueError("cannot embed the empty history")
-    d = seq.dim
-    _check_space(d, len(seq))
-    matrix = kron_all(seq.projectors)
-    return HistoryProjector(matrix, len(seq), seq.times, d)
+    _check_space(seq.dim, len(seq))
+    return HistoryProjector._factored(np.stack(seq.projectors), seq.times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +281,88 @@ def is_hpo_family(members, tol: float = DEFAULT_TOL) -> bool:
 
     ``members`` may be an :class:`HPOFamily` or a plain sequence of
     :class:`HistoryProjector` values; mismatched slot structure is an
-    error rather than False.
+    error rather than False.  Orthogonality of factored members is
+    decided from their factors; a family with a dense member is checked
+    on dense matrices throughout.
     """
     if not isinstance(members, HPOFamily):
         members = HPOFamily(tuple(members))
-    clashes, complete = decomposition_defects([m.matrix for m in members.members], tol)
-    return not clashes and complete
+    if any(m._stack is None for m in members.members):
+        clashes, complete = decomposition_defects([m.matrix for m in members.members], tol)
+        return not clashes and complete
+    if _factors_clash(np.stack([m._stack for m in members.members]), tol):
+        return False
+    total = _dense_sum(members.members, members.dim)
+    total.flat[::members.dim + 1] -= 1.0
+    return max_abs(total) <= tol
+
+
+def _factors_clash(stacks: np.ndarray, tol: float) -> bool:
+    """True iff two factored members are not orthogonal within ``tol``.
+
+    ``stacks`` holds each member's factors, shape (n, slots, d, d).  As
+    (x)P (x)Q = (x)(PQ) and max|(x)A_s| = prod_s max|A_s|, the product of
+    members i and j has max-entry norm prod_s max|P_i^s P_j^s|.  That
+    (n, n) product is built one slot at a time, from one GEMM of each
+    member's factor against the distinct factors of the family, over
+    blocks of rows that keep the GEMM within the dense budget.
+    """
+    n, slots, d, _ = stacks.shape
+    keys = stacks.reshape(n * slots, d * d).view(np.dtype((np.void, 16 * d * d))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(n, slots)
+    # Column j * k + b holds column j of distinct factor b, so that each
+    # (d, d) product's entries lie along the middle axis below.
+    right = stacks.reshape(-1, d, d)[first].transpose(1, 2, 0).reshape(d, -1)
+    rows = max(1, _MAX_DENSE_BYTES // (16 * d * d * max(n, len(first))))
+    for a0 in range(0, n, rows):
+        left = stacks[a0:a0 + rows]
+        norms = np.ones((len(left), n))
+        for s in range(slots):
+            products = np.abs(left[:, s].reshape(-1, d) @ right)
+            norms *= products.reshape(len(left), d * d, -1).max(axis=1)[:, inverse[:, s]]
+        # Pairs (i, j) with i < j, as the dense check takes them.
+        if np.triu(norms > tol, a0 + 1).any():
+            return True
+    return False
+
+
+def _dense_sum(members: Sequence[HistoryProjector], dim: int) -> np.ndarray:
+    """Sum of the members' dense matrices, accumulated in one budget-checked total.
+
+    No factored member's dense matrix is formed on its own.
+    """
+    _check_dense(dim)
+    total = np.zeros((dim, dim), dtype=complex)
+    stacks = [m._stack for m in members if m._stack is not None]
+    if stacks:
+        _add_kron_sum(total, stacks)
+    for m in members:
+        if m._stack is None:
+            total += m._matrix
+    return total
+
+
+def _add_kron_sum(out: np.ndarray, stacks: list[np.ndarray]) -> None:
+    """Add the Kronecker products of equally shaped (slots, d, d) stacks to ``out``.
+
+    Stacks sharing their first factor P add P (x) (the sum over their
+    remaining factors), so a product family's total takes a few dense
+    products per level of its tree instead of one per member.
+    """
+    if len(stacks[0]) == 1:
+        for st in stacks:
+            out += st[0]
+        return
+    groups: dict[bytes, list[np.ndarray]] = {}
+    for st in stacks:
+        groups.setdefault(st[0].tobytes(), []).append(st)
+    d, e = stacks[0].shape[1], len(out) // stacks[0].shape[1]
+    blocks = out.reshape(d, e, d, e)
+    for group in groups.values():
+        rest = np.zeros((e, e), dtype=complex)
+        _add_kron_sum(rest, [st[1:] for st in group])
+        blocks += group[0][0][:, None, :, None] * rest[None, :, None, :]
 
 
 def _selector_indices(selector: Sequence, size: int) -> list[int]:
@@ -202,9 +386,7 @@ def sum_hpo(family: HPOFamily, selector: Sequence) -> HistoryProjector:
     the identity on the history space.
     """
     picked = _selector_indices(selector, len(family))
-    total = np.zeros((family.dim, family.dim), dtype=complex)
-    for i in picked:
-        total = total + family.members[i].matrix
+    total = _dense_sum([family.members[i] for i in picked], family.dim)
     return HistoryProjector(total, family.slots, family.slot_times, family.base_dim)
 
 
@@ -234,8 +416,11 @@ def is_homogeneous(y: HistoryProjector, tol: float = RANK1_CUTOFF) -> bool:
     ratio of the second to the first; then recurse on the remainder.
     Sums of distinct histories typically fail, but a sum can collapse
     back to a product (for instance when two summands differ in one slot
-    by projectors that complete each other).
+    by projectors that complete each other).  A factored projector is a
+    product by construction, and the answer is True without a test.
     """
+    if y._stack is not None:
+        return True
     return _schmidt_rank_one(y.matrix, y.base_dim, y.slots, tol)
 
 

@@ -9,7 +9,6 @@ sparsity or memory.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -202,14 +201,23 @@ def kron(a, b) -> np.ndarray:
 
 
 def kron_all(mats: Iterable) -> np.ndarray:
-    """Left-associated Kronecker product of a sequence of matrices.
+    """Left-associated Kronecker product of a sequence of matrices, as a new array.
 
-    The fixed evaluation order makes repeated calls bit-identical.
+    Each entry is the product of one entry per matrix taken left to right,
+    the same arithmetic as repeated ``np.kron``; the fixed order makes
+    repeated calls bit-identical.  Broadcasting one outer product per
+    factor skips ``np.kron``'s per-call overhead.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if not mats:
         raise ValueError("kron_all needs at least one matrix")
-    return reduce(np.kron, mats)
+    if any(m.ndim != 2 for m in mats):
+        raise ValueError("kron_all takes matrices (2-D arrays) only")
+    out = mats[0].copy()
+    for m in mats[1:]:
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
+            out.shape[0] * m.shape[0], out.shape[1] * m.shape[1])
+    return out
 
 
 def projector_onto(vec) -> np.ndarray:

@@ -7,9 +7,15 @@ controls its own seed and stays reproducible.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 
+import qhistories
 from qhistories import (
     BranchingFamily,
     ConstantHamiltonian,
@@ -183,3 +189,19 @@ HOSTILE_DOCUMENTS = {
     "too-many-digits": (_root_document(time="1" + "0" * 5000), "$"),
     "deep-nesting": ("[" * 100000, "$"),
 }
+
+
+def run_capped(code: str, limit: int = 1 << 30, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter whose address space is capped at ``limit`` bytes.
+
+    The child imports this checkout's ``qhistories`` and runs BLAS on one
+    thread; its stdout and stderr come back as text.
+    """
+    prelude = ("import resource\n"
+               f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n")
+    src = str(Path(qhistories.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=timeout)

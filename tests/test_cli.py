@@ -16,6 +16,7 @@ from qhistories import (
     serialize_family,
     weight_table,
 )
+from qhistories import hpo
 from qhistories.cli import main
 from qhistories.demos import (
     P0,
@@ -211,6 +212,20 @@ def test_hpo_check_product_family(tmp_path, capsys):
     assert "embeddable: yes (4 histories, 2 slots, base dim 2," in out
     assert "hpo family: valid" in out
     assert "homogeneous members: 4/4" in out
+
+
+def test_hpo_check_over_the_dense_budget(tmp_path, capsys, monkeypatch):
+    # With the budget below one 16 x 16 matrix, the completeness total of a
+    # 4-slot qubit family cannot be built; the factored checks still run.
+    monkeypatch.setattr(hpo, "_MAX_DENSE_BYTES", 16 * 8 * 8)
+    fam = from_product(2, [0.0, 1.0, 2.0, 3.0], [[P0, P1]] * 4)
+    path = _write(tmp_path, fam)
+    assert main(["hpo-check", path]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "hpo family: not checked (a dense 16 x 16 history-space matrix needs 4096 bytes, "
+        "over the 1024-byte budget)",
+        "homogeneous members: 16/16",
+    ]
 
 
 def test_hpo_check_mismatched_grid(tmp_path, capsys):
