@@ -18,7 +18,7 @@ from .coarse import intra_branch_sum
 from .demos import branch_no_prod_family, fig2_family, isham_reversed_family
 from .errors import EmbeddingError, InvalidFamilyError, ParseError, TransBranchError
 from .fileio import export_dot, load_document, serialize_family
-from .hpo import embed_family, is_homogeneous, is_hpo_family, isham_counterexample
+from .hpo import _check_dense, embed_family, is_homogeneous, is_hpo_family, isham_counterexample
 from .linalg import DEFAULT_TOL
 
 EXIT_OK = 0
@@ -161,9 +161,11 @@ def _cmd_hpo_check(args) -> int:
     print(f"embeddable: yes ({len(embedded)} histories, {embedded.slots} slots, "
           f"base dim {embedded.base_dim}, history space dim {embedded.dim})")
     try:
-        verdict = "valid" if is_hpo_family(embedded, args.tol) else "INVALID"
-    except ValueError as exc:  # the completeness total is over the dense budget
+        _check_dense(embedded.dim)  # the completeness total
+    except ValueError as exc:
         verdict = f"not checked ({exc})"
+    else:
+        verdict = "valid" if is_hpo_family(embedded, args.tol) else "INVALID"
     print(f"hpo family: {verdict}")
     homogeneous = sum(1 for m in embedded.members if is_homogeneous(m))
     print(f"homogeneous members: {homogeneous}/{len(embedded)}")

@@ -303,24 +303,21 @@ def _factors_clash(stacks: np.ndarray, tol: float) -> bool:
     ``stacks`` holds each member's factors, shape (n, slots, d, d).  As
     (x)P (x)Q = (x)(PQ) and max|(x)A_s| = prod_s max|A_s|, the product of
     members i and j has max-entry norm prod_s max|P_i^s P_j^s|.  That
-    (n, n) product is built one slot at a time, from one GEMM of each
-    member's factor against the distinct factors of the family, over
-    blocks of rows that keep the GEMM within the dense budget.
+    (n, n) product is built one slot at a time, from one GEMM of the
+    members' factors against all members' factors, over blocks of rows
+    whose GEMM result takes at most a quarter of the dense budget.
     """
     n, slots, d, _ = stacks.shape
-    keys = stacks.reshape(n * slots, d * d).view(np.dtype((np.void, 16 * d * d))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    inverse = inverse.reshape(n, slots)
-    # Column j * k + b holds column j of distinct factor b, so that each
-    # (d, d) product's entries lie along the middle axis below.
-    right = stacks.reshape(-1, d, d)[first].transpose(1, 2, 0).reshape(d, -1)
-    rows = max(1, _MAX_DENSE_BYTES // (16 * d * d * max(n, len(first))))
+    # Column j * n + b of slot s holds column j of member b's factor, so
+    # that each (d, d) product's entries lie along the middle axis below.
+    right = stacks.transpose(1, 2, 3, 0).reshape(slots, d, d * n)
+    rows = max(1, _MAX_DENSE_BYTES // (64 * d * d * n))
     for a0 in range(0, n, rows):
         left = stacks[a0:a0 + rows]
         norms = np.ones((len(left), n))
         for s in range(slots):
-            products = np.abs(left[:, s].reshape(-1, d) @ right)
-            norms *= products.reshape(len(left), d * d, -1).max(axis=1)[:, inverse[:, s]]
+            products = np.abs(left[:, s].reshape(-1, d) @ right[s])
+            norms *= products.reshape(len(left), d * d, n).max(axis=1)
         # Pairs (i, j) with i < j, as the dense check takes them.
         if np.triu(norms > tol, a0 + 1).any():
             return True
@@ -362,7 +359,11 @@ def _add_kron_sum(out: np.ndarray, stacks: list[np.ndarray]) -> None:
     for group in groups.values():
         rest = np.zeros((e, e), dtype=complex)
         _add_kron_sum(rest, [st[1:] for st in group])
-        blocks += group[0][0][:, None, :, None] * rest[None, :, None, :]
+        first = group[0][0]
+        # One entry of the first factor at a time, so that no temporary
+        # as large as the total is made.
+        for i, j in np.ndindex(d, d):
+            blocks[i, :, j, :] += first[i, j] * rest
 
 
 def _selector_indices(selector: Sequence, size: int) -> list[int]:

@@ -9,6 +9,7 @@ sparsity or memory.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -201,23 +202,14 @@ def kron(a, b) -> np.ndarray:
 
 
 def kron_all(mats: Iterable) -> np.ndarray:
-    """Left-associated Kronecker product of a sequence of matrices, as a new array.
+    """Left-associated Kronecker product of a sequence of matrices.
 
-    Each entry is the product of one entry per matrix taken left to right,
-    the same arithmetic as repeated ``np.kron``; the fixed order makes
-    repeated calls bit-identical.  Broadcasting one outer product per
-    factor skips ``np.kron``'s per-call overhead.
+    The fixed evaluation order makes repeated calls bit-identical.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if not mats:
         raise ValueError("kron_all needs at least one matrix")
-    if any(m.ndim != 2 for m in mats):
-        raise ValueError("kron_all takes matrices (2-D arrays) only")
-    out = mats[0].copy()
-    for m in mats[1:]:
-        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
-            out.shape[0] * m.shape[0], out.shape[1] * m.shape[1])
-    return out
+    return reduce(np.kron, mats)
 
 
 def projector_onto(vec) -> np.ndarray:

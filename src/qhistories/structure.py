@@ -90,12 +90,7 @@ class HistorySequence:
                 t, p = step
             except (TypeError, ValueError):
                 raise ValueError(f"step {k}: expected a (time, projector) pair")
-            # Steps taken from another sequence or a family are already
-            # square complex arrays; only other input needs coercing.
-            if not (type(p) is np.ndarray and p.dtype == complex and p.ndim == 2
-                    and p.shape[0] == p.shape[1]):
-                p = as_operator(p)
-            normalized.append((float(t), p))
+            normalized.append((float(t), as_operator(p)))
         times = [t for t, _ in normalized]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"step times must be strictly increasing, got {times}")

@@ -3,7 +3,6 @@
 import math
 import pickle
 import time
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -29,7 +28,14 @@ from qhistories import (
 from qhistories.chain import decoherence_matrix
 from qhistories.demos import P0, P1, P_MINUS, P_PLUS
 from qhistories.dynamics import TrivialEvolution
-from qhistories.hpo import RANK1_CUTOFF, _factors_certified, _factors_clash, _schmidt_rank_one
+from qhistories import hpo
+from qhistories.hpo import (
+    RANK1_CUTOFF,
+    _dense_sum,
+    _factors_certified,
+    _factors_clash,
+    _schmidt_rank_one,
+)
 from qhistories.linalg import DEFAULT_TOL, decomposition_defects, is_projector, kron_all
 
 I2 = np.eye(2, dtype=complex)
@@ -266,14 +272,13 @@ def _product_histories(rng, dim, slots, kind):
 @pytest.mark.parametrize("slots", range(1, 6))
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("kind", PROVIDER_KINDS)
-def test_factored_members_match_dense_oracle(kind, dim, slots):
+def test_factored_members_match_dense_oracle(kind, dim, slots, monkeypatch):
     rng = np.random.default_rng(100 * dim + 10 * slots + PROVIDER_KINDS.index(kind))
     parts, histories = _product_histories(rng, dim, slots, kind)
     for h in histories:
         y = embed(h)
         dense = kron_all(h.projectors)
         assert y.matrix.tobytes() == dense.tobytes()
-        assert dense.tobytes() == reduce(np.kron, h.projectors).tobytes()
         assert is_homogeneous(y) == _schmidt_rank_one(dense, dim, slots, RANK1_CUTOFF)
 
     groups = [(histories, (False, True))]
@@ -291,9 +296,14 @@ def test_factored_members_match_dense_oracle(kind, dim, slots):
     for group, expected in groups:
         assert _dense_defects(group) == expected
         members = [embed(h) for h in group]
-        assert _factors_clash(np.stack([np.stack(m.factors) for m in members]),
-                              DEFAULT_TOL) == expected[0]
+        stacks = np.stack([np.stack(m.factors) for m in members])
+        assert _factors_clash(stacks, DEFAULT_TOL) == expected[0]
+        with monkeypatch.context() as m:  # one row per GEMM block
+            m.setattr(hpo, "_MAX_DENSE_BYTES", 0)
+            assert _factors_clash(stacks, DEFAULT_TOL) == expected[0]
         assert is_hpo_family(members) == expected[1]
+        assert_allclose(_dense_sum(members, members[0].dim),
+                        sum(kron_all(h.projectors) for h in group), atol=1e-12)
 
 
 def _near_projector(diagonal, corner=0.0):

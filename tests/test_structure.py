@@ -39,22 +39,6 @@ def test_sequence_orders_and_coerces():
     assert len(seq) == 2
 
 
-def test_sequence_keeps_complex_steps_and_coerces_the_rest():
-    fortran = np.asfortranarray(P_PLUS)
-    seq = HistorySequence(((0.0, P0), (1.0, fortran), (2, [[0, 0], [0, 1]]),
-                           (3, np.eye(2, dtype=np.float32))))
-    assert seq.projectors[0] is P0
-    assert seq.projectors[1] is fortran
-    for p in seq.projectors[2:]:
-        assert type(p) is np.ndarray and p.dtype == complex
-    assert_allclose(seq.projectors[2], P1)
-    assert HistorySequence(seq.steps).projectors[2] is seq.projectors[2]
-    with pytest.raises(ValueError, match="square"):
-        HistorySequence(((0.0, np.zeros((2, 3), dtype=complex)),))
-    with pytest.raises(ValueError, match="matrix"):
-        HistorySequence(((0.0, np.zeros(4, dtype=complex)),))
-
-
 def test_sequence_rejects_bad_times_and_dims():
     with pytest.raises(ValueError, match="increasing"):
         HistorySequence(((1.0, P0), (0.5, P1)))
