@@ -54,7 +54,6 @@ from .hpo import (
 from .linalg import (
     DEFAULT_TOL,
     adjoint,
-    hs_inner,
     is_decomposition,
     is_density_matrix,
     is_hermitian,
@@ -107,7 +106,6 @@ __all__ = [
     "extended_weight",
     "family_decoherence_matrix",
     "from_product",
-    "hs_inner",
     "intra_branch_sum",
     "is_consistent",
     "is_decomposition",

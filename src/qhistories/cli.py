@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import family_decoherence_matrix, is_consistent, is_weakly_consistent, weight, weight_table
-from .coarse import intra_branch_sum
+from .chain import family_decoherence_matrix, is_consistent, is_weakly_consistent, weight_table
+from .coarse import _merged_weights
 from .demos import branch_no_prod_family, fig2_family, isham_reversed_family
 from .errors import EmbeddingError, InvalidFamilyError, ParseError, TransBranchError
 from .fileio import export_dot, load_document, serialize_family
@@ -74,11 +74,8 @@ def _fmt_weights(weights) -> str:
 def _cmd_validate(args) -> int:
     family = _load(args.file, args.tol)
     report = family.validate(args.tol)
-    if report.ok:
-        print("OK")
-        return EXIT_OK
     print(report)
-    return EXIT_INVALID
+    return EXIT_OK if report.ok else EXIT_INVALID
 
 
 def _cmd_weights(args) -> int:
@@ -127,7 +124,7 @@ def _cmd_coarse(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        merged = intra_branch_sum(family, leaf_a, leaf_b, args.tol)
+        merged, w_a, w_b, w_sum, additive = _merged_weights(family, leaf_a, leaf_b, args.tol)
     except TransBranchError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_TRANS_BRANCH
@@ -139,14 +136,9 @@ def _cmd_coarse(args) -> int:
     for t, p in merged.steps:
         rank = int(round(float(np.trace(p).real)))
         print(f"  step t={t:g}: rank {rank}")
-    evolution, rho = family.evolution, family.initial_state
-    w_a = weight(family.history_of_leaf(leaf_a), evolution, rho, args.tol)
-    w_b = weight(family.history_of_leaf(leaf_b), evolution, rho, args.tol)
-    w_sum = weight(merged, evolution, rho, args.tol)
     print(f"W(leaf {leaf_a}) = {_fmt(w_a)}")
     print(f"W(leaf {leaf_b}) = {_fmt(w_b)}")
     print(f"W(sum) = {_fmt(w_sum)}")
-    additive = abs(w_sum - (w_a + w_b)) <= args.tol
     print(f"additive within {args.tol:g}: {'yes' if additive else 'no'}")
     return EXIT_OK
 

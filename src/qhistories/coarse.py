@@ -76,13 +76,18 @@ def verify_intra_additivity(family: BranchingFamily, leaf_a: int, leaf_b: int,
     True whenever the weights agree within ``tol``; for sibling leaves
     this holds without any consistency assumption.
     """
+    return _merged_weights(family, leaf_a, leaf_b, tol)[-1]
+
+
+def _merged_weights(family: BranchingFamily, leaf_a: int, leaf_b: int,
+                    tol: float) -> tuple[HistorySequence, float, float, float, bool]:
+    """The merge of two sibling leaves, W(a), W(b), W(merge), and whether they add within ``tol``."""
     merged = intra_branch_sum(family, leaf_a, leaf_b, tol)
-    evolution = family.evolution
-    rho = family.initial_state
-    w_sum = weight(merged, evolution, rho, tol)
+    evolution, rho = family.evolution, family.initial_state
     w_a = weight(family.history_of_leaf(leaf_a), evolution, rho, tol)
     w_b = weight(family.history_of_leaf(leaf_b), evolution, rho, tol)
-    return abs(w_sum - (w_a + w_b)) <= tol
+    w_sum = weight(merged, evolution, rho, tol)
+    return merged, w_a, w_b, w_sum, abs(w_sum - (w_a + w_b)) <= tol
 
 
 def product_sum(seq1: HistorySequence, seq2: HistorySequence,

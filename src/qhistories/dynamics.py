@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_operator, is_unitary, max_abs
+from .linalg import DEFAULT_TOL, as_operator, is_hermitian, is_unitary
 
 __all__ = [
     "EvolutionProvider",
@@ -71,7 +71,7 @@ class ConstantHamiltonian(EvolutionProvider):
 
     def __init__(self, hamiltonian, tol: float = DEFAULT_TOL):
         h = as_operator(hamiltonian)
-        if max_abs(h - h.conj().T) > tol:
+        if not is_hermitian(h, tol):
             raise ValueError("hamiltonian is not Hermitian within tol")
         self.hamiltonian = h
         self._dim = h.shape[0]

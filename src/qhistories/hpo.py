@@ -40,6 +40,7 @@ from .dynamics import TrivialEvolution
 from .errors import EmbeddingError
 from .linalg import (
     DEFAULT_TOL,
+    _projector_norms,
     as_operator,
     decomposition_defects,
     is_projector,
@@ -98,10 +99,7 @@ def _factors_certified(stack: np.ndarray, tol: float) -> bool:
 
     False only means the bound exceeds ``tol``; the dense check decides.
     """
-    square = stack @ stack
-    norms = np.abs(np.stack([stack, square, stack.conj().transpose(0, 2, 1) - stack,
-                             square - stack])).max(axis=(2, 3))
-    p, p2, herm, idem = norms.tolist()
+    p, p2, herm, idem = _projector_norms(stack).tolist()
     return _telescoped(p, herm, p) <= tol and _telescoped(p2, idem, p) <= tol
 
 
@@ -288,8 +286,9 @@ def is_hpo_family(members, tol: float = DEFAULT_TOL) -> bool:
     if not isinstance(members, HPOFamily):
         members = HPOFamily(tuple(members))
     if any(m._stack is None for m in members.members):
-        clashes, complete = decomposition_defects([m.matrix for m in members.members], tol)
-        return not clashes and complete
+        mats = [m.matrix for m in members.members]
+        clashes, complete = decomposition_defects(mats, [0, len(mats)], tol)
+        return not len(clashes) and bool(complete[0])
     if _factors_clash(np.stack([m._stack for m in members.members]), tol):
         return False
     total = _dense_sum(members.members, members.dim)

@@ -2,9 +2,9 @@
 
 All functions work on plain ``numpy.ndarray`` values coerced to
 ``complex128``.  Closeness is always judged in the max-entry norm, with
-``DEFAULT_TOL`` as the tolerance when none is given.  Matrices are small
-(a handful of qubits at most), so nothing here tries to be clever about
-sparsity or memory.
+``DEFAULT_TOL`` as the tolerance when none is given; a check passes iff
+its norm is at most the tolerance, so a NaN entry fails it.  Projectors
+and decompositions are checked in bulk, on (n, d, d) stacks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "DEFAULT_TOL",
     "adjoint",
     "as_operator",
-    "hs_inner",
     "is_decomposition",
     "is_density_matrix",
     "is_hermitian",
@@ -35,6 +34,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+
+# Bytes of pair products or summed rows per batch in decomposition_defects;
+# 64 MiB batches validated a dim-32, 1057-node family half as fast.
+_CHUNK_BYTES = 4 << 20
 
 
 def as_operator(m) -> np.ndarray:
@@ -88,9 +91,7 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
 def is_density_matrix(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``m`` is Hermitian, positive semidefinite and unit trace within ``tol``."""
     arr = as_operator(m)
-    if max_abs(arr - arr.conj().T) > tol:
-        return False
-    if abs(np.trace(arr) - 1.0) > tol:
+    if not (is_hermitian(arr, tol) and abs(np.trace(arr) - 1.0) <= tol):
         return False
     eigenvalues = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
     return bool(eigenvalues.min() >= -tol)
@@ -114,33 +115,61 @@ def is_decomposition(projectors: Sequence, tol: float = DEFAULT_TOL,
     mats = [as_operator(p) for p in projectors]
     if not mats:
         raise ValueError("a decomposition needs at least one projector")
-    dim = mats[0].shape[0]
-    if any(p.shape[0] != dim for p in mats):
+    if any(p.shape != mats[0].shape for p in mats):
         raise ValueError("decomposition members have mixed dimensions")
-    for p in mats:
-        if not is_projector(p, tol):
-            return False
-        if not allow_zero and max_abs(p) <= tol:
-            return False
-    clashes, complete = decomposition_defects(mats, tol)
-    return not clashes and complete
+    stack = np.stack(mats)
+    size, _, herm, idem = _projector_norms(stack)
+    clashes, complete = decomposition_defects(stack, [0, len(stack)], tol)
+    return bool(np.all((herm <= tol) & (idem <= tol) & (allow_zero | ~(size <= tol)))
+                and not len(clashes) and complete[0])
 
 
-def decomposition_defects(mats: Sequence[np.ndarray],
-                          tol: float) -> tuple[list[tuple[int, int]], bool]:
-    """Non-orthogonal index pairs of ``mats`` and whether they sum to the identity.
+def _projector_norms(stack: np.ndarray) -> np.ndarray:
+    """Max-entry norms of P, P @ P, P^dag - P and P @ P - P: shape (4, n) for (n, d, d)."""
+    square = stack @ stack
+    return np.abs(np.stack([stack, square, stack.conj().transpose(0, 2, 1) - stack,
+                            square - stack])).max(axis=(2, 3))
 
-    ``mats`` are square and of one shape.  The pairs ``(i, j)``, ``i < j``,
-    come in lexicographic order; ``tol`` bounds every max-entry norm.
+
+def decomposition_defects(stack, bounds: Sequence[int],
+                          tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Non-orthogonal pairs, and completeness, of groups of rows of a stack.
+
+    ``stack`` is an (n, d, d) array or a sequence of (d, d) arrays, never
+    stacked whole.  Group g is rows ``bounds[g]:bounds[g + 1]``, not empty;
+    rows from ``bounds[-1]`` on are in no group.  Returns the (k, 2) array
+    of pairs i < j in one group with max|P_i P_j| > tol, in lexicographic
+    order, and for each group whether max|sum - I| <= tol.  Products and
+    partial sums are formed at most ``_CHUNK_BYTES`` at a time.
     """
-    clashes = [
-        (i, j)
-        for i in range(len(mats))
-        for j in range(i + 1, len(mats))
-        if max_abs(mats[i] @ mats[j]) > tol
-    ]
-    total = sum(mats[1:], start=mats[0])
-    return clashes, max_abs(total - np.eye(total.shape[0])) <= tol
+    bounds = np.asarray(bounds, dtype=np.intp)
+    if bounds[-1] == 0:
+        return np.empty((0, 2), dtype=np.intp), np.ones(0, dtype=bool)
+    d = stack[0].shape[0]
+    chunk = max(1, _CHUNK_BYTES // (16 * d * d))
+    group = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+
+    def take(rows: np.ndarray) -> np.ndarray:
+        return stack[rows] if isinstance(stack, np.ndarray) else np.stack([stack[r] for r in rows])
+
+    # Row i pairs with the later rows of its group: pairs first[i] onwards.
+    later = bounds[1:][group] - np.arange(len(group)) - 1
+    first, pairs = np.cumsum(later) - later, int(later.sum())
+    clashes = [np.empty((0, 2), dtype=np.intp)]
+    for k0 in range(0, pairs, chunk):
+        k = np.arange(k0, min(k0 + chunk, pairs))
+        i = np.searchsorted(first, k, side="right") - 1
+        j = i + 1 + k - first[i]
+        bad = np.abs(take(i) @ take(j)).max(axis=(1, 2)) > tol
+        clashes.append(np.stack([i[bad], j[bad]], axis=1))
+
+    sums = np.zeros((len(bounds) - 1, d, d), dtype=complex)
+    for r0 in range(0, len(group), chunk):
+        g = group[r0:r0 + chunk]
+        starts = np.flatnonzero(np.diff(g, prepend=-1))
+        sums[g[0]:g[-1] + 1] += np.add.reduceat(stack[r0:r0 + len(g)], starts, axis=0)
+    sums -= np.eye(d)
+    return np.concatenate(clashes), np.abs(sums).max(axis=(1, 2)) <= tol
 
 
 def require_projector(m, tol: float = DEFAULT_TOL, what: str = "projector") -> np.ndarray:
@@ -177,23 +206,6 @@ def require_density_matrix(m, dim: int | None = None,
     if not is_density_matrix(arr, tol):
         raise ValueError(f"matrix is not a density matrix within tol={tol}")
     return arr
-
-
-def hs_inner(rho, k1, k2) -> complex:
-    """State-weighted operator inner product Tr[rho k1^dag k2].
-
-    With ``k1 == k2`` this is the weight of the history whose chain
-    operator is ``k1``; for two different chain operators it is the
-    corresponding decoherence-matrix entry.
-    """
-    r = as_operator(rho)
-    a = as_operator(k1)
-    b = as_operator(k2)
-    if not (r.shape == a.shape == b.shape):
-        raise ValueError(
-            f"dimension mismatch: rho {r.shape}, k1 {a.shape}, k2 {b.shape}"
-        )
-    return complex(np.trace(r @ a.conj().T @ b))
 
 
 def kron(a, b) -> np.ndarray:

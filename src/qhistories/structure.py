@@ -27,11 +27,10 @@ from .dynamics import EvolutionProvider, PiecewiseUnitary, TrivialEvolution
 from .errors import InvalidFamilyError
 from .linalg import (
     DEFAULT_TOL,
+    _projector_norms,
     as_operator,
     decomposition_defects,
     is_density_matrix,
-    is_projector,
-    max_abs,
     maximally_mixed,
     require_decomposition,
     require_density_matrix,
@@ -251,8 +250,8 @@ class BranchingFamily:
         Checks, in order: tree shape (single root, known parents, no
         unreachable nodes), projector placement and shape, strict time
         growth along edges, the decomposition property of every sibling
-        group, the initial state, and agreement between the family and
-        its evolution provider.
+        group (one stacked check for all), the initial state, and
+        agreement between the family and its evolution provider.
         """
         issues: list[ValidationIssue] = []
 
@@ -274,6 +273,14 @@ class BranchingFamily:
                     "tree", tuple(unreachable),
                     "nodes are not reachable from the root"))
 
+        shape = (self.dim, self.dim)
+        placed = [m for m in self.moments
+                  if m.projector is not None and m.projector.shape == shape]
+        row_of = {m.id: r for r, m in enumerate(placed)}
+        stack = np.array([m.projector for m in placed], dtype=complex).reshape(-1, *shape)
+        size, _, herm, idem = _projector_norms(stack)
+        is_proj, size = ((herm <= tol) & (idem <= tol)).tolist(), size.tolist()
+
         for m in self.moments:
             if m.parent is None:
                 if m.projector is not None:
@@ -283,14 +290,14 @@ class BranchingFamily:
             if m.projector is None:
                 issues.append(ValidationIssue(
                     "projector", (m.id,), "non-root node carries no projector"))
-            elif m.projector.shape != (self.dim, self.dim):
+            elif m.projector.shape != shape:
                 issues.append(ValidationIssue(
                     "dimension", (m.id,),
                     f"projector shape {m.projector.shape} does not match dim {self.dim}"))
-            elif not is_projector(m.projector, tol):
+            elif not is_proj[row_of[m.id]]:
                 issues.append(ValidationIssue(
                     "projector", (m.id,), "matrix is not a projector within tol"))
-            elif not allow_zero_projectors and max_abs(m.projector) <= tol:
+            elif not allow_zero_projectors and size[row_of[m.id]] <= tol:
                 issues.append(ValidationIssue(
                     "zero-projector", (m.id,), "projector is the zero matrix"))
             parent = self._by_id.get(m.parent)
@@ -299,21 +306,22 @@ class BranchingFamily:
                     "time-order", (parent.id, m.id),
                     f"child time {m.time} is not after parent time {parent.time}"))
 
-        for m in self.moments:
-            kids = self._children[m.id]
-            if not kids:
-                continue
-            mats = [c.projector for c in kids]
-            if any(p is None or p.shape != (self.dim, self.dim) for p in mats):
-                continue  # already reported above
-            clashes, complete = decomposition_defects(mats, tol)
-            for i, j in clashes:
+        # Sibling groups of placed projectors only, in parent order.
+        groups = [kids for kids in self._children.values()
+                  if kids and all(c.id in row_of for c in kids)]
+        grouped = [c for kids in groups for c in kids]
+        bounds = np.cumsum([0] + [len(kids) for kids in groups])
+        clashes, complete = decomposition_defects(
+            stack[[row_of[c.id] for c in grouped]], bounds, tol)
+        cut = np.searchsorted(clashes[:, 0], bounds)  # group g: clashes[cut[g]:cut[g + 1]]
+        for g in np.flatnonzero(~complete | (np.diff(cut) > 0)).tolist():
+            for i, j in clashes[cut[g]:cut[g + 1]].tolist():
                 issues.append(ValidationIssue(
-                    "orthogonality", (kids[i].id, kids[j].id),
+                    "orthogonality", (grouped[i].id, grouped[j].id),
                     "sibling projectors are not orthogonal"))
-            if not complete:
+            if not complete[g]:
                 issues.append(ValidationIssue(
-                    "completeness", (m.id,) + tuple(c.id for c in kids),
+                    "completeness", (groups[g][0].parent,) + tuple(c.id for c in groups[g]),
                     "children projectors do not sum to the identity"))
 
         state = self.initial_state
@@ -455,12 +463,11 @@ class BranchingFamily:
             lengths = {len(kids) for kids in child_lists}
             if len(lengths) > 1:
                 return False
-            reference = child_lists[0]
-            for kids in child_lists[1:]:
-                for a, b in zip(reference, kids):
-                    if max_abs(a.projector - b.projector) > tol:
-                        return False
             level = [c for kids in child_lists for c in kids]
+            stack = np.array([c.projector for c in level]).reshape(
+                len(child_lists), -1, self.dim, self.dim)
+            if np.abs(stack[1:] - stack[:1]).max(initial=0.0) > tol:
+                return False
         return True
 
 

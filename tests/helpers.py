@@ -22,8 +22,12 @@ from qhistories import (
     PiecewiseUnitary,
     TrivialEvolution,
     from_product,
+    is_density_matrix,
+    is_projector,
     new_family,
 )
+from qhistories.linalg import DEFAULT_TOL, as_operator, max_abs
+from qhistories.structure import ValidationIssue, ValidationReport
 
 PROVIDER_KINDS = ("trivial", "hamiltonian", "unitary_table")
 
@@ -205,3 +209,134 @@ def run_capped(code: str, limit: int = 1 << 30, timeout: float = 120) -> subproc
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+# -- oracles: the plain definitions the package's batched code must match -----
+
+def hs_inner(rho, k1, k2) -> complex:
+    """State-weighted operator inner product Tr[rho k1^dag k2].
+
+    With ``k1 == k2`` this is the weight of the history whose chain
+    operator is ``k1``; for two different chain operators it is the
+    corresponding decoherence-matrix entry.
+    """
+    r = as_operator(rho)
+    a = as_operator(k1)
+    b = as_operator(k2)
+    if not (r.shape == a.shape == b.shape):
+        raise ValueError(
+            f"dimension mismatch: rho {r.shape}, k1 {a.shape}, k2 {b.shape}"
+        )
+    return complex(np.trace(r @ a.conj().T @ b))
+
+
+def decomposition_defects(mats, tol: float) -> tuple[list[tuple[int, int]], bool]:
+    """Non-orthogonal index pairs of ``mats`` and whether they sum to the identity.
+
+    ``mats`` are square and of one shape.  The pairs ``(i, j)``, ``i < j``,
+    come in lexicographic order; ``tol`` bounds every max-entry norm.
+    """
+    clashes = [
+        (i, j)
+        for i in range(len(mats))
+        for j in range(i + 1, len(mats))
+        if max_abs(mats[i] @ mats[j]) > tol
+    ]
+    total = sum(mats[1:], start=mats[0])
+    return clashes, max_abs(total - np.eye(total.shape[0])) <= tol
+
+
+def validate(fam: BranchingFamily, tol: float = DEFAULT_TOL,
+             allow_zero_projectors: bool = False) -> ValidationReport:
+    """``BranchingFamily.validate`` written node by node and pair by pair."""
+    issues: list[ValidationIssue] = []
+    by_id = {m.id: m for m in fam.moments}
+    children = {m.id: list(fam.children_of(m.id)) for m in fam.moments}
+
+    roots = [m for m in fam.moments if m.parent is None]
+    if len(roots) != 1:
+        issues.append(ValidationIssue(
+            "tree", tuple(m.id for m in roots),
+            f"expected exactly one root, found {len(roots)}"))
+    for m in fam.moments:
+        if m.parent is not None and m.parent not in by_id:
+            issues.append(ValidationIssue(
+                "tree", (m.id,), f"parent {m.parent} does not exist"))
+
+    if len(roots) == 1:
+        reachable, stack = set(), [roots[0]]
+        while stack:
+            m = stack.pop()
+            reachable.add(m.id)
+            stack.extend(children[m.id])
+        unreachable = [m.id for m in fam.moments if m.id not in reachable]
+        if unreachable:
+            issues.append(ValidationIssue(
+                "tree", tuple(unreachable),
+                "nodes are not reachable from the root"))
+
+    for m in fam.moments:
+        if m.parent is None:
+            if m.projector is not None:
+                issues.append(ValidationIssue(
+                    "projector", (m.id,), "root must not carry a projector"))
+            continue
+        if m.projector is None:
+            issues.append(ValidationIssue(
+                "projector", (m.id,), "non-root node carries no projector"))
+        elif m.projector.shape != (fam.dim, fam.dim):
+            issues.append(ValidationIssue(
+                "dimension", (m.id,),
+                f"projector shape {m.projector.shape} does not match dim {fam.dim}"))
+        elif not is_projector(m.projector, tol):
+            issues.append(ValidationIssue(
+                "projector", (m.id,), "matrix is not a projector within tol"))
+        elif not allow_zero_projectors and max_abs(m.projector) <= tol:
+            issues.append(ValidationIssue(
+                "zero-projector", (m.id,), "projector is the zero matrix"))
+        parent = by_id.get(m.parent)
+        if parent is not None and not (m.time > parent.time):
+            issues.append(ValidationIssue(
+                "time-order", (parent.id, m.id),
+                f"child time {m.time} is not after parent time {parent.time}"))
+
+    for m in fam.moments:
+        kids = children[m.id]
+        if not kids:
+            continue
+        mats = [c.projector for c in kids]
+        if any(p is None or p.shape != (fam.dim, fam.dim) for p in mats):
+            continue  # already reported above
+        clashes, complete = decomposition_defects(mats, tol)
+        for i, j in clashes:
+            issues.append(ValidationIssue(
+                "orthogonality", (kids[i].id, kids[j].id),
+                "sibling projectors are not orthogonal"))
+        if not complete:
+            issues.append(ValidationIssue(
+                "completeness", (m.id,) + tuple(c.id for c in kids),
+                "children projectors do not sum to the identity"))
+
+    state = fam.initial_state
+    if state.shape != (fam.dim, fam.dim):
+        issues.append(ValidationIssue(
+            "initial-state", (),
+            f"state shape {state.shape} does not match dim {fam.dim}"))
+    elif not is_density_matrix(state, tol):
+        issues.append(ValidationIssue(
+            "initial-state", (), "initial state is not a density matrix"))
+
+    if fam.evolution.dim != fam.dim:
+        issues.append(ValidationIssue(
+            "dynamics", (),
+            f"evolution dimension {fam.evolution.dim} does not match "
+            f"family dimension {fam.dim}"))
+    for m in fam.moments:
+        if children[m.id] and not (not isinstance(fam.evolution, PiecewiseUnitary)
+                                   or fam.evolution.covers(m.time)):
+            issues.append(ValidationIssue(
+                "dynamics", (m.id,),
+                f"time {m.time} does not align with any breakpoint "
+                f"of the unitary table"))
+
+    return ValidationReport(tuple(issues))

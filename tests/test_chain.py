@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from helpers import (
     PROVIDER_KINDS,
     haar_unitary,
+    hs_inner,
     random_decomposition,
     random_family,
     random_hermitian,
@@ -24,7 +25,6 @@ from qhistories import (
     evolved_state,
     family_decoherence_matrix,
     from_product,
-    hs_inner,
     is_consistent,
     is_dynamically_impossible,
     is_weakly_consistent,

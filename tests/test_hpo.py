@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import PROVIDER_KINDS, random_decomposition, random_provider, run_capped
+from helpers import (
+    PROVIDER_KINDS,
+    decomposition_defects,
+    random_decomposition,
+    random_provider,
+    run_capped,
+)
 from qhistories import (
     EmbeddingError,
     HistoryProjector,
@@ -36,7 +42,7 @@ from qhistories.hpo import (
     _factors_clash,
     _schmidt_rank_one,
 )
-from qhistories.linalg import DEFAULT_TOL, decomposition_defects, is_projector, kron_all
+from qhistories.linalg import DEFAULT_TOL, is_projector, kron_all
 
 I2 = np.eye(2, dtype=complex)
 RHO0 = P0

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import decomposition_defects as oracle_defects
+from helpers import hs_inner, random_decomposition
 from qhistories import (
     ConstantHamiltonian,
     adjoint,
-    hs_inner,
     is_decomposition,
     is_density_matrix,
     is_hermitian,
@@ -18,7 +19,15 @@ from qhistories import (
     maximally_mixed,
     projector_onto,
 )
-from qhistories.linalg import max_abs, require_decomposition, require_density_matrix, require_projector
+from qhistories import linalg
+from qhistories.linalg import (
+    DEFAULT_TOL,
+    decomposition_defects,
+    max_abs,
+    require_decomposition,
+    require_density_matrix,
+    require_projector,
+)
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -78,6 +87,72 @@ def test_is_decomposition_input_errors():
         is_decomposition([])
     with pytest.raises(ValueError):
         is_decomposition([I2, np.eye(3)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_is_decomposition_rejects_nan_and_inf_members():
+    for bad in (np.nan, np.inf, complex(np.nan, 0.0)):
+        member = P0.copy()
+        member[1, 1] = bad
+        assert not is_decomposition([member, P1])
+        assert not is_decomposition([member, P1], allow_zero=True)
+
+
+def _groups_and_loose_rows(rng, d):
+    """Sibling-like groups of (d, d) projectors, damaged at random, then loose rows.
+
+    The first group repeats two orthogonal projectors in mirrored order,
+    so its clashes (0, 3) and (1, 2) differ between row and column order.
+    """
+    a, b = random_decomposition(d, 2, rng)
+    groups = [[a, b, b, a]]
+    for _ in range(int(rng.integers(1, 5))):
+        group = random_decomposition(d, int(rng.integers(1, d + 1)), rng)
+        damage = rng.integers(4)
+        if damage == 1:
+            group.insert(int(rng.integers(len(group) + 1)), group[int(rng.integers(len(group)))])
+        elif damage == 2 and len(group) > 1:
+            group.pop(int(rng.integers(len(group))))
+        elif damage == 3:
+            group.append(random_decomposition(d, d, rng)[0])
+        groups.append(group)
+    # Rows outside every group, neither orthogonal to the last group nor
+    # completing it.
+    loose = random_decomposition(d, d, rng)[:int(rng.integers(1, d))]
+    return groups, loose
+
+
+@pytest.mark.parametrize("pairs", [1, 3, None])
+def test_decomposition_defects_matches_the_pairwise_oracle(monkeypatch, pairs):
+    d = 4
+    if pairs is not None:
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", pairs * 16 * d * d)
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        groups, loose = _groups_and_loose_rows(rng, d)
+        bounds = np.cumsum([0] + [len(g) for g in groups])
+        expected_pairs, expected_complete = [], []
+        for start, group in zip(bounds, groups):
+            clashes, complete = oracle_defects(group, DEFAULT_TOL)
+            expected_pairs += [[start + i, start + j] for i, j in clashes]
+            expected_complete.append(complete)
+        assert expected_pairs[:2] == [[0, 3], [1, 2]]
+        rows = [p for g in groups for p in g] + loose
+        for stack in (np.stack(rows), rows):
+            clashes, complete = decomposition_defects(stack, bounds, DEFAULT_TOL)
+            assert clashes.tolist() == expected_pairs
+            assert complete.tolist() == expected_complete
+
+
+def test_decomposition_defects_reads_nan_as_incomplete_not_clashing():
+    nan = P0.copy()
+    nan[0, 0] = np.nan
+    clashes, complete = decomposition_defects(np.stack([nan, P1, I2]), [0, 2, 3],
+                                              DEFAULT_TOL)
+    assert clashes.shape == (0, 2)
+    assert complete.tolist() == [False, True]
+    clashes, complete = decomposition_defects(np.zeros((0, 2, 2)), [0], DEFAULT_TOL)
+    assert clashes.shape == (0, 2) and complete.shape == (0,)
 
 
 def test_require_helpers_raise_with_context():

@@ -1,9 +1,12 @@
 """Branching family construction, validation and history extraction."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import (
@@ -13,6 +16,7 @@ from helpers import (
     random_family,
     random_provider,
 )
+from helpers import validate as oracle_validate
 from qhistories import (
     BranchingFamily,
     HistorySequence,
@@ -210,6 +214,23 @@ def test_zero_projectors_never_mark_a_family_valid():
             weight_table(fam)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validate_reports_nan_projectors_and_nan_sums():
+    # A NaN entry makes every norm NaN: the projector check and the
+    # completeness check fail, the orthogonality check does not.
+    for bad in (np.nan, np.inf):
+        nan = P0.copy()
+        nan[0, 1] = bad
+        moments = [
+            Moment(0, None, 0.0, None),
+            Moment(1, 0, 1.0, nan),
+            Moment(2, 0, 1.0, P1),
+        ]
+        fam = BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
+        assert [(i.kind, i.nodes) for i in fam.validate().issues] == [
+            ("projector", (1,)), ("completeness", (0, 1, 2))]
+
+
 def test_validate_reports_bad_state_and_dynamics():
     moments = [Moment(0, None, 0.0, None)]
     fam = BranchingFamily(2, moments, np.diag([0.5, 0.4]), TrivialEvolution(3))
@@ -354,7 +375,95 @@ def test_is_product_shaped():
     assert not fig2_family().is_product_shaped()
 
 
+def _levels(fam):
+    """Node lists of each depth of a family, root first."""
+    levels = [[fam.root()]]
+    while levels[-1]:
+        levels.append([c for m in levels[-1] for c in fam.children_of(m.id)])
+    return levels[:-1]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1))
+def test_is_product_shaped_over_product_families(seed):
+    rng = np.random.default_rng(seed)
+    dim, steps = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    decomps = [random_decomposition(dim, int(rng.integers(2, dim + 1)), rng)
+               for _ in range(steps)]
+    times = np.cumsum(rng.uniform(0.2, 1.0, size=steps)).tolist()
+    fam = from_product(dim, times, decomps, random_density(dim, rng))
+    assert fam.is_product_shaped()
+    # One node below the root gets another decomposition of its own.
+    level = _levels(fam)[int(rng.integers(1, steps))]
+    kids = fam.children_of(level[int(rng.integers(len(level)))].id)
+    other = dict(zip((c.id for c in kids), random_decomposition(dim, len(kids), rng)))
+    moments = [dataclasses.replace(m, projector=other.get(m.id, m.projector))
+               for m in fam.moments]
+    perturbed = BranchingFamily(dim, moments, fam.initial_state, fam.evolution)
+    assert perturbed.validate().ok
+    assert not perturbed.is_product_shaped()
+
+
 # -- randomized properties -----------------------------------------------------
+
+CORRUPTIONS = ("non-projector", "zero", "wrong-shape", "nan", "inf", "duplicate-sibling",
+               "drop-node", "bad-time", "missing-parent", "unreachable", "second-root")
+
+
+def _corrupt(fam, kinds, rng):
+    """``fam`` rebuilt with each corruption of ``kinds`` applied in turn."""
+    dim = fam.dim
+    moments = list(fam.moments)
+    ids = itertools.count(max(m.id for m in moments) + 1)
+    for kind in kinds:
+        spare = random_decomposition(dim, dim, rng)[0]
+        if kind == "unreachable":
+            a, b = next(ids), next(ids)
+            moments += [Moment(a, b, 1.0, spare), Moment(b, a, 2.0, spare)]
+            continue
+        if kind == "second-root":
+            moments.append(Moment(next(ids), None, 0.0, None))
+            continue
+        inner = [k for k, m in enumerate(moments) if m.parent is not None]
+        if not inner:
+            continue
+        k = inner[int(rng.integers(len(inner)))]
+        m = moments[k]
+        p = m.projector if m.projector is not None else spare
+        if kind == "non-projector":
+            noise = rng.normal(size=p.shape) * 10.0 ** -rng.integers(2, 9)
+            moments[k] = dataclasses.replace(m, projector=p + noise)
+        elif kind == "zero":
+            moments[k] = dataclasses.replace(m, projector=np.zeros((dim, dim)))
+        elif kind == "wrong-shape":
+            shape = [(dim + 1, dim + 1), (dim, dim + 1)][int(rng.integers(2))]
+            moments[k] = dataclasses.replace(m, projector=np.eye(*shape))
+        elif kind in ("nan", "inf"):
+            p = np.array(p, dtype=complex)
+            p[tuple(rng.integers(len(p), size=2))] = np.nan if kind == "nan" else np.inf
+            moments[k] = dataclasses.replace(m, projector=p)
+        elif kind == "duplicate-sibling":
+            moments.insert(k + 1, dataclasses.replace(m, id=next(ids)))
+        elif kind == "drop-node":
+            del moments[k]
+        elif kind == "bad-time":
+            parent = next((q for q in moments if q.id == m.parent), m)
+            moments[k] = dataclasses.replace(m, time=parent.time - rng.integers(2))
+        elif kind == "missing-parent":
+            moments[k] = dataclasses.replace(m, parent=next(ids))
+    return BranchingFamily(dim, moments, fam.initial_state, fam.evolution)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.sampled_from(CORRUPTIONS), max_size=4))
+def test_validate_matches_the_node_by_node_oracle(seed, kinds):
+    rng = np.random.default_rng(seed)
+    fam = _corrupt(random_family(rng, max_depth=3), kinds, rng)
+    for allow_zero in (False, True):
+        expected = oracle_validate(fam, allow_zero_projectors=allow_zero)
+        assert str(fam.validate(allow_zero_projectors=allow_zero)) == str(expected)
+
 
 @pytest.mark.parametrize("seed", range(10))
 def test_random_families_validate_clean(seed):
