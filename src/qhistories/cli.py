@@ -18,7 +18,7 @@ from .coarse import _merged_weights
 from .demos import branch_no_prod_family, fig2_family, isham_reversed_family
 from .errors import EmbeddingError, InvalidFamilyError, ParseError, TransBranchError
 from .fileio import export_dot, load_document, serialize_family
-from .hpo import _check_dense, embed_family, is_homogeneous, is_hpo_family, isham_counterexample
+from .hpo import _tree_verdict, embed_family, is_homogeneous, is_hpo_family, isham_counterexample
 from .linalg import DEFAULT_TOL
 
 EXIT_OK = 0
@@ -152,13 +152,13 @@ def _cmd_hpo_check(args) -> int:
         return EXIT_OK
     print(f"embeddable: yes ({len(embedded)} histories, {embedded.slots} slots, "
           f"base dim {embedded.base_dim}, history space dim {embedded.dim})")
-    try:
-        _check_dense(embedded.dim)  # the completeness total
-    except ValueError as exc:
-        verdict = f"not checked ({exc})"
+    verdict, bound = _tree_verdict(embedded, args.tol)
+    if verdict is None:
+        text = (f"not decided (bound {bound:.3g} > tol {args.tol:g}, "
+                f"dense total over the byte budget)")
     else:
-        verdict = "valid" if is_hpo_family(embedded, args.tol) else "INVALID"
-    print(f"hpo family: {verdict}")
+        text = "valid" if verdict else "INVALID"
+    print(f"hpo family: {text}")
     homogeneous = sum(1 for m in embedded.members if is_homogeneous(m))
     print(f"homogeneous members: {homogeneous}/{len(embedded)}")
     return EXIT_OK

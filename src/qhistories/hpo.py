@@ -17,10 +17,41 @@ For factored members
   and idempotence defects of the Kronecker product from per-slot norms
   (a telescoped sum, exact in its use of max|A (x) B| = max|A| max|B|);
   only when that bound exceeds the tolerance is the dense matrix built
-  and checked, so the verdict is always the dense check's;
+  and checked, so the verdict is always the dense check's.
+  :func:`embed_family` takes the norms once per tree node and the bound
+  for all members at once;
 - :func:`is_homogeneous` is True without a test;
-- :func:`is_hpo_family` decides orthogonality slot by slot, from
-  (x)P (x)Q = (x)(PQ), and completeness from one dense total.
+- :func:`is_hpo_family` works on the tree of shared leading factors.
+  Members sharing their factors before slot s form a node; its children
+  a carry the slot-s factors P_a, and below each child sit the remaining
+  factors of its members, summing to S_a.  Identical subfamilies are
+  handled once.
+
+Completeness is certified bottom up.  With E_a = S_a - I and
+||E_a||_2 <= b_a, the node's sum less the identity is
+
+    sum_a P_a (x) S_a - I = (sum_a P_a - I) (x) I + M,  M = sum_a P_a (x) E_a,
+
+and ||M||_2^2 = ||M^dag M||_2 <= B^2 (G + X), from the diagonal terms
+sum_a P_a^dag P_a (x) E_a^dag E_a <= B^2 (sum_a P_a^dag P_a) (x) I and
+the triangle inequality on the rest, where B = max_a b_a,
+G = ||sum_a P_a^dag P_a||_2 and X = sum_{a != b} ||P_a^dag P_b||_2.  So
+
+    max|sum_i M_i - I| <= ||sum_i M_i - I||_2
+                       <= ||sum_a P_a - I||_2 + B sqrt(G + X),
+
+with 0 or |count - 1| at the leaves (count members with one row of
+factors).  Spectral norms are bounded above by sqrt(||A||_1 ||A||_inf)
+and ||A||_F.  A bound <= tol certifies; otherwise the dense total
+decides, and over the byte budget the check raises ``ValueError``.
+
+Orthogonality uses max|(P (x) X)(P (x) Y)| = max|P P| max|X Y| inside a
+child and max|X Y| <= ||X||_2 ||Y||_2 across siblings, where
+||(x)_s A_s||_2 = prod_s ||A_s||_2; a bound above tol hands the decision
+to the exact slot-by-slot product of :func:`_factors_clash`, from
+(x)P (x)Q = (x)(PQ).  Dense totals (:func:`sum_hpo` and the fallback)
+are summed on the same tree, each distinct subfamily once, with
+siblings over equal subfamilies merged into (sum_a P_a) (x) R.
 
 Every dense d^n x d^n allocation is checked first against a budget of
 256 MiB (one 4096 x 4096 complex matrix); a larger one raises
@@ -30,6 +61,7 @@ Every dense d^n x d^n allocation is checked first against a budget of
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +71,7 @@ from .chain import weight
 from .dynamics import TrivialEvolution
 from .errors import EmbeddingError
 from .linalg import (
+    _CHUNK_BYTES,
     DEFAULT_TOL,
     _projector_norms,
     as_operator,
@@ -84,23 +117,35 @@ def _check_dense(dim: int) -> None:
             f"over the {_MAX_DENSE_BYTES}-byte budget")
 
 
-def _telescoped(x: list[float], e: list[float], y: list[float]) -> float:
-    """Bound on max|(x)X_s - (x)Y_s| from per-slot max-entry norms.
+def _telescoped(x: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bounds on max|(x)X_s - (x)Y_s| from per-slot max-entry norms, one per row.
 
-    With x_s = max|X_s|, y_s = max|Y_s| and e_s = max|X_s - Y_s|, the
-    telescoped difference sum_k (x)_{s<k} X_s (x) (X_k - Y_k) (x)_{s>k} Y_s
-    gives sum_k prod_{s<k} x_s * e_k * prod_{s>k} y_s.
+    With x_s = max|X_s|, y_s = max|Y_s| and e_s = max|X_s - Y_s| along the
+    last axis, the telescoped difference
+    sum_k (x)_{s<k} X_s (x) (X_k - Y_k) (x)_{s>k} Y_s gives
+    sum_k prod_{s<k} x_s * e_k * prod_{s>k} y_s, here from cumulative
+    products.
     """
-    return sum(math.prod(x[:k]) * e[k] * math.prod(y[k + 1:]) for k in range(len(e)))
+    terms = e.copy()
+    terms[..., 1:] *= np.cumprod(x, axis=-1)[..., :-1]
+    terms[..., :-1] *= np.cumprod(y[..., ::-1], axis=-1)[..., -2::-1]
+    return terms.sum(axis=-1)
+
+
+def _certified(norms: np.ndarray, tol: float) -> np.ndarray:
+    """Which Kronecker products are surely projectors within ``tol``.
+
+    ``norms`` is :func:`linalg._projector_norms` of each product's factors,
+    shape (4, n, slots): the hermiticity defect is bounded with x = y = max|P|,
+    the idempotence defect with x = max|P P| and y = max|P|.  False only
+    means a bound exceeds ``tol``; the dense check decides.
+    """
+    return (_telescoped(norms[:2], norms[2:], norms[0]) <= tol).all(axis=0)
 
 
 def _factors_certified(stack: np.ndarray, tol: float) -> bool:
-    """True if the Kronecker product of ``stack`` is surely a projector within ``tol``.
-
-    False only means the bound exceeds ``tol``; the dense check decides.
-    """
-    p, p2, herm, idem = _projector_norms(stack).tolist()
-    return _telescoped(p, herm, p) <= tol and _telescoped(p2, idem, p) <= tol
+    """True if the Kronecker product of ``stack`` is surely a projector within ``tol``."""
+    return bool(_certified(_projector_norms(stack)[:, None], tol)[0])
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -135,14 +180,16 @@ class HistoryProjector:
         self._init(mat, None, slots, times, base_dim)
 
     @classmethod
-    def _factored(cls, stack: np.ndarray, slot_times: Sequence[float]) -> "HistoryProjector":
-        """The projector whose factors are the (slots, d, d) ``stack``, which it takes over."""
-        slots, base_dim = stack.shape[0], stack.shape[1]
-        times = _slot_times(slots, slot_times, base_dim)
+    def _factored(cls, stack: np.ndarray, times: tuple[float, ...],
+                  certified: bool) -> "HistoryProjector":
+        """The projector whose factors are the (slots, d, d) ``stack``, which it takes over.
+
+        ``times`` must have passed :func:`_slot_times`.  Unless the factors'
+        bound is ``certified``, the dense matrix must pass the projector check.
+        """
         self = cls.__new__(cls)
-        self._init(None, stack, slots, times, base_dim)
-        if not (_factors_certified(stack, DEFAULT_TOL)
-                or is_projector(self.matrix, DEFAULT_TOL)):
+        self._init(None, stack, stack.shape[0], times, stack.shape[1])
+        if not (certified or is_projector(self.matrix, DEFAULT_TOL)):
             raise ValueError("matrix is not a projector on the history space")
         return self
 
@@ -209,7 +256,9 @@ def embed(seq: HistorySequence) -> HistoryProjector:
     if len(seq) == 0:
         raise ValueError("cannot embed the empty history")
     _check_space(seq.dim, len(seq))
-    return HistoryProjector._factored(np.stack(seq.projectors), seq.times)
+    stack = np.stack(seq.projectors)
+    times = _slot_times(len(seq), seq.times, seq.dim)
+    return HistoryProjector._factored(stack, times, _factors_certified(stack, DEFAULT_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,15 +312,42 @@ def embed_family(family: BranchingFamily, tol: float = DEFAULT_TOL) -> HPOFamily
     Possible only when all histories share the same step times, which for
     branch-dependent timings is not the case; then an
     :class:`EmbeddingError` explains what differs.
+
+    The family is walked once, depth first.  Each member's factors are
+    gathered by index from one stack of the node projectors, whose norms
+    are taken once per node, and the projector bound is evaluated for all
+    members at once; a member whose bound fails takes the dense check.
     """
-    histories = family.histories(tol)
-    if any(len(h) == 0 for h in histories):
+    family.ensure_valid(tol)
+    nodes = family._depth_first
+    if len(nodes) == 1:
         raise EmbeddingError("family contains the empty history (bare root)")
-    times = {h.times for h in histories}
-    if len(times) > 1:
+    # path[k]: row (in nodes[1:]) of the path's node at depth k + 1;
+    # times[k]: time of the path's node at depth k.
+    depth = {nodes[0].id: 0}
+    path: list[int] = []
+    times = [float(nodes[0].time)]
+    members, grids = [], set()
+    for row, m in enumerate(nodes[1:]):
+        k = depth[m.id] = depth[m.parent] + 1
+        del path[k - 1:], times[k:]
+        path.append(row)
+        times.append(float(m.time))
+        if not family._children[m.id]:
+            members.append(tuple(path))
+            grids.add(tuple(times[:-1]))
+    if len(grids) > 1:
         raise EmbeddingError(
-            f"histories do not share one time grid: found {sorted(times)}")
-    return HPOFamily(tuple(embed(h) for h in histories))
+            f"histories do not share one time grid: found {sorted(grids)}")
+    index = np.array(members)
+    slots = index.shape[1]
+    _check_space(family.dim, slots)
+    stack = np.array([m.projector for m in nodes[1:]], dtype=complex)
+    certified = _certified(_projector_norms(stack)[:, index], DEFAULT_TOL).tolist()
+    stacks = stack[index]
+    grid = _slot_times(slots, grids.pop(), family.dim)
+    return HPOFamily(tuple(HistoryProjector._factored(st, grid, ok)
+                           for st, ok in zip(stacks, certified)))
 
 
 def is_hpo_family(members, tol: float = DEFAULT_TOL) -> bool:
@@ -279,21 +355,162 @@ def is_hpo_family(members, tol: float = DEFAULT_TOL) -> bool:
 
     ``members`` may be an :class:`HPOFamily` or a plain sequence of
     :class:`HistoryProjector` values; mismatched slot structure is an
-    error rather than False.  Orthogonality of factored members is
-    decided from their factors; a family with a dense member is checked
-    on dense matrices throughout.
+    error rather than False.  Factored members are decided on the tree of
+    their shared leading factors (see the module docstring), with the
+    exact factor products or the dense total where a bound exceeds
+    ``tol``; a dense total over the byte budget raises ``ValueError``.  A
+    family with a dense member is checked on dense matrices throughout,
+    one batch of them at a time.
     """
     if not isinstance(members, HPOFamily):
         members = HPOFamily(tuple(members))
     if any(m._stack is None for m in members.members):
-        mats = [m.matrix for m in members.members]
-        clashes, complete = decomposition_defects(mats, [0, len(mats)], tol)
+        clashes, complete = decomposition_defects(_Matrices(members.members),
+                                                  [0, len(members)], tol)
         return not len(clashes) and bool(complete[0])
-    if _factors_clash(np.stack([m._stack for m in members.members]), tol):
-        return False
-    total = _dense_sum(members.members, members.dim)
-    total.flat[::members.dim + 1] -= 1.0
-    return max_abs(total) <= tol
+    verdict, _ = _tree_verdict(members, tol)
+    if verdict is None:
+        _check_dense(members.dim)  # raises: the total is over budget
+    return verdict
+
+
+class _Matrices:
+    """The members' dense matrices as a sequence, each built when indexed."""
+
+    def __init__(self, members: Sequence[HistoryProjector]):
+        self._members = members
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return np.stack([m.matrix for m in self._members[k]])
+        return self._members[k].matrix
+
+
+def _tree_verdict(family: HPOFamily, tol: float) -> tuple[bool | None, float]:
+    """HPO verdict on an all-factored family, and its completeness bound.
+
+    The verdict is None when the bound exceeds ``tol`` and the dense total
+    that would decide is over the byte budget.
+    """
+    stacks = np.stack([m._stack for m in family.members])
+    clash_bound, bound = _tree_bounds(stacks)
+    if clash_bound > tol and _factors_clash(stacks, tol):
+        return False, bound
+    if bound <= tol:
+        return True, bound
+    if 16 * family.dim ** 2 > _MAX_DENSE_BYTES:
+        return None, bound
+    total = _dense_sum(family.members, family.dim)
+    total.flat[::family.dim + 1] -= 1.0
+    return max_abs(total) <= tol, bound
+
+
+def _subfamilies(stacks: np.ndarray) -> tuple[np.ndarray, list, int]:
+    """The tree of factored members, one entry per distinct subfamily.
+
+    ``stacks`` holds each member's factors, shape (n, slots, d, d).  Members
+    sharing their factors before slot s form a node of the tree at depth
+    s; its children are its members grouped by their slot-s factor.  A
+    node's subfamily is its members' factors from slot s on.  Returns the
+    distinct factors, found by their bytes; the distinct subfamilies,
+    children before parents, each the number of members with one row of
+    factors (at depth ``slots``) or the tuple of its children's (factor,
+    subfamily) indices; and the index of the whole family's subfamily.
+    """
+    n, slots, d, _ = stacks.shape
+    raw, size = np.ascontiguousarray(stacks).tobytes(), 16 * d * d
+    table: dict[bytes, int] = {}
+    ids = [table.setdefault(raw[k:k + size], len(table)) for k in range(0, len(raw), size)]
+    factors = np.frombuffer(b"".join(table), dtype=complex).reshape(-1, d, d)
+    memo: dict = {}
+    counts: dict[tuple[int, ...], int] = {}
+    for k in range(0, len(ids), slots):
+        row = tuple(ids[k:k + slots])
+        counts[row] = counts.get(row, 0) + 1
+    # Each prefix of factor ids at the current depth, and its subfamily.
+    level = {row: memo.setdefault(c, len(memo)) for row, c in counts.items()}
+    for s in reversed(range(slots)):
+        kids: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for prefix, sub in level.items():
+            kids.setdefault(prefix[:s], []).append((prefix[s], sub))
+        level = {prefix: memo.setdefault(tuple(ch), len(memo)) for prefix, ch in kids.items()}
+    return factors, list(memo), level[()]
+
+
+def _tree_bounds(stacks: np.ndarray) -> tuple[float, float]:
+    """Orthogonality and completeness bounds of factored members, from their tree.
+
+    Bottom up, once per distinct subfamily of :func:`_subfamilies`, whose
+    children a carry the factors P_a, this computes
+
+    - ``clash``: a bound on max|M_i M_j| over its pairs of members,
+      max(max_a max|P_a P_a| clash_a, max_{a != b} max|P_a P_b| R_a R_b),
+      where R_a bounds the spectral norm of child a's members;
+    - ``complete``: a bound on the spectral norm of its members' sum less
+      the identity, ||sum_a P_a - I||_2 + max_a complete_a * sqrt(G + X),
+      with G = ||sum_a P_a^dag P_a||_2 and X = sum_{a != b} ||P_a^dag P_b||_F.
+
+    Returns both bounds for the whole family.
+    """
+    d = stacks.shape[2]
+    factors, subfamilies, root = _subfamilies(stacks)
+
+    # The norms the bounds take: per factor, per pair of sibling factors
+    # and per distinct node.
+    nodes = [[f for f, _ in sub] for sub in subfamilies if isinstance(sub, tuple)]
+    rows = [f for fs in nodes for f in fs]
+    starts = np.cumsum([0] + [len(fs) for fs in nodes[:-1]])
+    gram = factors.conj().transpose(0, 2, 1) @ factors
+    spec = _spectral_bounds(np.concatenate([
+        factors,
+        np.add.reduceat(factors[rows], starts, axis=0) - np.eye(d),
+        np.add.reduceat(gram[rows], starts, axis=0)]))
+    spec, excess, overlap = np.split(spec, [len(factors), len(factors) + len(nodes)])
+    pmax, hfro = _pair_norms(factors, sorted({(f, g) for fs in nodes for f in fs for g in fs}))
+
+    clash, complete, spread = [], [], []
+    j = 0
+    for sub in subfamilies:
+        if not isinstance(sub, tuple):  # member count
+            clash.append(1.0 if sub > 1 else 0.0)
+            complete.append(abs(sub - 1.0))
+            spread.append(1.0)
+            continue
+        cross = [(pmax[f, g], spread[a], spread[b], hfro[f, g])
+                 for f, a in sub for g, b in sub if f != g]
+        clash.append(max([pmax[f, f] * clash[c] for f, c in sub]
+                         + [p * ra * rb for p, ra, rb, _ in cross]))
+        x = sum(h for *_, h in cross)
+        complete.append(float(excess[j])
+                        + max(complete[c] for _, c in sub) * math.sqrt(overlap[j] + x))
+        spread.append(max(spec[f] * spread[c] for f, c in sub))
+        j += 1
+    return clash[root], complete[root]
+
+
+def _spectral_bounds(stack: np.ndarray) -> np.ndarray:
+    """Upper bounds on the spectral norms of an (n, d, d) stack: sqrt(||A||_1 ||A||_inf)."""
+    a = np.abs(stack)
+    return np.sqrt(a.sum(axis=1).max(axis=1) * a.sum(axis=2).max(axis=1))
+
+
+def _pair_norms(factors: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[dict, dict]:
+    """max|P_f P_g| and ||P_f^dag P_g||_F, by (f, g), for the given pairs of factors."""
+    d = factors.shape[1]
+    chunk = max(1, _CHUNK_BYTES // (32 * d * d))
+    pmax, hfro = {}, {}
+    for k0 in range(0, len(pairs), chunk):
+        part = pairs[k0:k0 + chunk]
+        f, g = np.array(part).T
+        left, right = factors[f], factors[g]
+        left = np.concatenate([left, left.conj().transpose(0, 2, 1)])
+        products = left @ np.concatenate([right, right])
+        pmax.update(zip(part, np.abs(products[:len(part)]).max(axis=(1, 2)).tolist()))
+        hfro.update(zip(part, np.linalg.norm(products[len(part):], axis=(1, 2)).tolist()))
+    return pmax, hfro
 
 
 def _factors_clash(stacks: np.ndarray, tol: float) -> bool:
@@ -332,37 +549,51 @@ def _dense_sum(members: Sequence[HistoryProjector], dim: int) -> np.ndarray:
     total = np.zeros((dim, dim), dtype=complex)
     stacks = [m._stack for m in members if m._stack is not None]
     if stacks:
-        _add_kron_sum(total, stacks)
+        _add_kron_sum(total, np.stack(stacks))
     for m in members:
         if m._stack is None:
             total += m._matrix
     return total
 
 
-def _add_kron_sum(out: np.ndarray, stacks: list[np.ndarray]) -> None:
-    """Add the Kronecker products of equally shaped (slots, d, d) stacks to ``out``.
+def _add_kron_sum(out: np.ndarray, stacks: np.ndarray) -> None:
+    """Add the Kronecker products of the (n, slots, d, d) ``stacks`` to ``out``.
 
-    Stacks sharing their first factor P add P (x) (the sum over their
-    remaining factors), so a product family's total takes a few dense
-    products per level of its tree instead of one per member.
+    A node of the members' tree (:func:`_subfamilies`) adds P (x) R for
+    each child, R the sum over the child's remaining factors; children
+    with the same subfamily add (sum of their P) (x) R together, so a
+    product family's total takes one dense product per level of its tree.
+    A subfamily's R is computed once; one that several nodes need is kept.
     """
-    if len(stacks[0]) == 1:
-        for st in stacks:
-            out += st[0]
-        return
-    groups: dict[bytes, list[np.ndarray]] = {}
-    for st in stacks:
-        groups.setdefault(st[0].tobytes(), []).append(st)
-    d, e = stacks[0].shape[1], len(out) // stacks[0].shape[1]
-    blocks = out.reshape(d, e, d, e)
-    for group in groups.values():
-        rest = np.zeros((e, e), dtype=complex)
-        _add_kron_sum(rest, [st[1:] for st in group])
-        first = group[0][0]
-        # One entry of the first factor at a time, so that no temporary
-        # as large as the total is made.
-        for i, j in np.ndindex(d, d):
-            blocks[i, :, j, :] += first[i, j] * rest
+    factors, subfamilies, root = _subfamilies(stacks)
+    uses = Counter(c for sub in subfamilies if isinstance(sub, tuple) for c in {c for _, c in sub})
+    kept: dict[int, np.ndarray] = {}
+    d = factors.shape[1]
+
+    def add(out: np.ndarray, node: tuple[tuple[int, int], ...]) -> None:
+        firsts: dict[int, np.ndarray] = {}
+        for f, c in node:
+            firsts[c] = firsts.get(c, 0) + factors[f]
+        e = len(out) // d
+        if e == 1:  # children are member counts
+            out += sum(subfamilies[c] * first for c, first in firsts.items())
+            return
+        blocks = out.reshape(d, e, d, e)
+        for c, first in firsts.items():
+            rest = kept.get(c)
+            if rest is None:
+                rest = np.zeros((e, e), dtype=complex)
+                add(rest, subfamilies[c])
+                if uses[c] > 1:
+                    kept[c] = rest
+            # One row of the first factor and a slice of R at a time, so that
+            # no temporary is much larger than _CHUNK_BYTES.
+            step = max(1, _CHUNK_BYTES // (16 * d * e))
+            for i in range(d):
+                for x in range(0, e, step):
+                    blocks[i, x:x + step] += first[i][:, None] * rest[x:x + step, None, :]
+
+    add(out, subfamilies[root])
 
 
 def _selector_indices(selector: Sequence, size: int) -> list[int]:

@@ -98,6 +98,13 @@ class HistorySequence:
             raise ValueError(f"projectors have mixed dimensions {sorted(dims)}")
         object.__setattr__(self, "steps", tuple(normalized))
 
+    @classmethod
+    def _trusted(cls, steps: tuple[tuple[float, np.ndarray], ...]) -> "HistorySequence":
+        """The sequence of ``steps`` as given: float times, checked (d, d) complex arrays."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "steps", steps)
+        return self
+
     @property
     def times(self) -> tuple[float, ...]:
         return tuple(t for t, _ in self.steps)
@@ -421,6 +428,7 @@ class BranchingFamily:
         ``[(time(m_0), P(m_1)), ..., (time(m_{k-1}), P(m_k))]``: each
         projector is paired with the time of the node above it, and leaf
         times do not appear.  A bare root yields the empty sequence.
+        Each step is coerced once per node, not once per history.
         """
         self.ensure_valid(tol)
         out: list[HistorySequence] = []
@@ -429,9 +437,9 @@ class BranchingFamily:
             steps = prefixes.pop(m.id, ())
             kids = self._children[m.id]
             if not kids:
-                out.append(HistorySequence(steps))
+                out.append(HistorySequence._trusted(steps))
             for child in kids:
-                prefixes[child.id] = steps + ((m.time, child.projector),)
+                prefixes[child.id] = steps + ((float(m.time), as_operator(child.projector)),)
         return out
 
     def history_of_leaf(self, leaf_id: int, tol: float = DEFAULT_TOL) -> HistorySequence:
@@ -440,11 +448,10 @@ class BranchingFamily:
         if not self.is_leaf(leaf_id):
             raise ValueError(f"node {leaf_id} is not a leaf")
         nodes = self.path(leaf_id)
-        steps = tuple(
-            (parent.time, child.projector)
+        return HistorySequence._trusted(tuple(
+            (float(parent.time), as_operator(child.projector))
             for parent, child in zip(nodes, nodes[1:])
-        )
-        return HistorySequence(steps)
+        ))
 
     def is_product_shaped(self, tol: float = DEFAULT_TOL) -> bool:
         """True iff the family could have come from a product construction.

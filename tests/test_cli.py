@@ -216,16 +216,40 @@ def test_hpo_check_product_family(tmp_path, capsys):
 
 def test_hpo_check_over_the_dense_budget(tmp_path, capsys, monkeypatch):
     # With the budget below one 16 x 16 matrix, the completeness total of a
-    # 4-slot qubit family cannot be built; the factored checks still run.
+    # 4-slot qubit family cannot be built; the tree certificate needs none.
     monkeypatch.setattr(hpo, "_MAX_DENSE_BYTES", 16 * 8 * 8)
     fam = from_product(2, [0.0, 1.0, 2.0, 3.0], [[P0, P1]] * 4)
     path = _write(tmp_path, fam)
     assert main(["hpo-check", path]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
-        "hpo family: not checked (a dense 16 x 16 history-space matrix needs 4096 bytes, "
-        "over the 1024-byte budget)",
+        "hpo family: valid",
         "homogeneous members: 16/16",
     ]
+
+
+def _near_basis(eps):
+    """{|0><0|, |v><v|}, v = (eps, 1) normalized: exact projectors, eps from
+    orthogonal and from complete."""
+    v = np.array([eps, 1.0]) / np.hypot(eps, 1.0)
+    return [P0, np.outer(v, v).astype(complex)]
+
+
+def test_hpo_check_not_decided_over_the_dense_budget(tmp_path, capsys, monkeypatch):
+    # Each slot's decomposition misses completeness by 0.6e-9 off the
+    # diagonal.  The dense total of four slots is off by about that much
+    # too, but the certificate adds the slots' defects and exceeds tol.
+    fam = from_product(2, [0.0, 1.0, 2.0, 3.0], [_near_basis(0.6e-9)] * 4)
+    path = _write(tmp_path, fam)
+    assert main(["hpo-check", path]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "hpo family: valid"
+    monkeypatch.setattr(hpo, "_MAX_DENSE_BYTES", 16 * 8 * 8)
+    assert main(["hpo-check", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head, _, tail = lines[1].partition("not decided (bound ")
+    assert head == "hpo family: "
+    assert tail.endswith(" > tol 1e-09, dense total over the byte budget)")
+    assert 1e-9 < float(tail.split()[0]) < 1e-8
+    assert lines[2] == "homogeneous members: 16/16"
 
 
 def test_hpo_check_mismatched_grid(tmp_path, capsys):

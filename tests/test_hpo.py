@@ -3,9 +3,12 @@
 import math
 import pickle
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import (
@@ -41,6 +44,9 @@ from qhistories.hpo import (
     _factors_certified,
     _factors_clash,
     _schmidt_rank_one,
+    _telescoped,
+    _tree_bounds,
+    _tree_verdict,
 )
 from qhistories.linalg import DEFAULT_TOL, is_projector, kron_all
 
@@ -258,10 +264,10 @@ def test_is_homogeneous_long_history_fits_in_one_gib():
 # -- factored members against the dense matrices -------------------------------
 
 def _dense_defects(histories):
-    """(any clash, HPO-family verdict) of the histories' dense embeddings."""
+    """(any clash, completeness) of the histories' dense embeddings."""
     clashes, complete = decomposition_defects([kron_all(h.projectors) for h in histories],
                                               DEFAULT_TOL)
-    return bool(clashes), not clashes and complete
+    return bool(clashes), complete
 
 
 def _product_histories(rng, dim, slots, kind):
@@ -273,6 +279,14 @@ def _product_histories(rng, dim, slots, kind):
     provider = random_provider(dim, rng, kind, grid=times + [times[-1] + 1.0])
     decomps = [random_decomposition(dim, k, rng) for k in parts]
     return parts, from_product(dim, times, decomps, evolution=provider).histories()
+
+
+def _check_sums(rng, members, histories):
+    """The tree sum of random selections equals the sum of dense matrices."""
+    for _ in range(3):
+        picked = [i for i in range(len(members)) if rng.random() < 0.5] or [0]
+        assert_allclose(_dense_sum([members[i] for i in picked], members[0].dim),
+                        sum(kron_all(histories[i].projectors) for i in picked), atol=1e-12)
 
 
 @pytest.mark.parametrize("slots", range(1, 6))
@@ -287,29 +301,153 @@ def test_factored_members_match_dense_oracle(kind, dim, slots, monkeypatch):
         assert y.matrix.tobytes() == dense.tobytes()
         assert is_homogeneous(y) == _schmidt_rank_one(dense, dim, slots, RANK1_CUTOFF)
 
-    groups = [(histories, (False, True))]
+    # (histories, any clash, complete)
+    groups = [(histories, False, True)]
     n = len(histories)
     if n > 1:
         k = int(rng.integers(n))
-        groups.append((histories[:k] + histories[k + 1:], (False, False)))
+        groups.append((histories[:k] + histories[k + 1:], False, False))
         # One slot factor of member k swapped for a projector that overlaps
         # the factor of a member differing from k in that slot only.
         s = int(rng.choice([i for i, p in enumerate(parts) if p > 1]))
         steps = list(histories[k].steps)
         steps[s] = (steps[s][0], random_decomposition(dim, dim, rng)[0])
         swapped = histories[:k] + [HistorySequence(tuple(steps))] + histories[k + 1:]
-        groups.append((swapped, (True, False)))
-    for group, expected in groups:
-        assert _dense_defects(group) == expected
+        groups.append((swapped, True, False))
+    for group, clash, complete in groups:
+        assert _dense_defects(group) == (clash, complete)
         members = [embed(h) for h in group]
         stacks = np.stack([np.stack(m.factors) for m in members])
-        assert _factors_clash(stacks, DEFAULT_TOL) == expected[0]
+        assert _factors_clash(stacks, DEFAULT_TOL) == clash
         with monkeypatch.context() as m:  # one row per GEMM block
             m.setattr(hpo, "_MAX_DENSE_BYTES", 0)
-            assert _factors_clash(stacks, DEFAULT_TOL) == expected[0]
-        assert is_hpo_family(members) == expected[1]
-        assert_allclose(_dense_sum(members, members[0].dim),
-                        sum(kron_all(h.projectors) for h in group), atol=1e-12)
+            assert _factors_clash(stacks, DEFAULT_TOL) == clash
+        assert is_hpo_family(members) == (not clash and complete)
+        # The tree's bounds certify the whole family and nothing the dense
+        # check rejects.
+        clash_bound, bound = _tree_bounds(stacks)
+        assert (clash_bound <= DEFAULT_TOL) == (not clash)
+        assert (bound <= DEFAULT_TOL) == (group is histories)
+        assert _tree_verdict(HPOFamily(tuple(members)), DEFAULT_TOL) == (
+            not clash and complete, bound)
+        total = sum(kron_all(h.projectors) for h in group)
+        assert_allclose(_dense_sum(members, members[0].dim), total, atol=1e-12)
+        _check_sums(rng, members, group)
+        with monkeypatch.context() as m:  # one row of R, one factor pair at a time
+            m.setattr(hpo, "_CHUNK_BYTES", 0)
+            assert_allclose(_dense_sum(members, members[0].dim), total, atol=1e-12)
+            assert _tree_bounds(stacks) == (clash_bound, bound)
+
+
+def test_isham_family_needs_the_dense_fallback(monkeypatch):
+    # The first-step factors chi, chi', phi, psi sum to 2 I: neither bound
+    # certifies, the exact factor products find no clash and the dense
+    # total decides.
+    family, _ = isham_counterexample()
+    stacks = np.stack([np.stack(m.factors) for m in family.members])
+    clash_bound, bound = _tree_bounds(stacks)
+    assert clash_bound > DEFAULT_TOL and bound >= 1.0
+    assert not _factors_clash(stacks, DEFAULT_TOL)
+    assert _tree_verdict(family, DEFAULT_TOL) == (True, bound)
+    assert is_hpo_family(family)
+    _check_sums(np.random.default_rng(3), family.members, isham_histories())
+    # Over the budget the fallback is refused: no verdict without it.
+    monkeypatch.setattr(hpo, "_MAX_DENSE_BYTES", 16 * 3 * 3)
+    assert _tree_verdict(family, DEFAULT_TOL) == (None, bound)
+    with pytest.raises(ValueError, match="budget"):
+        is_hpo_family(family)
+
+
+def _rotated(p, rng, angle):
+    """exp(i angle H) p exp(-i angle H) for a random Hermitian H: an exact projector near p."""
+    a = rng.normal(size=p.shape) + 1j * rng.normal(size=p.shape)
+    w, v = np.linalg.eigh(a + a.conj().T)
+    u = (v * np.exp(1j * angle * w)) @ v.conj().T
+    return u @ p @ u.conj().T
+
+
+def _grid_family(rng, dim, slots, kind, product):
+    """A family whose histories share one time grid: a product family, or
+    one whose every node branches into its own decomposition."""
+    times = np.cumsum(rng.uniform(0.2, 1.0, size=slots)).tolist()
+    provider = random_provider(dim, rng, kind, grid=times + [times[-1] + 1.0])
+    child_times = times[1:] + [times[-1] + 1.0]
+    if product:
+        parts = [int(rng.integers(1, dim + 1)) for _ in range(slots)]
+        while math.prod(parts) > 24:
+            parts[parts.index(max(parts))] = 1
+        return from_product(dim, times, [random_decomposition(dim, k, rng) for k in parts],
+                            evolution=provider)
+    fam = new_family(dim, times[0], evolution=provider)
+    frontier = [0]
+    for t in child_times:
+        grown = []
+        for leaf in frontier:
+            parts = 1 if len(frontier) * dim > 24 else int(rng.integers(1, dim + 1))
+            known = {m.id for m in fam.moments}
+            fam = fam.extend(leaf, random_decomposition(dim, parts, rng), [t] * parts)
+            grown += [m.id for m in fam.moments if m.id not in known]
+        frontier = grown
+    return fam
+
+
+MUTATIONS = ("drop", "duplicate", "overlap", "rotate-1e-12", "rotate-5e-10", "rotate-2e-9",
+             "rotate-1e-6")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.sampled_from(PROVIDER_KINDS),
+       st.lists(st.sampled_from(MUTATIONS), max_size=2))
+def test_tree_verdict_matches_the_dense_verdict(seed, product, kind, mutations):
+    rng = np.random.default_rng(seed)
+    dim, slots = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    histories = _grid_family(rng, dim, slots, kind, product).histories()
+    for mutation in mutations:
+        k = int(rng.integers(len(histories)))
+        if mutation == "drop" and len(histories) > 1:
+            histories = histories[:k] + histories[k + 1:]
+        elif mutation == "duplicate":
+            histories = histories + [histories[k]]
+        elif mutation != "drop":
+            steps = list(histories[k].steps)
+            s = int(rng.integers(slots))
+            p = (random_decomposition(dim, dim, rng)[0] if mutation == "overlap"
+                 else _rotated(steps[s][1], rng, float(mutation.split("-", 1)[1])))
+            steps[s] = (steps[s][0], p)
+            histories = histories[:k] + [HistorySequence(tuple(steps))] + histories[k + 1:]
+    try:
+        members = [embed(h) for h in histories]
+    except ValueError:  # a rotated factor that is no projector within tol
+        return
+    clash, complete = _dense_defects(histories)
+    assert is_hpo_family(members) == (not clash and complete)
+    dense = [kron_all(h.projectors) for h in histories]
+    assert_allclose(_dense_sum(members, members[0].dim), sum(dense), atol=1e-12)
+    _assert_sound_bounds(members, dense)
+
+
+def _assert_sound_bounds(members, dense):
+    """The tree bounds are at least the dense norms they bound, up to the
+    dense products' rounding."""
+    clash_bound, bound = _tree_bounds(np.stack([np.stack(m.factors) for m in members]))
+    pairs = [np.abs(a @ b).max() for i, a in enumerate(dense) for b in dense[i + 1:]]
+    assert clash_bound >= max(pairs, default=0.0) * (1 - 1e-12) - 1e-14
+    excess = np.linalg.norm(sum(dense) - np.eye(len(dense[0])), 2)
+    assert bound >= excess * (1 - 1e-12) - 1e-14
+
+
+def test_tree_bounds_hold_for_overlapping_and_repeated_members():
+    # Slot-0 factors |0><0| and a projector at angle theta from it, each
+    # over a repeated member: the sum less the identity has norm
+    # 1 + 2 cos(theta), which the completeness bound reaches only with its
+    # cross term.
+    for theta in (0.1, 0.5, 1.2):
+        v = np.array([np.cos(theta), np.sin(theta)])
+        near = np.outer(v, v).astype(complex)
+        rows = [(P0, I2), (P0, I2), (near, I2), (near, I2), (near, P1)]
+        members = [embed(HistorySequence(((0.0, a), (1.0, b)))) for a, b in rows]
+        for k in range(2, len(rows) + 1):
+            _assert_sound_bounds(members[:k], [np.kron(a, b) for a, b in rows[:k]])
 
 
 def _near_projector(diagonal, corner=0.0):
@@ -355,6 +493,38 @@ def test_failed_hermiticity_bound_falls_back_to_the_dense_check():
     assert is_projector(kron_all([factor, factor]))
     y = embed(HistorySequence(((0.0, factor), (1.0, factor))))
     assert is_homogeneous(y)
+
+
+def test_telescoped_bound_matches_its_definition():
+    # sum_k prod_{s<k} x_s e_k prod_{s>k} y_s, row by row, with x and e of
+    # two stacked bounds sharing y, as embed_family evaluates them.
+    rng = np.random.default_rng(11)
+    for slots in (1, 2, 5):
+        x, e = rng.random((2, 2, 3, slots))
+        y = rng.random((3, slots))
+        expected = [[sum(math.prod(x[b, i, :k]) * e[b, i, k] * math.prod(y[i, k + 1:])
+                         for k in range(slots)) for i in range(3)] for b in range(2)]
+        assert_allclose(_telescoped(x, e, y), expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_embed_family_takes_the_dense_check_where_a_bound_fails(first):
+    # Two slots of {diag(1 + DELTA, 0), |1><1|}: only the history through
+    # both near projectors compounds the idempotence defect past tol; the
+    # family fails as embedding that history alone does.
+    near = _near_projector([1.0 + DELTA, 0.0])
+    pair = [near, P1] if first else [P1, near]
+    fam = from_product(2, [0.0, 1.0], [pair, pair])
+    histories = fam.histories()
+    bad = 0 if first else 3
+    for k, h in enumerate(histories):
+        if k == bad:
+            with pytest.raises(ValueError, match="not a projector"):
+                embed(h)
+        else:
+            embed(h)
+    with pytest.raises(ValueError, match="not a projector"):
+        embed_family(fam)
 
 
 def test_exact_factors_pass_the_bound():
@@ -463,3 +633,64 @@ def test_hpo_check_of_an_eight_step_family_fits_in_one_gib(tmp_path):
         "homogeneous members: 256/256",
     ]
     assert elapsed < 60
+
+
+def test_hpo_check_of_a_thirteen_step_family_needs_no_dense_total(tmp_path):
+    # 8192 histories in an 8192-dimensional history space, whose dense
+    # completeness total (1 GiB) is over the budget: the tree certificate
+    # decides.  The first refusal is then the 2^20 history-space limit.
+    pytest.importorskip("resource")
+    result = run_capped(f"""
+        import sys
+        import numpy as np
+        from qhistories import cli, from_product, serialize_family
+        from qhistories.demos import P0, P1, P_MINUS, P_PLUS
+        for steps, parts in ((13, 13), (20, 1), (21, 1)):
+            decomps = [[P0, P1] if k % 2 else [P_PLUS, P_MINUS] for k in range(parts)]
+            decomps += [[np.eye(2)]] * (steps - parts)
+            family = from_product(2, [float(k) for k in range(steps)], decomps)
+            path = {str(tmp_path)!r} + f"/q{{steps}}.json"
+            with open(path, "wb") as f:
+                f.write(serialize_family(family))
+            assert cli.main(["hpo-check", path]) == 0
+    """, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "embeddable: yes (8192 histories, 13 slots, base dim 2, history space dim 8192)",
+        "hpo family: valid",
+        "homogeneous members: 8192/8192",
+        "embeddable: yes (2 histories, 20 slots, base dim 2, history space dim 1048576)",
+        "hpo family: valid",
+        "homogeneous members: 2/2",
+        "embeddable: no (history space of 21 slots over dimension 2 exceeds the 2^20 limit)",
+    ]
+
+
+def test_a_dense_member_does_not_make_every_member_dense():
+    # Six 9-slot members (4 MiB each as dense matrices), the first given
+    # dense.  The dense check builds a batch of them at a time: it must
+    # run in four members' worth of address space above what is in use.
+    pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    result = run_capped("""
+        import resource
+        import numpy as np
+        from qhistories import HistoryProjector, HistorySequence, embed, is_hpo_family
+        from qhistories.demos import P0, P1, P_MINUS, P_PLUS
+        I = np.eye(2, dtype=complex)
+        rows = ([[P_PLUS] + [I] * 8]
+                + [[P_MINUS] + [P1] * k + [P0] + [I] * (7 - k) for k in range(4)]
+                + [[P_MINUS] + [P1] * 4 + [I] * 4])
+        members = [embed(HistorySequence(tuple((float(t), p) for t, p in enumerate(r))))
+                   for r in rows]
+        m = members[0]
+        members[0] = HistoryProjector(m.matrix, m.slots, m.slot_times, m.base_dim)
+        with open("/proc/self/status") as f:
+            size = next(int(line.split()[1]) for line in f if line.startswith("VmSize:"))
+        cap = size * 1024 + 4 * 16 * m.dim ** 2
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        print(is_hpo_family(members), is_hpo_family(members[1:]))
+    """, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True False"

@@ -280,6 +280,42 @@ def test_history_of_leaf_matches_dfs_order():
             assert np.array_equal(p, q)
 
 
+def _same_sequence(got, expected):
+    """Equal times, dims and projector bytes and dtypes."""
+    assert type(got) is HistorySequence
+    assert got.times == expected.times
+    assert all(type(t) is float for t in got.times)
+    assert got.dim == expected.dim and len(got) == len(expected)
+    for p, q in zip(got.projectors, expected.projectors):
+        assert p.dtype == q.dtype and p.tobytes() == q.tobytes()
+
+
+@pytest.mark.parametrize("kind", PROVIDER_KINDS)
+def test_histories_equal_checked_sequences(kind):
+    # histories() and history_of_leaf skip HistorySequence's checks on a
+    # validated family; their sequences must be the checked ones.
+    for seed in range(4):
+        fam = random_family(np.random.default_rng(900 + seed), kind=kind)
+        hists = fam.histories()
+        assert len(hists) == len(fam.leaves())
+        for leaf, h in zip(fam.leaves(), hists):
+            _same_sequence(h, HistorySequence(h.steps))
+            _same_sequence(fam.history_of_leaf(leaf.id), HistorySequence(h.steps))
+
+
+def test_histories_coerce_hand_built_steps():
+    # Integer times and real projectors come out as floats and complex
+    # arrays, as HistorySequence would make them.
+    moments = (Moment(0, None, 0, None), Moment(1, 0, 1, np.diag([1.0, 0.0])),
+               Moment(2, 0, 1, np.diag([0, 1])), Moment(3, 1, 2, np.eye(2)))
+    fam = BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
+    expected = [HistorySequence(((0, np.diag([1.0, 0.0])), (1, np.eye(2)))),
+                HistorySequence(((0, np.diag([0, 1])),))]
+    for got, want in zip(fam.histories(), expected):
+        _same_sequence(got, want)
+    _same_sequence(fam.history_of_leaf(3), expected[0])
+
+
 def test_leaf_times_are_metadata_only():
     # Two families differing only in leaf times produce identical
     # histories.
