@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 1 invalid family, 2 inconsistent family,
 3 trans-branch summation, 64 usage errors, 66 unreadable or unparseable
-input files.
+input files, 70 internal errors (any other exception, reported on one
+stderr line as ``internal error: <type>: <message>``, or ``internal
+error: <type>`` when the exception has no message).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -27,6 +30,7 @@ EXIT_INCONSISTENT = 2
 EXIT_TRANS_BRANCH = 3
 EXIT_USAGE = 64
 EXIT_FILE = 66
+EXIT_SOFTWARE = 70
 
 DEMO_NAMES = ("fig2", "branch-no-prod", "isham-hpo", "isham-reversed")
 
@@ -228,6 +232,7 @@ def _cmd_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qhistories",
                      description="Analyze branching families of quantum histories.")
@@ -279,6 +284,12 @@ def main(argv=None) -> int:
     except TransBranchError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_TRANS_BRANCH
+    except Exception as exc:  # anything else is a bug or an exhausted resource
+        detail = " ".join(str(exc).splitlines())
+        name = type(exc).__name__
+        print(f"internal error: {name}: {detail}" if detail else f"internal error: {name}",
+              file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 def run() -> None:

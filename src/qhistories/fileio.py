@@ -23,12 +23,22 @@ order, every float printed with 17 significant digits.  Canonical bytes
 are a fixed point, so ``serialize(parse(serialize(f)))`` reproduces
 ``serialize(f)`` byte for byte.
 
-Matrices are encoded and decoded whole: one format template per matrix
-shape prints all of a matrix's numbers at once, and reading checks the
-types and lengths of all its rows, pairs and numbers before converting
-them to one float array.  The bytes are those of the per-entry format.
-Only a matrix that fails the bulk check is walked entry by entry, to
-name its first bad entry.
+The node list is encoded and decoded in bulk, a slice of nodes holding
+up to ``_SLICE_NUMBERS`` (4096) numbers at a time, so that the Python
+floats and lists alive at once stay small.  Writing prints each slice's
+node records with one ``%`` template built from the per-shape matrix
+template, after one finiteness check over the slice's projectors and
+times.  Reading checks the keys and the id, parent and time types of all
+nodes at once, then the types and lengths of each slice's projector
+rows, pairs and numbers, and converts them in place into one (N, d, d)
+stack whose rows become the nodes' projectors; the state and dynamics
+matrices take the same path one matrix at a time.  The bytes and the
+values are those of the per-node, per-entry codec.  The per-node loop
+runs only for diagnostics: a document that fails the bulk check is read
+node by node to name its first bad field, and a family holding a
+non-finite number is written node by node so that the first one in
+canonical order is reported (as is a family whose projectors are not
+all ``dim`` x ``dim`` arrays, which fails validation anyway).
 
 :func:`load_document` raises only :class:`~qhistories.errors.ParseError`,
 with a line/column (syntax) or a field path (schema); semantic violations
@@ -46,6 +56,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -112,13 +123,17 @@ def _matrix_template(rows: int, cols: int) -> str:
     return "[" + ",".join([row] * rows) + "]"
 
 
-def _matrix_to_json(m: np.ndarray) -> _Fragment:
-    """A matrix as rows of ``[re, im]`` pairs, formatted in one pass."""
+def _matrix_to_json(m: np.ndarray) -> _Fragment | list:
+    """A matrix as rows of ``[re, im]`` pairs, formatted in one pass.
+
+    A matrix holding a non-finite number comes back as nested lists of
+    floats instead, so that :func:`_canonical` names the document's first
+    one in canonical order.
+    """
     a = np.ascontiguousarray(m, dtype=complex)
     flat = a.view(np.float64).ravel() + 0.0  # + 0.0 turns -0.0 into 0.0
-    finite = np.isfinite(flat)
-    if not finite.all():
-        _format_float(float(flat[np.argmin(finite)]))  # raises for the first one
+    if not np.isfinite(flat).all():
+        return flat.reshape(*a.shape, 2).tolist()
     return _Fragment(_matrix_template(*a.shape) % tuple(flat.tolist()))
 
 
@@ -136,29 +151,97 @@ def _dynamics_to_json(evolution: EvolutionProvider) -> dict:
         f"cannot serialize evolution provider of type {type(evolution).__name__}")
 
 
-def serialize_family(family: BranchingFamily) -> bytes:
-    """Canonical UTF-8 document for ``family``."""
-    dim = family.dim
-    # Matrices are checked as they are formatted: format them in canonical
-    # key order, so the non-finite number reported is the document's first.
-    dynamics = _dynamics_to_json(family.evolution)
-    if np.array_equal(family.initial_state, np.eye(dim, dtype=complex) / dim):
-        state = "maximally_mixed"
-    else:
-        state = _matrix_to_json(family.initial_state)
+# Numbers the codec handles at once: node lists are printed and read a
+# slice of nodes at a time (at least one node per slice), so that only
+# one slice's Python floats and lists are alive at once, not the whole
+# family's.
+_SLICE_NUMBERS = 1 << 12
+
+
+@functools.lru_cache(maxsize=16)
+def _record_template(dim: int, has_parent: bool, has_projector: bool) -> str:
+    """The template of one node record, its keys in canonical order."""
+    return ('{"id":%d,' + ('"parent":%d,' if has_parent else "")
+            + ('"projector":' + _matrix_template(dim, dim) + "," if has_projector else "")
+            + '"time":%.17g}')
+
+
+def _node_records(moments) -> list[dict]:
+    """One record per node; matrices with non-finite numbers stay lists."""
     nodes = []
-    for m in family.moments:
+    for m in moments:
         node: dict = {"id": int(m.id), "time": float(m.time)}
         if m.parent is not None:
             node["parent"] = int(m.parent)
         if m.projector is not None:
             node["projector"] = _matrix_to_json(m.projector)
         nodes.append(node)
+    return nodes
+
+
+def _records_fragment(moments, dim: int) -> str | None:
+    """The records of ``moments`` printed by one ``%`` template.
+
+    None when a number is not finite, or when a node holds something
+    other than an integer id and parent, a float time and a ``dim`` x
+    ``dim`` projector.
+    """
+    kinds = [(m.parent is not None, m.projector is not None) for m in moments]
+    projectors = [m.projector for m in moments if m.projector is not None]
+    try:
+        ids = [int(m.id) for m in moments]
+        parents = iter([int(m.parent) for m in moments if m.parent is not None])
+        times = np.array([float(m.time) for m in moments]) + 0.0
+        if not {p.shape for p in projectors} <= {(dim, dim)}:
+            return None
+        stack = np.array(projectors, dtype=complex)
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        return None
+    numbers = stack.view(np.float64).reshape(len(projectors), 2 * dim * dim) + 0.0
+    if not (np.isfinite(numbers).all() and np.isfinite(times).all()):
+        return None
+    rows = iter(numbers.tolist())
+    args = []
+    for node_id, (has_parent, has_projector), time in zip(ids, kinds, times.tolist()):
+        args.append(node_id)
+        if has_parent:
+            args.append(next(parents))
+        if has_projector:
+            args += next(rows)
+        args.append(time)
+    template = ",".join([_record_template(dim, *kind) for kind in kinds])
+    return template % tuple(args)
+
+
+def _nodes_to_json(moments, dim: int) -> _Fragment | list:
+    """The node list, printed a slice of nodes per ``%`` template.
+
+    Falls back to :func:`_node_records` when a slice cannot be printed in
+    bulk, so that :func:`_canonical` names the first non-finite number or
+    prints the odd node as it is.
+    """
+    step = max(1, _SLICE_NUMBERS // (2 * dim * dim + 3))
+    parts = []
+    for start in range(0, len(moments), step):
+        part = _records_fragment(moments[start:start + step], dim)
+        if part is None:
+            return _node_records(moments)
+        parts.append(part)
+    return _Fragment("[" + ",".join(parts) + "]")
+
+
+def serialize_family(family: BranchingFamily) -> bytes:
+    """Canonical UTF-8 document for ``family``."""
+    dim = family.dim
+    if np.array_equal(family.initial_state, np.eye(dim, dtype=complex) / dim):
+        state = "maximally_mixed"
+    else:
+        state = _matrix_to_json(family.initial_state)
     doc = {
         "dim": dim,
         "initial_state": state,
-        "dynamics": dynamics,
-        "nodes": nodes,
+        "dynamics": _dynamics_to_json(family.evolution),
+        "nodes": _nodes_to_json(family.moments, dim),
     }
     return _canonical(doc).encode("utf-8")
 
@@ -187,26 +270,44 @@ def _as_float(value, field: str) -> float:
     return result
 
 
-def _matrix_numbers(value, dim: int) -> np.ndarray | None:
-    """The numbers of a dim x dim matrix of ``[re, im]`` pairs as one array.
+def _slice_numbers(values: list, dim: int) -> list | None:
+    """The numbers of a list of dim x dim matrices of ``[re, im]`` pairs, flat.
 
-    None unless every row, pair and number has the right type and length;
-    ``type(True) is bool``, so booleans fail the number check.
+    None unless every matrix, row, pair and number has the right type and
+    length; ``type(True) is bool``, so booleans fail the number check.
     """
-    if type(value) is not list or len(value) != dim:
+    if set(map(type, values)) != {list} or set(map(len, values)) != {dim}:
         return None
-    if set(map(type, value)) != {list} or set(map(len, value)) != {dim}:
+    rows = list(itertools.chain.from_iterable(values))
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {dim}:
         return None
-    pairs = list(itertools.chain.from_iterable(value))
+    pairs = list(itertools.chain.from_iterable(rows))
     if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
         return None
     numbers = list(itertools.chain.from_iterable(pairs))
     if not set(map(type, numbers)) <= {int, float}:
         return None
-    try:
-        return np.array(numbers, dtype=float)
-    except OverflowError:
-        return None
+    return numbers
+
+
+def _stack_numbers(values: list, dim: int) -> np.ndarray | None:
+    """The numbers of a list of matrices as one flat array, matrix after matrix.
+
+    None unless :func:`_slice_numbers` accepts every slice of matrices
+    and every number is finite.
+    """
+    size = 2 * dim * dim
+    out = np.empty(len(values) * size)
+    step = max(1, _SLICE_NUMBERS // size)
+    for start in range(0, len(values), step):
+        numbers = _slice_numbers(values[start:start + step], dim)
+        if numbers is None:
+            return None
+        try:  # assigning a list converts it in place, with no temporary array
+            out[start * size:start * size + len(numbers)] = numbers
+        except OverflowError:
+            return None
+    return out if np.isfinite(out).all() else None
 
 
 def _raise_first_defect(value, dim: int, field: str) -> None:
@@ -227,8 +328,8 @@ def _raise_first_defect(value, dim: int, field: str) -> None:
 
 
 def _as_matrix(value, dim: int, field: str) -> np.ndarray:
-    numbers = _matrix_numbers(value, dim)
-    if numbers is None or not np.isfinite(numbers).all():
+    numbers = _stack_numbers([value], dim)
+    if numbers is None:
         _raise_first_defect(value, dim, field)
     return numbers.view(complex).reshape(dim, dim)
 
@@ -330,6 +431,50 @@ def load_document(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamil
         raise _schema("nodes", "expected a list of nodes")
     if not raw_nodes:
         raise _schema("nodes", "a family needs at least one node")
+    moments = _nodes_in_bulk(raw_nodes, dim)
+    if moments is None:
+        moments = _nodes_one_by_one(raw_nodes, dim)
+    return BranchingFamily(dim, moments, state, evolution)
+
+
+def _nodes_in_bulk(raw_nodes: list, dim: int) -> list[Moment] | None:
+    """The moments of a node list, or None if any node fails a check.
+
+    Checks every node at once: each is an object with the keys of a root
+    (``id``, ``time``) or of a child (also ``parent`` and ``projector``),
+    ids are distinct integers, parents integers, times finite numbers, and
+    all projectors convert as one (N, dim, dim) stack whose rows become
+    the moments' projectors.
+    """
+    if set(map(type, raw_nodes)) != {dict} or not set(map(len, raw_nodes)) <= {2, 4}:
+        return None
+    children = [node for node in raw_nodes if len(node) == 4]
+    try:
+        ids = list(map(operator.itemgetter("id"), raw_nodes))
+        times = list(map(operator.itemgetter("time"), raw_nodes))
+        parents = list(map(operator.itemgetter("parent"), children))
+        projectors = list(map(operator.itemgetter("projector"), children))
+    except KeyError:
+        return None
+    if (set(map(type, ids)) != {int} or len(set(ids)) != len(ids)
+            or not set(map(type, times)) <= {int, float}
+            or not set(map(type, parents)) <= {int}):
+        return None
+    try:
+        times = np.array(times, dtype=float)
+    except OverflowError:
+        return None
+    numbers = _stack_numbers(projectors, dim)
+    if numbers is None or not np.isfinite(times).all():
+        return None
+    rows = iter(numbers.view(complex).reshape(-1, dim, dim))
+    projectors = [next(rows) if size == 4 else None for size in map(len, raw_nodes)]
+    parents = map(dict.get, raw_nodes, itertools.repeat("parent"))
+    return list(map(Moment, ids, parents, times.tolist(), projectors))
+
+
+def _nodes_one_by_one(raw_nodes: list, dim: int) -> list[Moment]:
+    """The moments of a node list, raising the ParseError of its first bad node."""
     moments = []
     seen_ids: set[int] = set()
     for i, raw in enumerate(raw_nodes):
@@ -356,7 +501,7 @@ def load_document(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamil
             raise _schema(f"{field}.projector",
                           "a node with a parent must carry a projector")
         moments.append(Moment(node_id, parent, time, projector))
-    return BranchingFamily(dim, moments, state, evolution)
+    return moments
 
 
 def parse_family(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamily:

@@ -7,6 +7,7 @@ controls its own seed and stays reproducible.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,8 @@ import qhistories
 from qhistories import (
     BranchingFamily,
     ConstantHamiltonian,
+    Moment,
+    ParseError,
     PiecewiseUnitary,
     TrivialEvolution,
     from_product,
@@ -340,3 +343,84 @@ def validate(fam: BranchingFamily, tol: float = DEFAULT_TOL,
                 f"of the unitary table"))
 
     return ValidationReport(tuple(issues))
+
+
+def _schema(field: str, message: str) -> ParseError:
+    return ParseError(message, field=field)
+
+
+def _as_int(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _schema(field, f"expected an integer, got {value!r}")
+    return value
+
+
+def _as_float(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _schema(field, f"expected a number, got {value!r}")
+    try:
+        result = float(value)
+    except OverflowError:  # an integer beyond the float range
+        result = math.inf
+    if not math.isfinite(result):
+        raise _schema(field, f"expected a finite number, got {value!r}")
+    return result
+
+
+def _as_matrix(value, dim: int, field: str) -> np.ndarray:
+    """The per-entry matrix parse: check and convert one entry at a time."""
+    if not isinstance(value, list):
+        raise _schema(field, "expected a matrix (list of rows)")
+    if len(value) != dim:
+        raise _schema(field, f"expected {dim} rows, got {len(value)}")
+    out = np.empty((dim, dim), dtype=complex)
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != dim:
+            raise _schema(f"{field}[{i}]", f"expected a row of {dim} entries")
+        for j, entry in enumerate(row):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise _schema(f"{field}[{i}][{j}]",
+                              "expected an [re, im] pair")
+            out[i, j] = complex(_as_float(entry[0], f"{field}[{i}][{j}][0]"),
+                                _as_float(entry[1], f"{field}[{i}][{j}][1]"))
+    return out
+
+
+def _check_keys(obj: dict, allowed: set[str], required: set[str], field: str):
+    unknown = set(obj) - allowed
+    if unknown:
+        raise _schema(field, f"unknown keys {sorted(unknown)}")
+    missing = required - set(obj)
+    if missing:
+        raise _schema(field, f"missing keys {sorted(missing)}")
+
+
+def load_nodes(raw_nodes: list, dim: int) -> list[Moment]:
+    """``load_document``'s node list read node by node: the moments, or the first ParseError."""
+    moments = []
+    seen_ids: set[int] = set()
+    for i, raw in enumerate(raw_nodes):
+        field = f"nodes[{i}]"
+        if not isinstance(raw, dict):
+            raise _schema(field, "expected an object")
+        _check_keys(raw, {"id", "parent", "time", "projector"},
+                    {"id", "time"}, field)
+        node_id = _as_int(raw["id"], f"{field}.id")
+        if node_id in seen_ids:
+            raise _schema(f"{field}.id", f"duplicate node id {node_id}")
+        seen_ids.add(node_id)
+        time = _as_float(raw["time"], f"{field}.time")
+        parent = None
+        if "parent" in raw:
+            parent = _as_int(raw["parent"], f"{field}.parent")
+        projector = None
+        if "projector" in raw:
+            if parent is None:
+                raise _schema(f"{field}.projector",
+                              "a node without a parent must not carry a projector")
+            projector = _as_matrix(raw["projector"], dim, f"{field}.projector")
+        elif parent is not None:
+            raise _schema(f"{field}.projector",
+                          "a node with a parent must carry a projector")
+        moments.append(Moment(node_id, parent, time, projector))
+    return moments

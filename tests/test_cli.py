@@ -16,7 +16,7 @@ from qhistories import (
     serialize_family,
     weight_table,
 )
-from qhistories import hpo
+from qhistories import cli, hpo
 from qhistories.cli import main
 from qhistories.demos import (
     P0,
@@ -349,3 +349,54 @@ def test_demo_isham_reversed(capsys):
 def test_demo_rejects_unknown_name(capsys):
     assert main(["demo", "nope"]) == 64
     capsys.readouterr()
+
+
+# -- one parser per process, one exit code for unexpected errors --------------
+
+def _outcomes(calls, capsys, fresh: bool):
+    out = []
+    for argv in calls:
+        if fresh:
+            cli._build_parser.cache_clear()
+        code = main(argv)
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_cached_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    path = _write(tmp_path, fig2_family())
+    sequences = [
+        [["weights", "--nope", path], ["weights", path]],  # usage error, then a valid call
+        [["consistency", path], ["hpo-check", path]],
+        [["weights", "--csv", path], ["weights", path], ["consistency", "--weak", path],
+         ["consistency", path], ["demo", "fig2"], ["validate"]],
+    ]
+    for calls in sequences:
+        fresh = _outcomes(calls, capsys, fresh=True)
+        cli._build_parser.cache_clear()
+        assert _outcomes(calls, capsys, fresh=False) == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 64]
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("error,line", [
+    (ValueError("bad value\nsecond line"), "internal error: ValueError: bad value second line"),
+    (MemoryError(), "internal error: MemoryError"),
+    (MemoryError("Unable to allocate 4.00 GiB"),
+     "internal error: MemoryError: Unable to allocate 4.00 GiB"),
+], ids=["value-error", "memory-error", "memory-error-with-message"])
+def test_unexpected_errors_exit_70_with_one_line(tmp_path, capsys, monkeypatch, error, line):
+    path = _write(tmp_path, fig2_family())
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("qhistories.cli.weight_table", fail)
+    assert main(["weights", path]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+    # Expected failures keep their own codes.
+    monkeypatch.undo()
+    assert main(["weights", path]) == 0

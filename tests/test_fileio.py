@@ -1,11 +1,13 @@
 """Document round trips, parse failures and Graphviz export."""
 
+import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -13,6 +15,7 @@ from helpers import (
     OUT_OF_RANGE,
     PROVIDER_KINDS,
     families_equal,
+    load_nodes,
     random_family,
     random_provider,
 )
@@ -30,6 +33,7 @@ from qhistories import (
     parse_family,
     serialize_family,
 )
+from qhistories import fileio
 from qhistories.demos import P0, P1, branch_no_prod_family, fig2_family, isham_reversed_family
 from qhistories.fileio import MAX_MATRIX_BYTES
 
@@ -239,6 +243,139 @@ def test_non_finite_projector_is_not_serialized(entry, message):
     with pytest.raises(ValueError) as exc:
         serialize_family(fam)
     assert str(exc.value) == f"cannot serialize non-finite number {message}"
+
+
+def test_codec_signed_zero_and_integer_times():
+    for root_time in (-0.0, 0.0, 0, 3):
+        fam = BranchingFamily(
+            2, [Moment(0, None, root_time, None),
+                Moment(1, 0, 1.0, P0), Moment(2, 0, 2, P1),
+                Moment(3, 1, -0.0, P0), Moment(4, 1, 7.0, P1)],
+            np.eye(2, dtype=complex) / 2, TrivialEvolution(2))
+        blob = serialize_family(fam)
+        assert blob == _reference_serialize(fam)
+        assert b"-0" not in blob
+        back = load_document(blob)
+        assert [m.time for m in back.moments] == [root_time, 1.0, 2.0, 0.0, 7.0]
+        assert all(type(m.time) is float for m in back.moments)
+        assert serialize_family(back) == blob
+
+
+def test_codec_node_ids_beyond_32_and_64_bits():
+    ids = [2 ** 31 + 5, 2 ** 40, 2 ** 63 + 1, 2 ** 64 * 3]
+    fam = BranchingFamily(
+        2, [Moment(ids[0], None, 0.0, None), Moment(ids[1], ids[0], 1.0, P0),
+            Moment(ids[2], ids[0], 1.0, P1), Moment(ids[3], ids[2], 2.0, P0)],
+        np.eye(2, dtype=complex) / 2, TrivialEvolution(2))
+    blob = serialize_family(fam)
+    assert blob == _reference_serialize(fam)
+    assert str(2 ** 64 * 3).encode() in blob
+    back = load_document(blob)
+    assert [(m.id, m.parent) for m in back.moments] == [
+        (ids[0], None), (ids[1], ids[0]), (ids[2], ids[0]), (ids[3], ids[2])]
+    assert families_equal(fam, back)
+    assert serialize_family(back) == blob
+
+
+@pytest.mark.parametrize("numbers", [1, 40, 1000])
+def test_node_list_in_slices_matches_the_reference(numbers, monkeypatch):
+    monkeypatch.setattr(fileio, "_SLICE_NUMBERS", numbers)
+    rng = np.random.default_rng(9300 + numbers)
+    fam = random_family(rng, dim=2, max_depth=4, stop_probability=0.0)
+    blob = serialize_family(fam)
+    assert blob == _reference_serialize(fam)
+    _assert_parses_like_the_reference(blob)
+    # A bad entry in the last slice is named as the node-by-node reader names it.
+    doc = json.loads(blob)
+    doc["nodes"][-1]["projector"][1][0][1] = OUT_OF_RANGE
+    text = json.dumps(doc)
+    with pytest.raises(ParseError) as exc:
+        load_document(text)
+    with pytest.raises(ParseError) as want:
+        load_nodes(doc["nodes"], 2)
+    assert (exc.value.field, exc.value.message) == (want.value.field, want.value.message)
+    assert exc.value.field == f"nodes[{len(doc['nodes']) - 1}].projector[1][0][1]"
+    # A non-finite number in the last slice is still named.
+    last = fam.moments[-1]
+    bad = BranchingFamily(2, fam.moments[:-1] + (Moment(last.id, last.parent, math.inf,
+                                                        last.projector),),
+                          fam.initial_state, fam.evolution)
+    with pytest.raises(ValueError, match="non-finite number inf"):
+        serialize_family(bad)
+
+
+def test_codec_writes_projectors_of_another_shape_or_type_like_the_reference():
+    # Such families fail validate; they are still written out as they are.
+    big, tall = np.eye(4, dtype=complex), np.ones((4, 2), dtype=complex)
+    for projectors in ([big, big, big], [P0, big, P1], [tall, tall, tall, tall],
+                       [P0.tolist(), P1], [P0.real, P1.real.astype(int)]):
+        moments = [Moment(0, None, 0.0, None)] + [
+            Moment(i + 1, 0, 1.0, p) for i, p in enumerate(projectors)]
+        fam = BranchingFamily(2, moments, np.eye(2, dtype=complex) / 2, TrivialEvolution(2))
+        assert serialize_family(fam) == _reference_serialize(fam)
+
+
+def _non_finite_family(where: dict) -> BranchingFamily:
+    """A family with the given non-finite numbers planted, by location name.
+
+    Locations in canonical order: ``dynamics``, ``state``, ``early`` (node
+    1's projector), ``time`` (node 1's time) and ``late`` (node 4's projector).
+    """
+    def planted(matrix, value):
+        m = np.array(matrix, dtype=complex)
+        if value is not None:
+            m[-1, 0] = complex(0.5, value)
+        return m
+
+    provider = ConstantHamiltonian(np.diag([1.0, -1.0]))
+    provider.hamiltonian = planted(provider.hamiltonian, where.get("dynamics"))
+    moments = [Moment(0, None, 0.0, None),
+               Moment(1, 0, where.get("time", 1.0), planted(P0, where.get("early"))),
+               Moment(2, 0, 1.0, P1), Moment(3, 1, 2.0, P0),
+               Moment(4, 1, 2.0, planted(P1, where.get("late")))]
+    state = planted(np.diag([0.75, 0.25]), where.get("state"))
+    return BranchingFamily(2, moments, state, provider)
+
+
+_LOCATIONS = ("dynamics", "state", "early", "time", "late")
+
+
+@pytest.mark.parametrize("where", _LOCATIONS)
+@pytest.mark.parametrize("value,message", [(math.nan, "nan"), (math.inf, "inf"),
+                                           (-math.inf, "-inf")])
+def test_one_non_finite_number_is_named(where, value, message):
+    fam = _non_finite_family({where: value})
+    for serialize in (_reference_serialize, serialize_family):
+        with pytest.raises(ValueError) as exc:
+            serialize(fam)
+        assert str(exc.value) == f"cannot serialize non-finite number {message}"
+
+
+@pytest.mark.parametrize("first,second", list(itertools.permutations(_LOCATIONS, 2)))
+def test_several_non_finite_numbers_report_the_first_in_canonical_order(first, second):
+    fam = _non_finite_family({first: math.inf, second: -math.inf})
+    with pytest.raises(ValueError) as want:
+        _reference_serialize(fam)
+    with pytest.raises(ValueError) as got:
+        serialize_family(fam)
+    assert str(got.value) == str(want.value)
+    earlier = first if _LOCATIONS.index(first) < _LOCATIONS.index(second) else second
+    expected = "inf" if earlier == first else "-inf"
+    assert str(got.value) == f"cannot serialize non-finite number {expected}"
+
+
+def test_all_non_finite_locations_at_once():
+    values = [math.nan, math.inf, -math.inf, math.inf, math.nan]
+    for shift in range(len(_LOCATIONS)):
+        planted = dict(zip(_LOCATIONS, values[shift:] + values[:shift]))
+        fam = _non_finite_family(planted)
+        with pytest.raises(ValueError) as want:
+            _reference_serialize(fam)
+        with pytest.raises(ValueError) as got:
+            serialize_family(fam)
+        assert str(got.value) == str(want.value)
+    assert serialize_family(_non_finite_family({})) == _reference_serialize(
+        _non_finite_family({}))
 
 
 # -- syntax and schema failures ----------------------------------------------
@@ -581,3 +718,94 @@ def test_damaged_documents_raise_only_parse_errors(family, data):
         load_document(damaged)
     except ParseError:
         pass
+
+
+# -- node-list mutations: the bulk reader against the node-by-node oracle -----
+
+_MUTATIONS = ("none", "duplicate-id", "bool-id", "float-id", "missing-time",
+              "unknown-key", "root-projector", "child-without-projector",
+              "parent-type", "bad-time", "short-row", "non-list-projector",
+              "bool-entry", "not-an-object")
+
+
+@st.composite
+def _node_documents(draw):
+    """A valid document's text with at most one node mutated, and the mutation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    fam = random_family(rng, dim=draw(st.integers(1, 3)), max_depth=3,
+                        stop_probability=0.2)
+    doc = json.loads(serialize_family(fam))
+    nodes = doc["nodes"]
+    kind = draw(st.sampled_from(_MUTATIONS))
+    k = draw(st.integers(0, len(nodes) - 1))
+    children = [node for node in nodes if "parent" in node]
+    if kind == "duplicate-id":
+        assume(len(nodes) > 1)
+    if kind in ("child-without-projector", "parent-type", "short-row",
+                "non-list-projector", "bool-entry"):
+        assume(children)
+    child = children[draw(st.integers(0, len(children) - 1))] if children else None
+    if kind == "duplicate-id":
+        other = draw(st.integers(0, len(nodes) - 2))
+        nodes[k]["id"] = nodes[other + (other >= k)]["id"]
+    elif kind == "bool-id":
+        nodes[k]["id"] = draw(st.booleans())
+    elif kind == "float-id":
+        nodes[k]["id"] = float(nodes[k]["id"])
+    elif kind == "missing-time":
+        del nodes[k]["time"]
+    elif kind == "unknown-key":
+        nodes[k][draw(st.sampled_from(["weight", "Id", "children"]))] = 0.5
+    elif kind == "root-projector":
+        dim = doc["dim"]
+        nodes[0]["projector"] = [[[1.0 * (i == j), 0] for j in range(dim)] for i in range(dim)]
+    elif kind == "child-without-projector":
+        del child["projector"]
+    elif kind == "parent-type":
+        child["parent"] = draw(st.sampled_from(["0", 0.5, None, True, [0], {"id": 0}]))
+    elif kind == "bad-time":
+        nodes[k]["time"] = draw(st.sampled_from([math.nan, math.inf, -math.inf,
+                                                 OUT_OF_RANGE, -OUT_OF_RANGE, "1.0"]))
+    elif kind == "short-row":
+        row = draw(st.integers(0, doc["dim"] - 1))
+        child["projector"][row] = child["projector"][row][:-1]
+    elif kind == "non-list-projector":
+        child["projector"] = draw(st.sampled_from(["P", 3, None, {"0": [[0, 0]]}]))
+    elif kind == "bool-entry":
+        child["projector"][-1][-1][draw(st.integers(0, 1))] = draw(st.booleans())
+    elif kind == "not-an-object":
+        nodes[k] = draw(st.sampled_from([[], 5, "node", None, [nodes[k]]]))
+    return json.dumps(doc), kind
+
+
+def _parse_outcome(call):
+    try:
+        return call(), None
+    except ParseError as exc:
+        return None, (exc.field, exc.message, exc.line, exc.column)
+
+
+def _moment_bits(m):
+    projector = None if m.projector is None else (m.projector.dtype, m.projector.shape,
+                                                  m.projector.tobytes())
+    return (m.id, type(m.id), m.parent, type(m.parent),
+            type(m.time), np.float64(m.time).tobytes(), projector)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+                                                                   HealthCheck.filter_too_much])
+@given(_node_documents())
+def test_node_list_mutations_match_the_node_by_node_oracle(case):
+    text, kind = case
+    raw = json.loads(text)
+    want, want_error = _parse_outcome(lambda: load_nodes(raw["nodes"], raw["dim"]))
+    assert (want_error is None) == (kind == "none"), kind  # every mutation breaks the document
+    if kind == "none":
+        # A valid node list never reaches the per-node loop.
+        with mock.patch.object(fileio, "_nodes_one_by_one", side_effect=AssertionError):
+            got, got_error = _parse_outcome(lambda: load_document(text))
+    else:
+        got, got_error = _parse_outcome(lambda: load_document(text))
+    assert got_error == want_error
+    if want_error is None:
+        assert list(map(_moment_bits, got.moments)) == list(map(_moment_bits, want))
