@@ -23,22 +23,24 @@ order, every float printed with 17 significant digits.  Canonical bytes
 are a fixed point, so ``serialize(parse(serialize(f)))`` reproduces
 ``serialize(f)`` byte for byte.
 
-The node list is encoded and decoded in bulk, a slice of nodes holding
-up to ``_SLICE_NUMBERS`` (4096) numbers at a time, so that the Python
-floats and lists alive at once stay small.  Writing prints each slice's
-node records with one ``%`` template built from the per-shape matrix
-template, after one finiteness check over the slice's projectors and
-times.  Reading checks the keys and the id, parent and time types of all
-nodes at once, then the types and lengths of each slice's projector
-rows, pairs and numbers, and converts them in place into one (N, d, d)
-stack whose rows become the nodes' projectors; the state and dynamics
-matrices take the same path one matrix at a time.  The bytes and the
-values are those of the per-node, per-entry codec.  The per-node loop
-runs only for diagnostics: a document that fails the bulk check is read
-node by node to name its first bad field, and a family holding a
-non-finite number is written node by node so that the first one in
-canonical order is reported (as is a family whose projectors are not
-all ``dim`` x ``dim`` arrays, which fails validation anyway).
+The node list is encoded and decoded in bulk, up to ``_SLICE_NUMBERS``
+(4096) numbers at a time, so that the Python floats and lists alive at
+once stay small.  Writing prints each slice of node records with one
+``%`` template built from the per-shape matrix template, after one
+finiteness check over the slice's projectors and times.  Reading checks
+the keys and the id, parent and time types of all nodes at once, then
+the types and lengths of all projectors and their rows, so that the
+stack below is allocated only for rows the text holds.  It then checks
+and converts the pairs and numbers a slice of rows at a time, in place,
+into one (N, d, d) stack whose rows become the nodes' projectors; the
+state and dynamics matrices take the same path one matrix at a time.
+The bytes and the values are those of the per-node, per-entry codec.
+The per-node loop runs only for diagnostics: a document that fails the
+bulk check is read node by node to name its first bad field, and a
+family holding a non-finite number is written node by node so that the
+first one in canonical order is reported (as is a family whose
+projectors are not all ``dim`` x ``dim`` arrays, which fails validation
+anyway).
 
 :func:`load_document` raises only :class:`~qhistories.errors.ParseError`,
 with a line/column (syntax) or a field path (schema); semantic violations
@@ -151,10 +153,10 @@ def _dynamics_to_json(evolution: EvolutionProvider) -> dict:
         f"cannot serialize evolution provider of type {type(evolution).__name__}")
 
 
-# Numbers the codec handles at once: node lists are printed and read a
-# slice of nodes at a time (at least one node per slice), so that only
-# one slice's Python floats and lists are alive at once, not the whole
-# family's.
+# Numbers the codec handles at once: node lists are printed a slice of
+# nodes at a time and projectors read a slice of rows at a time (at least
+# one node or row per slice), so that only one slice's Python floats and
+# lists are alive at once, not the whole family's.
 _SLICE_NUMBERS = 1 << 12
 
 
@@ -197,7 +199,8 @@ def _records_fragment(moments, dim: int) -> str | None:
         stack = np.array(projectors, dtype=complex)
     except (AttributeError, TypeError, ValueError, OverflowError):
         return None
-    numbers = stack.view(np.float64).reshape(len(projectors), 2 * dim * dim) + 0.0
+    numbers = stack.view(np.float64).reshape(len(projectors), 2 * dim * dim)
+    numbers += 0.0  # turns -0.0 into 0.0 in the copy np.array made
     if not (np.isfinite(numbers).all() and np.isfinite(times).all()):
         return None
     rows = iter(numbers.tolist())
@@ -270,41 +273,35 @@ def _as_float(value, field: str) -> float:
     return result
 
 
-def _slice_numbers(values: list, dim: int) -> list | None:
-    """The numbers of a list of dim x dim matrices of ``[re, im]`` pairs, flat.
+def _stack_numbers(values: list, dim: int) -> np.ndarray | None:
+    """The numbers of a list of dim x dim matrices of ``[re, im]`` pairs as
+    one flat array, matrix after matrix.
 
     None unless every matrix, row, pair and number has the right type and
-    length; ``type(True) is bool``, so booleans fail the number check.
+    length and every number is finite; ``type(True) is bool``, so booleans
+    fail the number check.  The matrices and their rows are checked before
+    the array is allocated, so that its size is bounded by the document's
+    text; the pairs and numbers are then checked and converted a slice of
+    rows at a time.
     """
-    if set(map(type, values)) != {list} or set(map(len, values)) != {dim}:
+    if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {dim}):
         return None
-    rows = list(itertools.chain.from_iterable(values))
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {dim}:
+    chain = itertools.chain.from_iterable
+    if not (set(map(type, chain(values))) <= {list} and set(map(len, chain(values))) <= {dim}):
         return None
-    pairs = list(itertools.chain.from_iterable(rows))
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    numbers = list(itertools.chain.from_iterable(pairs))
-    if not set(map(type, numbers)) <= {int, float}:
-        return None
-    return numbers
-
-
-def _stack_numbers(values: list, dim: int) -> np.ndarray | None:
-    """The numbers of a list of matrices as one flat array, matrix after matrix.
-
-    None unless :func:`_slice_numbers` accepts every slice of matrices
-    and every number is finite.
-    """
-    size = 2 * dim * dim
-    out = np.empty(len(values) * size)
-    step = max(1, _SLICE_NUMBERS // size)
-    for start in range(0, len(values), step):
-        numbers = _slice_numbers(values[start:start + step], dim)
-        if numbers is None:
+    width = 2 * dim
+    out = np.empty(len(values) * dim * width)
+    rows = chain(values)
+    step = max(1, _SLICE_NUMBERS // width)
+    for start in range(0, len(out), step * width):
+        pairs = list(chain(itertools.islice(rows, step)))
+        if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+            return None
+        numbers = list(chain(pairs))
+        if not set(map(type, numbers)) <= {int, float}:
             return None
         try:  # assigning a list converts it in place, with no temporary array
-            out[start * size:start * size + len(numbers)] = numbers
+            out[start:start + len(numbers)] = numbers
         except OverflowError:
             return None
     return out if np.isfinite(out).all() else None

@@ -18,6 +18,7 @@ from helpers import (
     load_nodes,
     random_family,
     random_provider,
+    run_capped,
 )
 from qhistories import (
     BranchingFamily,
@@ -471,6 +472,35 @@ def test_dim_beyond_the_matrix_byte_limit():
         assert exc.value.field == "dim"
     assert 16 * 2048 ** 2 == MAX_MATRIX_BYTES
     assert load_document(_doc(dim=2048, **root_only)).dim == 2048
+
+
+def test_projectors_are_checked_before_the_stack_is_allocated(tmp_path):
+    # At dim 2048 each projector takes 64 MiB, whatever the text holds: a
+    # 1 KB document of 20 children with "projector": 0, or one whose rows
+    # are empty, must fail at its first bad field, not with MemoryError.
+    pytest.importorskip("resource")
+    nodes = [{"id": 0, "time": 0.0}]
+    documents = {}
+    for name, projector in (("zero", 0), ("empty-rows", [[]] * 2048)):
+        children = [{"id": i, "parent": 0, "time": 1.0, "projector": projector}
+                    for i in range(1, 21)]
+        path = tmp_path / f"{name}.json"
+        path.write_text(_doc(dim=2048, nodes=nodes + children))
+        documents[name] = str(path)
+    result = run_capped(f"""
+        from qhistories import ParseError, cli, load_document
+        for path in {sorted(documents.values())!r}:
+            try:
+                load_document(open(path, "rb").read())
+            except ParseError as exc:
+                print(exc.field, exc.message, sep=": ")
+            print(cli.main(["weights", path]))
+    """)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "nodes[1].projector[0]: expected a row of 2048 entries", "66",
+        "nodes[1].projector: expected a matrix (list of rows)", "66",
+    ]
 
 
 def test_unknown_state_literal():
