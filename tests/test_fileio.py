@@ -475,7 +475,7 @@ def test_dim_beyond_the_matrix_byte_limit():
 
 
 def test_projectors_are_checked_before_the_stack_is_allocated(tmp_path):
-    # At dim 2048 each projector takes 64 MiB, whatever the text holds: a
+    # At dim 2048 each projector takes 64 MiB in the stack, so a
     # 1 KB document of 20 children with "projector": 0, or one whose rows
     # are empty, must fail at its first bad field, not with MemoryError.
     pytest.importorskip("resource")
