@@ -5,12 +5,13 @@ starts as the first projector (no propagator in front of it) and each
 later step left-multiplies the propagator from the previous step's time
 followed by the step's projector.
 
-For a valid family the chains come from one top-down pass over the tree
-rather than one pass per history: every shared prefix of histories is a
-single node, so a node's chain is computed once, as its projector times
-its parent's chain carried forward by one propagator, and each
-propagator is computed once per distinct pair of times.  The leaves'
-chains form a stack ``K`` of shape ``(n, d, d)``.
+For a valid family the chains come from one pass per tree level rather
+than one pass per history: every shared prefix of histories is a single
+node, so a node's chain is computed once, as its projector times its
+parent's chain carried forward by one propagator, a whole level in one
+batched product over the family's projector stack, and each propagator
+is computed once per distinct pair of times.  The leaves' chains form a
+stack ``K`` of shape ``(n, d, d)``.
 
 Weights and decoherence entries are the Gell-Mann--Hartle decoherence
 functional ``D_ab = Tr[rho K_a^dag K_b]``.  With ``A = K`` and
@@ -68,31 +69,33 @@ def chain_operator(seq: HistorySequence, evolution: EvolutionProvider) -> np.nda
 def _leaf_chains(family: BranchingFamily) -> np.ndarray:
     """Chain operators of a valid family's leaves, stacked in leaf order.
 
-    One top-down pass: the root's chain is the identity and a node's
-    chain is its projector times the chain its parent carries, where a
-    node ``p`` below ``g`` carries ``U(t_g, t_p) K_p`` and the root
-    carries its identity.  Propagators are computed once per distinct
-    ``(t_from, t_to)``.  A bare root yields one identity.
+    One pass per tree level: the root's chain is the identity and a
+    level's chains are, in one batched product, its projectors times the
+    chains their parents carry, where a node ``p`` below ``g`` carries
+    ``U(t_g, t_p) K_p`` and the root carries its identity.  Propagators
+    are computed once per distinct ``(t_from, t_to)``.  A bare root
+    yields one identity.
     """
+    layout = family._layout
+    children, parent = layout.children.tolist(), layout.parent.tolist()
+    times = layout.time.tolist()
+    # chains[r]: node r's chain, carried forward by its propagator if r has children.
+    chains = np.empty(layout.projectors.shape, dtype=complex)
+    chains[0] = np.eye(family.dim)
     propagators: dict[tuple[float, float], np.ndarray] = {}
-    carried: dict[int, np.ndarray] = {}
-    leaves = []
-    for m in family._depth_first:
-        children = family.children_of(m.id)
-        if m.parent is None:
-            k = np.eye(family.dim, dtype=complex)
-        else:
-            k = m.projector @ carried.pop(m.id)
-            if children:
-                key = (family.moment(m.parent).time, m.time)
-                if key not in propagators:
-                    propagators[key] = family.evolution.propagator(*key)
-                k = propagators[key] @ k
-        if not children:
-            leaves.append(k)
-        for child in children:
-            carried[child.id] = k
-    return np.array(leaves)
+    # ``take`` gathers rows at a fraction of fancy indexing's fixed cost.
+    for rows in layout.levels[1:]:
+        parents = chains.take(layout.parent[rows], axis=0)
+        chains[rows] = layout.projectors.take(rows, axis=0) @ parents
+        groups: dict[tuple[float, float], list[int]] = {}
+        for r in rows.tolist():
+            if children[r]:
+                groups.setdefault((times[parent[r]], times[r]), []).append(r)
+        for key, sel in groups.items():
+            if key not in propagators:
+                propagators[key] = family.evolution.propagator(*key)
+            chains[sel] = propagators[key] @ chains.take(sel, axis=0)
+    return chains[layout.children == 0]
 
 
 def _flat_sides(ks: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:

@@ -313,38 +313,32 @@ def embed_family(family: BranchingFamily, tol: float = DEFAULT_TOL) -> HPOFamily
     branch-dependent timings is not the case; then an
     :class:`EmbeddingError` explains what differs.
 
-    The family is walked once, depth first.  Each member's factors are
-    gathered by index from one stack of the node projectors, whose norms
-    are taken once per node, and the projector bound is evaluated for all
-    members at once; a member whose bound fails takes the dense check.
+    Each member's factors are gathered by row from the family's projector
+    stack, whose norms are taken once per node, and the projector bound is
+    evaluated for all members at once; a member whose bound fails takes
+    the dense check.
     """
     family.ensure_valid(tol)
-    nodes = family._depth_first
-    if len(nodes) == 1:
+    layout = family._layout
+    leaves = np.flatnonzero(layout.children == 0)
+    depths = layout.depth[leaves]
+    slots = len(layout.levels) - 1
+    if slots == 0:
         raise EmbeddingError("family contains the empty history (bare root)")
-    # path[k]: row (in nodes[1:]) of the path's node at depth k + 1;
-    # times[k]: time of the path's node at depth k.
-    depth = {nodes[0].id: 0}
-    path: list[int] = []
-    times = [float(nodes[0].time)]
-    members, grids = [], set()
-    for row, m in enumerate(nodes[1:]):
-        k = depth[m.id] = depth[m.parent] + 1
-        del path[k - 1:], times[k:]
-        path.append(row)
-        times.append(float(m.time))
-        if not family._children[m.id]:
-            members.append(tuple(path))
-            grids.add(tuple(times[:-1]))
+    # index[i, s]: row of leaf i's ancestor at depth s + 1; a shorter path
+    # is padded in front with the root, which is its own parent.
+    index = np.empty((len(leaves), slots), dtype=np.intp)
+    index[:, -1] = leaves
+    for s in range(slots - 1, 0, -1):
+        index[:, s - 1] = layout.parent[index[:, s]]
+    grids = {tuple(g[slots - k:]) for g, k in
+             zip(layout.time[layout.parent[index]].tolist(), depths.tolist())}
     if len(grids) > 1:
         raise EmbeddingError(
             f"histories do not share one time grid: found {sorted(grids)}")
-    index = np.array(members)
-    slots = index.shape[1]
     _check_space(family.dim, slots)
-    stack = np.array([m.projector for m in nodes[1:]], dtype=complex)
-    certified = _certified(_projector_norms(stack)[:, index], DEFAULT_TOL).tolist()
-    stacks = stack[index]
+    certified = _certified(family._norms[:, index], DEFAULT_TOL).tolist()
+    stacks = layout.projectors[index]
     grid = _slot_times(slots, grids.pop(), family.dim)
     return HPOFamily(tuple(HistoryProjector._factored(st, grid, ok)
                            for st, ok in zip(stacks, certified)))

@@ -12,6 +12,11 @@ constructors in this module are valid by construction; families assembled
 by hand (for instance by the document parser) must pass
 :meth:`BranchingFamily.validate` before any chain computation will accept
 them.
+
+Each family builds one array layout of its tree on first use: its nodes
+depth first, with each node's parent row, depth and time, and one stack of
+the node projectors.  Validation, histories, the product-shape check, the
+chain operators and the history-space embedding all read that layout.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,6 +157,29 @@ class ValidationReport:
         return "\n".join(str(issue) for issue in self.issues)
 
 
+class _Layout(NamedTuple):
+    """A family's nodes as arrays, one row per node.
+
+    Rows run depth first from a single root, siblings in insertion order,
+    then over the nodes that walk does not reach (only an invalid family
+    has them) in insertion order.  ``parent`` holds the row of each node's
+    parent, with the root and the unreached nodes their own parents;
+    ``depth`` is -1 for the unreached nodes, and ``levels[k]`` holds the
+    rows of depth k, which are that tree level in breadth-first order.
+    ``projectors`` is the read-only stack of the node projectors, zero
+    where a node carries no (d, d) projector.  The leaf rows come in leaf
+    order.
+    """
+
+    nodes: tuple[Moment, ...]
+    parent: np.ndarray
+    depth: np.ndarray
+    levels: list[np.ndarray]
+    time: np.ndarray
+    children: np.ndarray
+    projectors: np.ndarray
+
+
 class BranchingFamily:
     """An immutable branching family over a ``dim``-dimensional space.
 
@@ -227,19 +255,48 @@ class BranchingFamily:
         return list(reversed(out))
 
     @cached_property
-    def _depth_first(self) -> tuple[Moment, ...]:
-        """Nodes reachable from the root, depth first, siblings in insertion order."""
-        out: list[Moment] = []
-        stack = [self.root()]
+    def _layout(self) -> _Layout:
+        """The family's :class:`_Layout`, built on first use from one walk."""
+        roots = [m for m in self.moments if m.parent is None]
+        nodes: list[Moment] = []
+        depths: list[int] = []
+        levels: list[list[int]] = []
+        stack = [(roots[0], 0)] if len(roots) == 1 else []
         while stack:
-            m = stack.pop()
-            out.append(m)
-            stack.extend(reversed(self._children[m.id]))
-        return tuple(out)
+            m, k = stack.pop()
+            if k == len(levels):
+                levels.append([])
+            levels[k].append(len(nodes))
+            nodes.append(m)
+            depths.append(k)
+            stack.extend((c, k + 1) for c in reversed(self._children[m.id]))
+        row = {m.id: r for r, m in enumerate(nodes)}
+        nodes += [m for m in self.moments if m.id not in row]
+        depth = np.array(depths + [-1] * (len(nodes) - len(depths)), dtype=np.intp)
+        shape = (self.dim, self.dim)
+        zero = np.zeros(shape, dtype=complex)
+        projectors = np.array([zero if m.projector is None or m.projector.shape != shape
+                               else m.projector for m in nodes], dtype=complex)
+        projectors = projectors.reshape(-1, *shape)
+        projectors.flags.writeable = False
+        return _Layout(tuple(nodes),
+                       np.array([row.get(m.parent, r) for r, m in enumerate(nodes)], dtype=np.intp),
+                       depth,
+                       [np.array(rows, dtype=np.intp) for rows in levels],
+                       np.array([m.time for m in nodes], dtype=float),
+                       np.array([len(self._children[m.id]) for m in nodes], dtype=np.intp),
+                       projectors)
+
+    @cached_property
+    def _norms(self) -> np.ndarray:
+        """:func:`linalg._projector_norms` of the layout's projector stack, one column per row."""
+        return _projector_norms(self._layout.projectors)
 
     def leaves(self) -> tuple[Moment, ...]:
         """Leaves in depth-first order; this order indexes weight tables."""
-        return tuple(m for m in self._depth_first if not self._children[m.id])
+        layout = self._layout
+        ends = (layout.children == 0) & (layout.depth >= 0)
+        return tuple(itertools.compress(layout.nodes, ends))
 
     def __len__(self) -> int:
         return len(self.moments)
@@ -272,20 +329,18 @@ class BranchingFamily:
                 issues.append(ValidationIssue(
                     "tree", (m.id,), f"parent {m.parent} does not exist"))
 
+        layout = self._layout
         if len(roots) == 1:
-            reachable = {m.id for m in self._depth_first}
-            unreachable = [m.id for m in self.moments if m.id not in reachable]
+            unreachable = [m.id for m, k in zip(layout.nodes, layout.depth.tolist()) if k < 0]
             if unreachable:
                 issues.append(ValidationIssue(
                     "tree", tuple(unreachable),
                     "nodes are not reachable from the root"))
 
         shape = (self.dim, self.dim)
-        placed = [m for m in self.moments
-                  if m.projector is not None and m.projector.shape == shape]
-        row_of = {m.id: r for r, m in enumerate(placed)}
-        stack = np.array([m.projector for m in placed], dtype=complex).reshape(-1, *shape)
-        size, _, herm, idem = _projector_norms(stack)
+        row_of = {m.id: r for r, m in enumerate(layout.nodes)
+                  if m.projector is not None and m.projector.shape == shape}
+        size, _, herm, idem = self._norms
         is_proj, size = ((herm <= tol) & (idem <= tol)).tolist(), size.tolist()
 
         for m in self.moments:
@@ -319,7 +374,7 @@ class BranchingFamily:
         grouped = [c for kids in groups for c in kids]
         bounds = np.cumsum([0] + [len(kids) for kids in groups])
         clashes, complete = decomposition_defects(
-            stack[[row_of[c.id] for c in grouped]], bounds, tol)
+            layout.projectors[[row_of[c.id] for c in grouped]], bounds, tol)
         cut = np.searchsorted(clashes[:, 0], bounds)  # group g: clashes[cut[g]:cut[g + 1]]
         for g in np.flatnonzero(~complete | (np.diff(cut) > 0)).tolist():
             for i, j in clashes[cut[g]:cut[g + 1]].tolist():
@@ -428,19 +483,17 @@ class BranchingFamily:
         ``[(time(m_0), P(m_1)), ..., (time(m_{k-1}), P(m_k))]``: each
         projector is paired with the time of the node above it, and leaf
         times do not appear.  A bare root yields the empty sequence.
-        Each step is coerced once per node, not once per history.
+        Each node's steps extend its parent's, and the projectors are
+        read-only rows of the family's projector stack.
         """
         self.ensure_valid(tol)
-        out: list[HistorySequence] = []
-        prefixes: dict[int, tuple[tuple[float, np.ndarray], ...]] = {}
-        for m in self._depth_first:
-            steps = prefixes.pop(m.id, ())
-            kids = self._children[m.id]
-            if not kids:
-                out.append(HistorySequence._trusted(steps))
-            for child in kids:
-                prefixes[child.id] = steps + ((float(m.time), as_operator(child.projector)),)
-        return out
+        layout = self._layout
+        times = layout.time.tolist()
+        steps: list[tuple[tuple[float, np.ndarray], ...]] = [()]
+        for g, p in zip(layout.parent.tolist()[1:], layout.projectors[1:]):
+            steps.append(steps[g] + ((times[g], p),))
+        return [HistorySequence._trusted(steps[r])
+                for r in np.flatnonzero(layout.children == 0).tolist()]
 
     def history_of_leaf(self, leaf_id: int, tol: float = DEFAULT_TOL) -> HistorySequence:
         """The history ending at one particular leaf."""
@@ -456,23 +509,21 @@ class BranchingFamily:
     def is_product_shaped(self, tol: float = DEFAULT_TOL) -> bool:
         """True iff the family could have come from a product construction.
 
-        Checks that all nodes of equal depth share one time and that
-        their child decompositions agree member by member, which is
-        exactly branch independence.
+        Checks that all nodes of equal depth have equally many children,
+        that those with children share one time, and that their child
+        decompositions agree member by member, which is exactly branch
+        independence.  Leaf times enter no history and are not compared.
         """
         self.ensure_valid(tol)
-        level = [self.root()]
-        while level:
-            times = [m.time for m in level]
-            if max(times) - min(times) > tol:
+        layout = self._layout
+        # Every level above the last has children; the last has none.
+        for level, below in zip(layout.levels, layout.levels[1:]):
+            counts, times = layout.children[level], layout.time[level]
+            if counts.min() != counts.max():
                 return False
-            child_lists = [self._children[m.id] for m in level]
-            lengths = {len(kids) for kids in child_lists}
-            if len(lengths) > 1:
+            if times.max() - times.min() > tol:
                 return False
-            level = [c for kids in child_lists for c in kids]
-            stack = np.array([c.projector for c in level]).reshape(
-                len(child_lists), -1, self.dim, self.dim)
+            stack = layout.projectors[below].reshape(len(level), -1, self.dim, self.dim)
             if np.abs(stack[1:] - stack[:1]).max(initial=0.0) > tol:
                 return False
         return True

@@ -29,8 +29,16 @@ from qhistories import (
     is_projector,
     new_family,
 )
-from qhistories.linalg import DEFAULT_TOL, as_operator, max_abs
-from qhistories.structure import ValidationIssue, ValidationReport
+from qhistories.errors import EmbeddingError
+from qhistories.hpo import (
+    HistoryProjector,
+    HPOFamily,
+    _certified,
+    _check_space,
+    _slot_times,
+)
+from qhistories.linalg import DEFAULT_TOL, _projector_norms, as_operator, max_abs
+from qhistories.structure import HistorySequence, ValidationIssue, ValidationReport
 
 PROVIDER_KINDS = ("trivial", "hamiltonian", "unitary_table")
 
@@ -343,6 +351,92 @@ def validate(fam: BranchingFamily, tol: float = DEFAULT_TOL,
                 f"of the unitary table"))
 
     return ValidationReport(tuple(issues))
+
+
+def depth_first(family: BranchingFamily) -> tuple[Moment, ...]:
+    """Nodes reachable from the root, depth first, siblings in insertion order."""
+    out: list[Moment] = []
+    stack = [family.root()]
+    while stack:
+        m = stack.pop()
+        out.append(m)
+        stack.extend(reversed(family.children_of(m.id)))
+    return tuple(out)
+
+
+def leaf_chains(family: BranchingFamily) -> np.ndarray:
+    """The leaves' chain operators from one top-down walk, node by node.
+
+    The root's chain is the identity and a node's chain is its projector
+    times the chain its parent carries, where a node ``p`` below ``g``
+    carries ``U(t_g, t_p) K_p`` and the root carries its identity.
+    """
+    propagators: dict[tuple[float, float], np.ndarray] = {}
+    carried: dict[int, np.ndarray] = {}
+    leaves = []
+    for m in depth_first(family):
+        children = family.children_of(m.id)
+        if m.parent is None:
+            k = np.eye(family.dim, dtype=complex)
+        else:
+            k = m.projector @ carried.pop(m.id)
+            if children:
+                key = (family.moment(m.parent).time, m.time)
+                if key not in propagators:
+                    propagators[key] = family.evolution.propagator(*key)
+                k = propagators[key] @ k
+        if not children:
+            leaves.append(k)
+        for child in children:
+            carried[child.id] = k
+    return np.array(leaves)
+
+
+def histories(family: BranchingFamily) -> list[HistorySequence]:
+    """Root-to-leaf histories from one walk that carries each node's prefix."""
+    out: list[HistorySequence] = []
+    prefixes: dict[int, tuple[tuple[float, np.ndarray], ...]] = {}
+    for m in depth_first(family):
+        steps = prefixes.pop(m.id, ())
+        kids = family.children_of(m.id)
+        if not kids:
+            out.append(HistorySequence._trusted(steps))
+        for child in kids:
+            prefixes[child.id] = steps + ((float(m.time), as_operator(child.projector)),)
+    return out
+
+
+def embed_family(family: BranchingFamily) -> tuple[HPOFamily, list[bool]]:
+    """``hpo.embed_family`` from one depth-first walk, and each member's certified flag."""
+    nodes = depth_first(family)
+    if len(nodes) == 1:
+        raise EmbeddingError("family contains the empty history (bare root)")
+    # path[k]: row (in nodes[1:]) of the path's node at depth k + 1;
+    # times[k]: time of the path's node at depth k.
+    depth = {nodes[0].id: 0}
+    path: list[int] = []
+    times = [float(nodes[0].time)]
+    members, grids = [], set()
+    for row, m in enumerate(nodes[1:]):
+        k = depth[m.id] = depth[m.parent] + 1
+        del path[k - 1:], times[k:]
+        path.append(row)
+        times.append(float(m.time))
+        if not family.children_of(m.id):
+            members.append(tuple(path))
+            grids.add(tuple(times[:-1]))
+    if len(grids) > 1:
+        raise EmbeddingError(
+            f"histories do not share one time grid: found {sorted(grids)}")
+    index = np.array(members)
+    slots = index.shape[1]
+    _check_space(family.dim, slots)
+    stack = np.array([m.projector for m in nodes[1:]], dtype=complex)
+    certified = _certified(_projector_norms(stack)[:, index], DEFAULT_TOL).tolist()
+    stacks = stack[index]
+    grid = _slot_times(slots, grids.pop(), family.dim)
+    return HPOFamily(tuple(HistoryProjector._factored(st, grid, ok)
+                           for st, ok in zip(stacks, certified))), certified
 
 
 def _schema(field: str, message: str) -> ParseError:

@@ -207,17 +207,34 @@ class _CountingEvolution(EvolutionProvider):
         return self.inner.propagator(t_from, t_to)
 
 
-def test_each_propagator_is_computed_once_per_pass():
-    rng = np.random.default_rng(34)
+def _product_under_count(rng):
     counting = _CountingEvolution(ConstantHamiltonian(random_hermitian(2, rng)))
     times = [0.0, 0.5, 1.5, 2.0, 3.0, 3.25]
     fam = from_product(2, times, [random_decomposition(2, 2, rng) for _ in times],
                        evolution=counting)
     assert len(fam.leaves()) == 64
-    for compute in (family_decoherence_matrix, weight_table):
-        counting.calls.clear()
-        compute(fam)
-        assert counting.calls == Counter(zip(times, times[1:]))
+    return fam, counting, list(zip(times, times[1:]))
+
+
+def _branching_under_count(rng):
+    counting = _CountingEvolution(PiecewiseUnitary([0.0, 1.0, 2.0, 3.0],
+                                                   [haar_unitary(2, rng) for _ in range(3)]))
+    fam = new_family(2, 0.0, np.eye(2) / 2, counting)
+    fam = fam.extend(0, random_decomposition(2, 2, rng), [1.0, 2.0])
+    fam = fam.extend(1, random_decomposition(2, 2, rng), [2.0, 2.0])
+    for leaf in (2, 3, 4):
+        fam = fam.extend(leaf, random_decomposition(2, 2, rng), [3.0, 3.0])
+    assert _leaf_depths(fam) == {3, 4}
+    return fam, counting, [(0.0, 1.0), (0.0, 2.0), (1.0, 2.0)]
+
+
+def test_each_propagator_is_computed_once_per_pass():
+    for build in (_product_under_count, _branching_under_count):
+        fam, counting, keys = build(np.random.default_rng(34))
+        for compute in (family_decoherence_matrix, weight_table):
+            counting.calls.clear()
+            compute(fam)
+            assert counting.calls == Counter(keys)
 
 
 def test_decoherence_matrix_is_hermitian_with_weight_diagonal():

@@ -35,7 +35,7 @@ from qhistories import (
     sum_hpo,
 )
 from qhistories.chain import decoherence_matrix
-from qhistories.demos import P0, P1, P_MINUS, P_PLUS
+from qhistories.demos import P0, P1, P_MINUS, P_PLUS, fig2_family
 from qhistories.dynamics import TrivialEvolution
 from qhistories import hpo
 from qhistories.hpo import (
@@ -127,15 +127,25 @@ def test_product_family_embeds_to_hpo_family():
     assert is_hpo_family(embedded)
 
 
+def _embedding_error(family) -> str:
+    with pytest.raises(EmbeddingError) as raised:
+        embed_family(family)
+    return str(raised.value)
+
+
 def test_embed_family_needs_shared_times():
     fam = new_family(2, 0.0).extend(0, [P0, P1], [1.0, 2.0])
     first, second = (m.id for m in fam.leaves())
+    assert _embedding_error(fam.extend(first, [P0, P1], [3.0, 3.0])) == (
+        "histories do not share one time grid: found [(0.0,), (0.0, 1.0)]")
     fam = fam.extend(first, [P0, P1], [3.0, 3.0])
     fam = fam.extend(second, [P0, P1], [3.0, 3.0])
-    with pytest.raises(EmbeddingError, match="time grid"):
-        embed_family(fam)
-    with pytest.raises(EmbeddingError, match="empty"):
-        embed_family(new_family(2, 0.0))
+    assert _embedding_error(fam) == (
+        "histories do not share one time grid: found [(0.0, 1.0), (0.0, 2.0)]")
+    assert _embedding_error(fig2_family()) == (
+        "histories do not share one time grid: found [(0.0, 1.0), (0.0, 1.5)]")
+    assert _embedding_error(new_family(2, 0.0)) == (
+        "family contains the empty history (bare root)")
 
 
 def test_sum_hpo_all_ones_is_history_identity():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,20 +17,29 @@ from helpers import (
     random_family,
     random_provider,
 )
+from helpers import embed_family as oracle_embed_family
+from helpers import histories as oracle_histories
+from helpers import leaf_chains as oracle_leaf_chains
 from helpers import validate as oracle_validate
 from qhistories import (
     BranchingFamily,
+    EmbeddingError,
+    HistoryProjector,
     HistorySequence,
     InvalidFamilyError,
     Moment,
     TrivialEvolution,
+    embed_family,
+    family_decoherence_matrix,
     from_product,
     maximally_mixed,
     new_family,
     serialize_family,
     weight_table,
 )
+from qhistories.chain import _gram, _leaf_chains, _weights
 from qhistories.demos import P0, P1, P_MINUS, P_PLUS, branch_no_prod_family, fig2_family
+from qhistories.linalg import DEFAULT_TOL
 
 I2 = np.eye(2, dtype=complex)
 
@@ -409,6 +419,14 @@ def test_is_product_shaped():
     assert not branch_no_prod_family().is_product_shaped()
     assert new_family(2, 0.0).is_product_shaped()
     assert not fig2_family().is_product_shaped()
+    # Leaf times are metadata: only times of nodes with children must agree.
+    fam = new_family(2, 0.0).extend(0, [P0, P1], [1.0, 1.0])
+    fam = fam.extend(1, [P0, P1], [2.0, 2.0])
+    assert fam.extend(2, [P0, P1], [2.0, 2.0]).is_product_shaped()
+    assert fam.extend(2, [P0, P1], [2.0, 3.0]).is_product_shaped()
+    fam = new_family(2, 0.0).extend(0, [P0, P1], [1.0, 1.5])
+    fam = fam.extend(1, [P0, P1], [2.0, 2.0])
+    assert not fam.extend(2, [P0, P1], [2.0, 2.0]).is_product_shaped()
 
 
 def _levels(fam):
@@ -429,6 +447,12 @@ def test_is_product_shaped_over_product_families(seed):
     times = np.cumsum(rng.uniform(0.2, 1.0, size=steps)).tolist()
     fam = from_product(dim, times, decomps, random_density(dim, rng))
     assert fam.is_product_shaped()
+    # Leaf times enter no history, so moving some leaves keeps the shape.
+    shift = {m.id: float(rng.uniform(0.1, 1.0)) for m in fam.leaves() if rng.random() < 0.5}
+    moved = BranchingFamily(dim, [dataclasses.replace(m, time=m.time + shift.get(m.id, 0.0))
+                                  for m in fam.moments], fam.initial_state, fam.evolution)
+    assert moved.validate().ok
+    assert moved.is_product_shaped()
     # One node below the root gets another decomposition of its own.
     level = _levels(fam)[int(rng.integers(1, steps))]
     kids = fam.children_of(level[int(rng.integers(len(level)))].id)
@@ -499,6 +523,52 @@ def test_validate_matches_the_node_by_node_oracle(seed, kinds):
     for allow_zero in (False, True):
         expected = oracle_validate(fam, allow_zero_projectors=allow_zero)
         assert str(fam.validate(allow_zero_projectors=allow_zero)) == str(expected)
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(PROVIDER_KINDS),
+       st.sampled_from([0.0, 0.25, 1.0]))
+def test_family_layout_matches_the_walk_oracles(seed, kind, stop_probability):
+    # Stopping with probability 1 leaves a bare root, 0.25 unequal leaf depths.
+    fam = random_family(np.random.default_rng(seed), kind=kind,
+                        stop_probability=stop_probability)
+    ks = oracle_leaf_chains(fam)
+    assert _same_bytes(_leaf_chains(fam), ks)
+    assert _same_bytes(weight_table(fam), _weights(ks, fam.initial_state, DEFAULT_TOL))
+    assert _same_bytes(family_decoherence_matrix(fam), _gram(ks, fam.initial_state))
+
+    expected = oracle_histories(fam)
+    got = fam.histories()
+    assert len(got) == len(expected)
+    for h, e in zip(got, expected):
+        assert h.times == e.times
+        assert all(_same_bytes(p, q) for p, q in zip(h.projectors, e.projectors, strict=True))
+
+    try:
+        members, certified = oracle_embed_family(fam)
+    except EmbeddingError as exc:
+        with pytest.raises(EmbeddingError) as raised:
+            embed_family(fam)
+        assert str(raised.value) == str(exc)
+        return
+    flags = []
+    factored = HistoryProjector._factored
+
+    def recording(stack, times, ok):
+        flags.append(ok)
+        return factored(stack, times, ok)
+
+    with mock.patch.object(HistoryProjector, "_factored", recording):
+        embedded = embed_family(fam)
+    assert flags == certified
+    assert len(embedded) == len(members)
+    for y, z in zip(embedded.members, members.members):
+        assert y.slot_times == z.slot_times
+        assert _same_bytes(y._stack, z._stack)
 
 
 @pytest.mark.parametrize("seed", range(10))
