@@ -30,6 +30,15 @@ __all__ = [
 TIME_ALIGN_TOL = 1e-9
 
 
+def _finite_times(times: Sequence[float], what: str) -> list[float]:
+    """``times`` as floats; raises ValueError naming the first NaN or infinite one."""
+    out = [float(t) for t in times]
+    bad = [t for t in out if not np.isfinite(t)]
+    if bad:
+        raise ValueError(f"{what} {bad[0]} is not finite")
+    return out
+
+
 class EvolutionProvider(ABC):
     """Interface for the dynamics attached to a branching family."""
 
@@ -104,7 +113,7 @@ class PiecewiseUnitary(EvolutionProvider):
 
     def __init__(self, breakpoints: Sequence[float], unitaries: Sequence,
                  tol: float = DEFAULT_TOL):
-        times = tuple(float(t) for t in breakpoints)
+        times = tuple(_finite_times(breakpoints, "breakpoint"))
         if len(times) < 2:
             raise ValueError("a unitary table needs at least two breakpoints")
         if any(b <= a for a, b in zip(times, times[1:])):

@@ -25,22 +25,21 @@ are a fixed point, so ``serialize(parse(serialize(f)))`` reproduces
 
 The node list is encoded and decoded in bulk, up to ``_SLICE_NUMBERS``
 (4096) numbers at a time, so that the Python floats and lists alive at
-once stay small.  Writing prints each slice of node records with one
-``%`` template built from the per-shape matrix template, after one
-finiteness check over the slice's projectors and times.  Reading checks
-the keys and the id, parent and time types of all nodes at once, then
-the types and lengths of all projectors and their rows, so that the
-stack below is allocated only for rows the text holds.  It then checks
-and converts the pairs and numbers a slice of rows at a time, in place,
+once stay small.  Writing is one pass: the dynamics, the state and each
+slice of node records are printed by ``%`` templates from one array each.
+Where a finiteness or shape check fails, the same pass raises ValueError
+naming the first non-finite number in canonical order, or the first
+projector that is not ``dim`` x ``dim`` (the reader would refuse it).
+
+Reading checks the keys and the id, parent and time types of all nodes
+at once, then the types and lengths of all projectors and their rows, so
+that the stack below is allocated only for rows the text holds.  It then
+checks and converts the pairs and numbers a slice of rows at a time, in place,
 into one (N, d, d) stack whose rows become the nodes' projectors; the
 state and dynamics matrices take the same path one matrix at a time.
 The bytes and the values are those of the per-node, per-entry codec.
-The per-node loop runs only for diagnostics: a document that fails the
-bulk check is read node by node to name its first bad field, and a
-family holding a non-finite number is written node by node so that the
-first one in canonical order is reported (as is a family whose
-projectors are not all ``dim`` x ``dim`` arrays, which fails validation
-anyway).
+A document that fails the bulk check is read node by node, only to name
+its first bad field.
 
 :func:`load_document` raises only :class:`~qhistories.errors.ParseError`,
 with a line/column (syntax) or a field path (schema); semantic violations
@@ -86,69 +85,40 @@ MAX_MATRIX_BYTES = 1 << 26
 
 # -- canonical JSON emission ----------------------------------------------
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite number {x}")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0 so reparsing reproduces the bytes
-    return format(x, ".17g")
-
-
-class _Fragment(str):
-    """Canonical JSON text that :func:`_canonical` writes out verbatim."""
-
-
-def _canonical(obj) -> str:
-    if type(obj) is _Fragment:
-        return obj
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, bool):
-        raise ValueError("booleans do not occur in family documents")
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ",".join(f"{json.dumps(k)}:{_canonical(v)}" for k, v in items) + "}"
-    raise ValueError(f"cannot serialize value of type {type(obj).__name__}")
+def _finite(numbers) -> np.ndarray:
+    """``numbers`` as floats with -0.0 made 0.0 (so reparsing reproduces the bytes);
+    raises ValueError naming the first non-finite one in C order, the canonical order."""
+    out = np.asarray(numbers, dtype=float) + 0.0
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite number {float(out[~finite][0])}")
+    return out
 
 
 @functools.lru_cache(maxsize=8)
 def _matrix_template(rows: int, cols: int) -> str:
     # '%.17g' % x and format(x, '.17g') share one C routine, so a template
-    # prints the same bytes as _format_float does entry by entry.
+    # prints the same bytes as formatting entry by entry.
     row = "[" + ",".join(["[%.17g,%.17g]"] * cols) + "]"
     return "[" + ",".join([row] * rows) + "]"
 
 
-def _matrix_to_json(m: np.ndarray) -> _Fragment | list:
-    """A matrix as rows of ``[re, im]`` pairs, formatted in one pass.
-
-    A matrix holding a non-finite number comes back as nested lists of
-    floats instead, so that :func:`_canonical` names the document's first
-    one in canonical order.
-    """
+def _matrix_to_json(m) -> str:
+    """A matrix as rows of ``[re, im]`` pairs, formatted in one pass."""
     a = np.ascontiguousarray(m, dtype=complex)
-    flat = a.view(np.float64).ravel() + 0.0  # + 0.0 turns -0.0 into 0.0
-    if not np.isfinite(flat).all():
-        return flat.reshape(*a.shape, 2).tolist()
-    return _Fragment(_matrix_template(*a.shape) % tuple(flat.tolist()))
+    return _matrix_template(*a.shape) % tuple(_finite(a.view(np.float64)).ravel().tolist())
 
 
-def _dynamics_to_json(evolution: EvolutionProvider) -> dict:
+def _dynamics_to_json(evolution: EvolutionProvider) -> str:
     if isinstance(evolution, TrivialEvolution):
-        return {"kind": "trivial"}
+        return '{"kind":"trivial"}'
     if isinstance(evolution, ConstantHamiltonian):
-        return {"kind": "hamiltonian",
-                "hamiltonian": _matrix_to_json(evolution.hamiltonian)}
+        return '{"hamiltonian":%s,"kind":"hamiltonian"}' % _matrix_to_json(evolution.hamiltonian)
     if isinstance(evolution, PiecewiseUnitary):
-        return {"kind": "unitary_table",
-                "breakpoints": [float(t) for t in evolution.breakpoints],
-                "unitaries": [_matrix_to_json(u) for u in evolution.unitaries]}
+        breakpoints = ",".join(format(t, ".17g") for t in _finite(evolution.breakpoints).tolist())
+        unitaries = ",".join(map(_matrix_to_json, evolution.unitaries))
+        return ('{"breakpoints":[%s],"kind":"unitary_table","unitaries":[%s]}'
+                % (breakpoints, unitaries))
     raise ValueError(
         f"cannot serialize evolution provider of type {type(evolution).__name__}")
 
@@ -168,47 +138,36 @@ def _record_template(dim: int, has_parent: bool, has_projector: bool) -> str:
             + '"time":%.17g}')
 
 
-def _node_records(moments) -> list[dict]:
-    """One record per node; matrices with non-finite numbers stay lists."""
-    nodes = []
-    for m in moments:
-        node: dict = {"id": int(m.id), "time": float(m.time)}
-        if m.parent is not None:
-            node["parent"] = int(m.parent)
-        if m.projector is not None:
-            node["projector"] = _matrix_to_json(m.projector)
-        nodes.append(node)
-    return nodes
-
-
-def _records_fragment(moments, dim: int) -> str | None:
+def _records_to_json(moments, dim: int) -> str:
     """The records of ``moments`` printed by one ``%`` template.
 
-    None when a number is not finite, or when a node holds something
-    other than an integer id and parent, a float time and a ``dim`` x
-    ``dim`` projector.
+    Raises ValueError naming the first projector that is not ``dim`` x
+    ``dim`` or the first non-finite number, node by node in canonical order.
     """
     kinds = [(m.parent is not None, m.projector is not None) for m in moments]
     projectors = [m.projector for m in moments if m.projector is not None]
+    times = np.array([float(m.time) for m in moments]) + 0.0
     try:
-        ids = [int(m.id) for m in moments]
-        parents = iter([int(m.parent) for m in moments if m.parent is not None])
-        times = np.array([float(m.time) for m in moments]) + 0.0
-        if not {p.shape for p in projectors} <= {(dim, dim)}:
-            return None
-        stack = np.array(projectors, dtype=complex)
-    except (AttributeError, TypeError, ValueError, OverflowError):
-        return None
-    numbers = stack.view(np.float64).reshape(len(projectors), 2 * dim * dim)
+        stack = np.array(projectors or np.empty((0, dim, dim)), dtype=complex)
+    except ValueError:  # unequal shapes, or entries that are not numbers
+        stack = np.empty(0)
+    numbers = stack.view(np.float64)
     numbers += 0.0  # turns -0.0 into 0.0 in the copy np.array made
-    if not (np.isfinite(numbers).all() and np.isfinite(times).all()):
-        return None
-    rows = iter(numbers.tolist())
+    if not (stack.shape[1:] == (dim, dim) and np.isfinite(numbers).all()
+            and np.isfinite(times).all()):
+        for m in moments:
+            if m.projector is not None:
+                if np.shape(m.projector) != (dim, dim):
+                    raise ValueError(f"cannot serialize node {m.id}: projector shape "
+                                     f"{np.shape(m.projector)} is not ({dim}, {dim})")
+                _finite(np.ascontiguousarray(m.projector, dtype=complex).view(np.float64))
+            _finite(float(m.time))
+    rows = iter(numbers.reshape(len(stack), 2 * dim * dim).tolist())
     args = []
-    for node_id, (has_parent, has_projector), time in zip(ids, kinds, times.tolist()):
-        args.append(node_id)
+    for m, (has_parent, has_projector), time in zip(moments, kinds, times.tolist()):
+        args.append(int(m.id))
         if has_parent:
-            args.append(next(parents))
+            args.append(int(m.parent))
         if has_projector:
             args += next(rows)
         args.append(time)
@@ -216,37 +175,23 @@ def _records_fragment(moments, dim: int) -> str | None:
     return template % tuple(args)
 
 
-def _nodes_to_json(moments, dim: int) -> _Fragment | list:
-    """The node list, printed a slice of nodes per ``%`` template.
-
-    Falls back to :func:`_node_records` when a slice cannot be printed in
-    bulk, so that :func:`_canonical` names the first non-finite number or
-    prints the odd node as it is.
-    """
-    step = max(1, _SLICE_NUMBERS // (2 * dim * dim + 3))
-    parts = []
-    for start in range(0, len(moments), step):
-        part = _records_fragment(moments[start:start + step], dim)
-        if part is None:
-            return _node_records(moments)
-        parts.append(part)
-    return _Fragment("[" + ",".join(parts) + "]")
-
-
 def serialize_family(family: BranchingFamily) -> bytes:
-    """Canonical UTF-8 document for ``family``."""
+    """Canonical UTF-8 document for ``family``.
+
+    Raises ValueError naming the first non-finite number in canonical
+    order, or the first projector that is not ``dim`` x ``dim``.
+    """
     dim = family.dim
+    dynamics = _dynamics_to_json(family.evolution)
     if np.array_equal(family.initial_state, np.eye(dim, dtype=complex) / dim):
-        state = "maximally_mixed"
+        state = '"maximally_mixed"'
     else:
         state = _matrix_to_json(family.initial_state)
-    doc = {
-        "dim": dim,
-        "initial_state": state,
-        "dynamics": _dynamics_to_json(family.evolution),
-        "nodes": _nodes_to_json(family.moments, dim),
-    }
-    return _canonical(doc).encode("utf-8")
+    step = max(1, _SLICE_NUMBERS // (2 * dim * dim + 3))
+    nodes = ",".join([_records_to_json(family.moments[start:start + step], dim)
+                      for start in range(0, len(family.moments), step)])
+    return ('{"dim":%d,"dynamics":%s,"initial_state":%s,"nodes":[%s]}'
+            % (dim, dynamics, state, nodes)).encode("utf-8")
 
 
 # -- parsing ----------------------------------------------------------------
@@ -515,10 +460,6 @@ def parse_family(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamily
 
 # -- Graphviz export ---------------------------------------------------------
 
-def _format_time(t: float) -> str:
-    return format(t, "g")
-
-
 def export_dot(family: BranchingFamily, annotate_weights: bool = False,
                tol: float = DEFAULT_TOL) -> str:
     """Graphviz digraph of a valid family.
@@ -536,7 +477,7 @@ def export_dot(family: BranchingFamily, annotate_weights: bool = False,
             weights[leaf.id] = w
     lines = ["digraph family {", "  node [shape=circle];"]
     for m in family.moments:
-        label = f"m{m.id}\\nt={_format_time(m.time)}"
+        label = f"m{m.id}\\nt={m.time:g}"
         if m.projector is not None:
             rank = int(round(float(np.trace(m.projector).real)))
             label += f"\\nrank {rank}"

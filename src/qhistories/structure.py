@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import EvolutionProvider, PiecewiseUnitary, TrivialEvolution
+from .dynamics import EvolutionProvider, PiecewiseUnitary, TrivialEvolution, _finite_times
 from .errors import InvalidFamilyError
 from .linalg import (
     DEFAULT_TOL,
@@ -73,7 +73,16 @@ class Moment:
         head = f"Moment(id={self.id}, parent={self.parent}, time={self.time}"
         if self.projector is None:
             return head + ")"
-        return head + f", projector shape {self.projector.shape})"
+        return head + f", projector {self._projector_kind()})"
+
+    def _projector_kind(self) -> str:
+        """The projector's shape, or its type when it is not an array."""
+        p = self.projector
+        return f"shape {p.shape}" if isinstance(p, np.ndarray) else f"of type {type(p).__name__}"
+
+    def _carries(self, shape: tuple[int, int]) -> bool:
+        """True iff the node carries a projector array of ``shape``."""
+        return isinstance(self.projector, np.ndarray) and self.projector.shape == shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +284,8 @@ class BranchingFamily:
         depth = np.array(depths + [-1] * (len(nodes) - len(depths)), dtype=np.intp)
         shape = (self.dim, self.dim)
         zero = np.zeros(shape, dtype=complex)
-        projectors = np.array([zero if m.projector is None or m.projector.shape != shape
-                               else m.projector for m in nodes], dtype=complex)
+        projectors = np.array([m.projector if m._carries(shape) else zero for m in nodes],
+                              dtype=complex)
         projectors = projectors.reshape(-1, *shape)
         projectors.flags.writeable = False
         return _Layout(tuple(nodes),
@@ -338,8 +347,7 @@ class BranchingFamily:
                     "nodes are not reachable from the root"))
 
         shape = (self.dim, self.dim)
-        row_of = {m.id: r for r, m in enumerate(layout.nodes)
-                  if m.projector is not None and m.projector.shape == shape}
+        row_of = {m.id: r for r, m in enumerate(layout.nodes) if m._carries(shape)}
         size, _, herm, idem = self._norms
         is_proj, size = ((herm <= tol) & (idem <= tol)).tolist(), size.tolist()
 
@@ -352,10 +360,10 @@ class BranchingFamily:
             if m.projector is None:
                 issues.append(ValidationIssue(
                     "projector", (m.id,), "non-root node carries no projector"))
-            elif m.projector.shape != shape:
+            elif not m._carries(shape):
                 issues.append(ValidationIssue(
                     "dimension", (m.id,),
-                    f"projector shape {m.projector.shape} does not match dim {self.dim}"))
+                    f"projector {m._projector_kind()} does not match dim {self.dim}"))
             elif not is_proj[row_of[m.id]]:
                 issues.append(ValidationIssue(
                     "projector", (m.id,), "matrix is not a projector within tol"))
@@ -459,7 +467,7 @@ class BranchingFamily:
             raise ValueError(f"node {leaf_id} is not a leaf")
         mats = require_decomposition(projectors, dim=self.dim, tol=tol,
                                      allow_zero=allow_zero)
-        times = [float(t) for t in child_times]
+        times = _finite_times(child_times, "child time")
         if len(times) != len(mats):
             raise ValueError(
                 f"{len(mats)} projectors need {len(mats)} child times, "
@@ -551,7 +559,7 @@ def new_family(dim: int, root_time: float, initial_state="maximally_mixed",
     if evolution.dim != dim:
         raise ValueError(
             f"evolution dimension {evolution.dim} does not match family dim {dim}")
-    root = Moment(ROOT_ID, None, float(root_time), None)
+    root = Moment(ROOT_ID, None, _finite_times([root_time], "root time")[0], None)
     fam = BranchingFamily(dim, (root,), state, evolution)
     fam._valid_tol = tol
     return fam
@@ -567,9 +575,9 @@ def from_product(dim: int, times: Sequence[float], decompositions: Sequence[Sequ
     branch, so the histories are exactly the cartesian product of the
     decompositions, enumerated in lexicographic order (first decomposition
     slowest).  Leaves receive the synthetic time ``times[-1] + 1``, which
-    never enters any chain computation.
+    never enters any chain computation; it must exceed ``times[-1]``.
     """
-    ts = [float(t) for t in times]
+    ts = _finite_times(times, "time")
     if len(ts) != len(decompositions):
         raise ValueError(
             f"{len(decompositions)} decompositions need {len(decompositions)} "
@@ -578,6 +586,8 @@ def from_product(dim: int, times: Sequence[float], decompositions: Sequence[Sequ
         raise ValueError("a product family needs at least one step")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError(f"times must be strictly increasing, got {ts}")
+    if not ts[-1] + 1.0 > ts[-1]:
+        raise ValueError(f"leaf time {ts[-1]} + 1 is not after the last time {ts[-1]}")
     root = new_family(dim, ts[0], initial_state, evolution, tol=tol)
     levels = [require_decomposition(d, dim=dim, tol=tol) for d in decompositions]
     # Ids run level by level, as leaf-by-leaf ``extend`` calls number them.

@@ -305,22 +305,33 @@ def test_node_list_in_slices_matches_the_reference(numbers, monkeypatch):
         serialize_family(bad)
 
 
-def test_codec_writes_projectors_of_another_shape_or_type_like_the_reference():
-    # Such families fail validate; they are still written out as they are.
-    big, tall = np.eye(4, dtype=complex), np.ones((4, 2), dtype=complex)
-    for projectors in ([big, big, big], [P0, big, P1], [tall, tall, tall, tall],
-                       [P0.tolist(), P1], [P0.real, P1.real.astype(int)]):
+def test_codec_writes_projectors_of_another_type_and_refuses_another_shape():
+    def family(projectors):
         moments = [Moment(0, None, 0.0, None)] + [
             Moment(i + 1, 0, 1.0, p) for i, p in enumerate(projectors)]
-        fam = BranchingFamily(2, moments, np.eye(2, dtype=complex) / 2, TrivialEvolution(2))
-        assert serialize_family(fam) == _reference_serialize(fam)
+        return BranchingFamily(2, moments, np.eye(2, dtype=complex) / 2, TrivialEvolution(2))
+
+    # Nested lists and real or integer dtypes print as complex arrays do.
+    for projectors in ([P0.tolist(), P1], [P0.real, P1.real.astype(int)]):
+        assert serialize_family(family(projectors)) == _reference_serialize(family(projectors))
+    # Other shapes make documents the reader refuses, so they are not written.
+    big, tall, flat = np.eye(4, dtype=complex), np.ones((4, 2)), P0.reshape(1, 4)
+    for projectors, node, shape in [([big, big, big], 1, (4, 4)), ([P0, big, P1], 2, (4, 4)),
+                                    ([tall, tall, tall, tall], 1, (4, 2)),
+                                    ([P0, P1, flat], 3, (1, 4)),
+                                    ([P0, np.eye(3).tolist()], 2, (3, 3))]:
+        with pytest.raises(ValueError) as exc:
+            serialize_family(family(projectors))
+        assert str(exc.value) == f"cannot serialize node {node}: projector shape {shape} is not (2, 2)"
 
 
 def _non_finite_family(where: dict) -> BranchingFamily:
     """A family with the given non-finite numbers planted, by location name.
 
-    Locations in canonical order: ``dynamics``, ``state``, ``early`` (node
-    1's projector), ``time`` (node 1's time) and ``late`` (node 4's projector).
+    Locations in canonical order: ``dynamics`` (a Hamiltonian entry), or
+    ``breakpoint`` and ``unitary`` (an entry of a unitary table, which
+    then replaces the Hamiltonian), then ``state``, ``early`` (node 1's
+    projector), ``time`` (node 1's time) and ``late`` (node 4's projector).
     """
     def planted(matrix, value):
         m = np.array(matrix, dtype=complex)
@@ -328,8 +339,14 @@ def _non_finite_family(where: dict) -> BranchingFamily:
             m[-1, 0] = complex(0.5, value)
         return m
 
-    provider = ConstantHamiltonian(np.diag([1.0, -1.0]))
-    provider.hamiltonian = planted(provider.hamiltonian, where.get("dynamics"))
+    if {"breakpoint", "unitary"} & set(where):
+        provider = PiecewiseUnitary([0.0, 1.0, 2.0], [np.eye(2), np.diag([1.0, -1.0])])
+        provider.breakpoints = (0.0, where.get("breakpoint", 1.0), 2.0)
+        provider.unitaries = (provider.unitaries[0],
+                              planted(provider.unitaries[1], where.get("unitary")))
+    else:
+        provider = ConstantHamiltonian(np.diag([1.0, -1.0]))
+        provider.hamiltonian = planted(provider.hamiltonian, where.get("dynamics"))
     moments = [Moment(0, None, 0.0, None),
                Moment(1, 0, where.get("time", 1.0), planted(P0, where.get("early"))),
                Moment(2, 0, 1.0, P1), Moment(3, 1, 2.0, P0),
@@ -339,9 +356,11 @@ def _non_finite_family(where: dict) -> BranchingFamily:
 
 
 _LOCATIONS = ("dynamics", "state", "early", "time", "late")
+_TABLE_LOCATIONS = ("breakpoint", "unitary") + _LOCATIONS[1:]
+_ORDER = _LOCATIONS[:1] + _TABLE_LOCATIONS
 
 
-@pytest.mark.parametrize("where", _LOCATIONS)
+@pytest.mark.parametrize("where", _LOCATIONS + _TABLE_LOCATIONS[:2])
 @pytest.mark.parametrize("value,message", [(math.nan, "nan"), (math.inf, "inf"),
                                            (-math.inf, "-inf")])
 def test_one_non_finite_number_is_named(where, value, message):
@@ -352,7 +371,9 @@ def test_one_non_finite_number_is_named(where, value, message):
         assert str(exc.value) == f"cannot serialize non-finite number {message}"
 
 
-@pytest.mark.parametrize("first,second", list(itertools.permutations(_LOCATIONS, 2)))
+@pytest.mark.parametrize("first,second", list(itertools.permutations(_LOCATIONS, 2)) + [
+    pair for pair in itertools.permutations(_TABLE_LOCATIONS, 2)
+    if {"breakpoint", "unitary"} & set(pair)])
 def test_several_non_finite_numbers_report_the_first_in_canonical_order(first, second):
     fam = _non_finite_family({first: math.inf, second: -math.inf})
     with pytest.raises(ValueError) as want:
@@ -360,23 +381,25 @@ def test_several_non_finite_numbers_report_the_first_in_canonical_order(first, s
     with pytest.raises(ValueError) as got:
         serialize_family(fam)
     assert str(got.value) == str(want.value)
-    earlier = first if _LOCATIONS.index(first) < _LOCATIONS.index(second) else second
+    earlier = first if _ORDER.index(first) < _ORDER.index(second) else second
     expected = "inf" if earlier == first else "-inf"
     assert str(got.value) == f"cannot serialize non-finite number {expected}"
 
 
 def test_all_non_finite_locations_at_once():
-    values = [math.nan, math.inf, -math.inf, math.inf, math.nan]
-    for shift in range(len(_LOCATIONS)):
-        planted = dict(zip(_LOCATIONS, values[shift:] + values[:shift]))
-        fam = _non_finite_family(planted)
-        with pytest.raises(ValueError) as want:
-            _reference_serialize(fam)
-        with pytest.raises(ValueError) as got:
-            serialize_family(fam)
-        assert str(got.value) == str(want.value)
-    assert serialize_family(_non_finite_family({})) == _reference_serialize(
-        _non_finite_family({}))
+    values = [math.nan, math.inf, -math.inf, math.inf, math.nan, -math.inf]
+    for locations in (_LOCATIONS, _TABLE_LOCATIONS):
+        for shift in range(len(values)):
+            planted = dict(zip(locations, values[shift:] + values[:shift]))
+            fam = _non_finite_family(planted)
+            with pytest.raises(ValueError) as want:
+                _reference_serialize(fam)
+            with pytest.raises(ValueError) as got:
+                serialize_family(fam)
+            assert str(got.value) == str(want.value)
+    for clean in ({}, {"unitary": None}):
+        assert serialize_family(_non_finite_family(clean)) == _reference_serialize(
+            _non_finite_family(clean))
 
 
 # -- syntax and schema failures ----------------------------------------------

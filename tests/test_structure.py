@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -121,6 +122,12 @@ def test_extend_allows_unequal_child_times():
     assert fam.validate().ok
 
 
+def test_new_family_rejects_non_finite_root_times():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"root time {bad} is not finite"):
+            new_family(2, bad)
+
+
 def test_extend_errors():
     fam = new_family(2, 0.0).extend(0, [P0, P1], [1.0, 1.0])
     with pytest.raises(ValueError, match="not a leaf"):
@@ -133,6 +140,9 @@ def test_extend_errors():
         fam.extend(1, [P0, P_PLUS], [2.0, 2.0])
     with pytest.raises(ValueError, match="no node"):
         fam.extend(99, [P0, P1], [2.0, 2.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"child time {bad} is not finite"):
+            fam.extend(1, [P0, P1], [2.0, bad])
 
 
 def test_fig2_shape():
@@ -239,6 +249,21 @@ def test_validate_reports_nan_projectors_and_nan_sums():
         fam = BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
         assert [(i.kind, i.nodes) for i in fam.validate().issues] == [
             ("projector", (1,)), ("completeness", (0, 1, 2))]
+
+
+def test_validate_reports_a_projector_that_is_not_an_array():
+    moments = [
+        Moment(0, None, 0.0, None),
+        Moment(1, 0, 1.0, P0.tolist()),
+        Moment(2, 0, 1.0, P1),
+    ]
+    fam = BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
+    assert [(i.kind, i.nodes, i.message) for i in fam.validate().issues] == [
+        ("dimension", (1,), "projector of type list does not match dim 2")]
+    assert repr(moments[1]) == "Moment(id=1, parent=0, time=1.0, projector of type list)"
+    assert [m.id for m in fam.leaves()] == [1, 2]
+    with pytest.raises(InvalidFamilyError):
+        weight_table(fam)
 
 
 def test_validate_reports_bad_state_and_dynamics():
@@ -370,6 +395,13 @@ def test_from_product_rejects_bad_times():
         from_product(2, [1.0, 0.5], [[P0, P1], [P0, P1]])
     with pytest.raises(ValueError, match="times"):
         from_product(2, [0.0], [[P0, P1], [P0, P1]])
+    for times in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="time .* is not finite"):
+            from_product(2, times, [[P0, P1]] * 3)
+    # times[-1] + 1 == times[-1]: the leaves would be no later than their parents.
+    for times in ([0.0, 1e17], [2.0 ** 53], [-1e300]):
+        with pytest.raises(ValueError, match=re.escape(f"leaf time {times[-1]} + 1 is not after")):
+            from_product(2, times, [[P0, P1]] * len(times))
 
 
 def _product_by_extend(dim, times, decompositions, initial_state, evolution):
