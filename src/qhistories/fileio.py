@@ -27,9 +27,20 @@ The node list is encoded and decoded in bulk, up to ``_SLICE_NUMBERS``
 (4096) numbers at a time, so that the Python floats and lists alive at
 once stay small.  Writing is one pass: the dynamics, the state and each
 slice of node records are printed by ``%`` templates from one array each.
-Where a finiteness or shape check fails, the same pass raises ValueError
-naming the first non-finite number in canonical order, or the first
-projector that is not ``dim`` x ``dim`` (the reader would refuse it).
+Where a finiteness, kind or shape check fails, the same pass raises
+ValueError naming the first non-finite number in canonical order, or the
+first node the reader would refuse: a child without a projector, a root
+with one, or a projector that is not ``dim`` x ``dim``.
+
+Documents are parsed by ``orjson``.  Where ``orjson`` or the schema
+refuses a document, ``json`` reads it again, only to name its error, so
+every error is the one ``json`` gives.  ``orjson`` refuses ``NaN``,
+numbers beyond the float range, lone surrogates and a BOM, and reads
+integers past 64 bits as floats: an id, parent or ``dim`` then fails the
+schema, and a time or matrix entry gives the float ``json``'s integer
+converts to.  ``orjson`` recurses natively and crashes the process on
+nesting some tens of thousands of levels deep, so a text that may nest
+deeper than a document does goes to ``json`` directly.
 
 Reading checks the keys and the id, parent and time types of all nodes
 at once, then the types and lengths of all projectors and their rows, so
@@ -60,6 +71,7 @@ import math
 import operator
 
 import numpy as np
+import orjson
 
 from .chain import weight_table
 from .dynamics import (
@@ -131,18 +143,18 @@ _SLICE_NUMBERS = 1 << 12
 
 
 @functools.lru_cache(maxsize=16)
-def _record_template(dim: int, has_parent: bool, has_projector: bool) -> str:
+def _record_template(dim: int, is_child: bool) -> str:
     """The template of one node record, its keys in canonical order."""
-    return ('{"id":%d,' + ('"parent":%d,' if has_parent else "")
-            + ('"projector":' + _matrix_template(dim, dim) + "," if has_projector else "")
+    return ('{"id":%d,' + ('"parent":%d,"projector":' + _matrix_template(dim, dim) + ","
+                           if is_child else "")
             + '"time":%.17g}')
 
 
 def _records_to_json(moments, dim: int) -> str:
     """The records of ``moments`` printed by one ``%`` template.
 
-    Raises ValueError naming the first projector that is not ``dim`` x
-    ``dim`` or the first non-finite number, node by node in canonical order.
+    Raises ValueError naming the first node the reader would refuse or the
+    first non-finite number, node by node in canonical order.
     """
     kinds = [(m.parent is not None, m.projector is not None) for m in moments]
     projectors = [m.projector for m in moments if m.projector is not None]
@@ -153,25 +165,34 @@ def _records_to_json(moments, dim: int) -> str:
         stack = np.empty(0)
     numbers = stack.view(np.float64)
     numbers += 0.0  # turns -0.0 into 0.0 in the copy np.array made
-    if not (stack.shape[1:] == (dim, dim) and np.isfinite(numbers).all()
-            and np.isfinite(times).all()):
+    if not (set(kinds) <= {(False, False), (True, True)} and stack.shape[1:] == (dim, dim)
+            and np.isfinite(numbers).all() and np.isfinite(times).all()):
         for m in moments:
+            if m.parent is None and m.projector is not None:
+                raise ValueError(f"cannot serialize node {m.id}: "
+                                 "a node without a parent must not carry a projector")
+            if m.parent is not None and m.projector is None:
+                raise ValueError(f"cannot serialize node {m.id}: "
+                                 "a node with a parent must carry a projector")
             if m.projector is not None:
-                if np.shape(m.projector) != (dim, dim):
+                try:
+                    shape = np.shape(m.projector)
+                except ValueError:  # a ragged nested list; numpy names its regular part
+                    shape = f"{np.shape(np.array(m.projector, dtype=object))} + ragged"
+                if shape != (dim, dim):
                     raise ValueError(f"cannot serialize node {m.id}: projector shape "
-                                     f"{np.shape(m.projector)} is not ({dim}, {dim})")
+                                     f"{shape} is not ({dim}, {dim})")
                 _finite(np.ascontiguousarray(m.projector, dtype=complex).view(np.float64))
             _finite(float(m.time))
     rows = iter(numbers.reshape(len(stack), 2 * dim * dim).tolist())
     args = []
-    for m, (has_parent, has_projector), time in zip(moments, kinds, times.tolist()):
+    for m, (is_child, _), time in zip(moments, kinds, times.tolist()):
         args.append(int(m.id))
-        if has_parent:
+        if is_child:
             args.append(int(m.parent))
-        if has_projector:
             args += next(rows)
         args.append(time)
-    template = ",".join([_record_template(dim, *kind) for kind in kinds])
+    template = ",".join([_record_template(dim, is_child) for is_child, _ in kinds])
     return template % tuple(args)
 
 
@@ -179,7 +200,8 @@ def serialize_family(family: BranchingFamily) -> bytes:
     """Canonical UTF-8 document for ``family``.
 
     Raises ValueError naming the first non-finite number in canonical
-    order, or the first projector that is not ``dim`` x ``dim``.
+    order, or the first node the reader would refuse: a child without a
+    projector, a root with one, or a projector that is not ``dim`` x ``dim``.
     """
     dim = family.dim
     dynamics = _dynamics_to_json(family.evolution)
@@ -323,12 +345,41 @@ def _parse_dynamics(value, dim: int, tol: float) -> EvolutionProvider:
     raise _schema(f"{field}.kind", f"unknown dynamics kind {kind!r}")
 
 
+# The deepest a document's values nest: the top object, the node list, a
+# node, its projector, a row and an [re, im] pair.
+_DOCUMENT_DEPTH = 6
+_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
+
+
+def _nests_shallowly(data: bytes) -> bool:
+    """Whether ``data`` may go to orjson: only if it nests at most
+    ``2 * _DOCUMENT_DEPTH`` deep, and for every document of the schema
+    whose strings hold no bracket or backslash.
+
+    Keeps the brackets, quotes and backslashes, drops the quote pairs of
+    the strings left empty, then peels innermost bracket pairs
+    ``_DOCUMENT_DEPTH`` times, each round at most two levels.  A deeper
+    or unbalanced nesting, or a string holding a bracket or a backslash,
+    leaves something over.
+    """
+    nesting = data.translate(None, _NOT_NESTING).replace(b'""', b"")
+    for _ in range(_DOCUMENT_DEPTH):
+        nesting = nesting.replace(b"[]", b"").replace(b"{}", b"")
+    return not nesting
+
+
 def load_document(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamily:
     """Parse a family document, checking syntax and schema but not semantics.
 
     The returned family may still fail :meth:`BranchingFamily.validate`;
     use :func:`parse_family` when only valid families are acceptable.
     """
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    if isinstance(data, (bytes, bytearray)) and _nests_shallowly(data):
+        try:
+            return _family_from(orjson.loads(data), tol)
+        except (orjson.JSONDecodeError, ParseError):
+            pass  # read again by json, only to name the error
     if isinstance(text, (bytes, bytearray)):
         try:
             text = bytes(text).decode("utf-8")
@@ -344,7 +395,11 @@ def load_document(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamil
         raise ParseError(str(exc), field="$") from None
     except RecursionError:
         raise ParseError("values nest too deeply", field="$") from None
+    return _family_from(doc, tol)
 
+
+def _family_from(doc, tol: float) -> BranchingFamily:
+    """The family a decoded document describes, or the ParseError of its first bad field."""
     if not isinstance(doc, dict):
         raise _schema("$", "top-level value must be an object")
     _check_keys(doc, {"dim", "initial_state", "dynamics", "nodes"},

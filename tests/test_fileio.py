@@ -319,10 +319,24 @@ def test_codec_writes_projectors_of_another_type_and_refuses_another_shape():
     for projectors, node, shape in [([big, big, big], 1, (4, 4)), ([P0, big, P1], 2, (4, 4)),
                                     ([tall, tall, tall, tall], 1, (4, 2)),
                                     ([P0, P1, flat], 3, (1, 4)),
-                                    ([P0, np.eye(3).tolist()], 2, (3, 3))]:
+                                    ([P0, np.eye(3).tolist()], 2, (3, 3)),
+                                    ([P0, [[1, 0], [0]]], 2, "(2,) + ragged")]:
         with pytest.raises(ValueError) as exc:
             serialize_family(family(projectors))
         assert str(exc.value) == f"cannot serialize node {node}: projector shape {shape} is not (2, 2)"
+
+
+@pytest.mark.parametrize("moments,message", [
+    ([Moment(0, None, 0.0, P0), Moment(1, 0, 1.0, P0), Moment(2, 0, 1.0, P1)],
+     "cannot serialize node 0: a node without a parent must not carry a projector"),
+    ([Moment(0, None, 0.0, None), Moment(1, 0, 1.0, P0), Moment(2, 0, 1.0, None)],
+     "cannot serialize node 2: a node with a parent must carry a projector"),
+], ids=["root-with-projector", "child-without-projector"])
+def test_codec_refuses_node_kinds_the_reader_refuses(moments, message):
+    fam = BranchingFamily(2, moments, np.eye(2, dtype=complex) / 2, TrivialEvolution(2))
+    with pytest.raises(ValueError) as exc:
+        serialize_family(fam)
+    assert str(exc.value) == message
 
 
 def _non_finite_family(where: dict) -> BranchingFamily:
@@ -585,6 +599,116 @@ def test_numeric_overflow_and_deep_nesting_are_parse_errors(name):
         load_document(text)
     assert exc.value.field == field
 
+
+
+# -- the orjson read path and the json path that names its refusals ----------
+
+def _json_outcome(text):
+    """``load_document``'s outcome when the text is read by json alone."""
+    with mock.patch.object(fileio, "_nests_shallowly", return_value=False):
+        return _parse_outcome(lambda: load_document(text))
+
+
+def _same_outcome(got, want):
+    (family, error), (want_family, want_error) = got, want
+    assert error == want_error
+    if want_error is None:
+        assert list(map(_moment_bits, family.moments)) == list(map(_moment_bits,
+                                                                   want_family.moments))
+        assert serialize_family(family) == serialize_family(want_family)
+
+
+@pytest.mark.parametrize("text", [
+    _doc(), _doc().encode(), bytearray(_doc().encode()), json.dumps(json.loads(_doc()), indent=4),
+    serialize_family(fig2_family()), serialize_family(branch_no_prod_family()).decode(),
+    serialize_family(random_family(np.random.default_rng(9400), dim=3, kind="hamiltonian")),
+    serialize_family(random_family(np.random.default_rng(9401), dim=2, kind="unitary_table")),
+], ids=["str", "bytes", "bytearray", "indented", "fig2", "branch-no-prod", "hamiltonian",
+        "unitary-table"])
+def test_valid_document_never_reaches_json(text):
+    want = _json_outcome(text)
+    with mock.patch.object(fileio.json, "loads", side_effect=AssertionError):
+        got = _parse_outcome(lambda: load_document(text))
+    assert want[1] is None
+    _same_outcome(got, want)
+
+
+_BIG = 2 ** 64 + 2049  # past 64 bits, and halfway-plus-one between two floats
+_FIRST_ENTRY = "[[[1, 0]"
+
+
+# Documents on which orjson and json disagree: each must load, or fail with
+# the ParseError, exactly as on the json path.
+_DIVERGENT = {
+    "nan-time": _doc().replace('"time": 0.0', '"time": NaN'),
+    "infinity-time": _doc().replace('"time": 1.0', '"time": Infinity'),
+    "minus-infinity-time": _doc().replace('"time": 1.0', '"time": -Infinity'),
+    "1e400-time": _doc().replace('"time": 0.0', '"time": 1e400'),
+    "1e400-entry": _doc().replace(_FIRST_ENTRY, "[[[1e400, 0]"),
+    "big-id": _doc().replace('"id": 0', f'"id": {_BIG}'),
+    "big-negative-id": _doc().replace('"id": 0', f'"id": {-_BIG}'),
+    "big-parent": _doc().replace('"parent": 0', f'"parent": {_BIG}', 1),
+    "big-dim": _doc().replace('"dim": 2', f'"dim": {_BIG}'),
+    "big-time": _doc().replace('"time": 1.0', f'"time": {_BIG}'),
+    "big-negative-time": _doc().replace('"time": 0.0', f'"time": {-(2 ** 63) - 1025}'),
+    "big-entry": _doc().replace(_FIRST_ENTRY, f"[[[{_BIG}, 0]"),
+    "big-state-entry": _doc(initial_state=[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]).replace(
+        '"initial_state": [[[1, 0]', f'"initial_state": [[[{-_BIG}, 0]'),
+    "too-many-digits-time": _doc().replace('"time": 0.0', '"time": ' + "1" * 5000),
+    "escaped-lone-surrogate-key": '{"\\ud800": 1, ' + _doc()[1:],
+    "lone-surrogate-key": '{"\ud800": 1, ' + _doc()[1:],
+    "lone-surrogate-literal": _doc().replace('"maximally_mixed"', '"\udfff"'),
+    "bom": b"\xef\xbb\xbf" + _doc().encode(),
+    "bom-str": "\ufeff" + _doc(),
+    "invalid-utf8": _doc().encode().replace(b"trivial", b"tri\xffvial"),
+    "deep-nesting-2000": _doc().replace('"dim": 2', '"dim": ' + "[" * 2000 + "]" * 2000),
+    "deep-nesting-in-a-key": '{"' + "[" * 2000 + '": 1, ' + _doc()[1:],
+    "trailing-garbage": _doc() + " x",
+    "second-document": _doc() + _doc(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIVERGENT))
+def test_divergent_documents_fail_or_load_as_on_the_json_path(name):
+    text = _DIVERGENT[name]
+    _same_outcome(_parse_outcome(lambda: load_document(text)), _json_outcome(text))
+
+
+def test_documents_too_deep_for_orjson_are_refused_without_a_crash():
+    result = run_capped("""
+        from qhistories import ParseError, load_document
+        for text in [b'{"a":' * 100000 + b'1' + b'}' * 100000,
+                     b'[' * 1000000 + b']' * 1000000,
+                     b'["]]]]]]",' * 100000 + b'1' + b']' * 100000]:
+            try:
+                load_document(text)
+            except ParseError as exc:
+                print(exc.field, exc.message, sep=": ")
+    """)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["$: values nest too deeply"] * 3
+
+
+_ENTRY_FORMATS = {"%.17g": "%.17g".__mod__, "repr": repr, "%.25e": "%.25e".__mod__,
+                  "%.12g": "%.12g".__mod__}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data(), st.sampled_from(sorted(_ENTRY_FORMATS)))
+def test_matrix_entries_load_bit_identical_to_the_json_path(dim, data, name):
+    def matrix():
+        numbers = data.draw(st.lists(_finite, min_size=2 * dim * dim, max_size=2 * dim * dim))
+        text = map(_ENTRY_FORMATS[name], numbers)
+        pairs = [f"[{re},{im}]" for re, im in zip(text, text)]
+        return "[" + ",".join("[" + ",".join(pairs[i:i + dim]) + "]"
+                              for i in range(0, len(pairs), dim)) + "]"
+
+    text = ('{"dim":%d,"dynamics":{"kind":"trivial"},"initial_state":%s,"nodes":'
+            '[{"id":0,"time":0},{"id":1,"parent":0,"projector":%s,"time":%s}]}'
+            % (dim, matrix(), matrix(), _ENTRY_FORMATS[name](data.draw(_finite))))
+    got, want = _parse_outcome(lambda: load_document(text)), _json_outcome(text)
+    _same_outcome(got, want)
+    assert got[0].initial_state.tobytes() == want[0].initial_state.tobytes()
 
 def test_unknown_dynamics_kind():
     with pytest.raises(ParseError) as exc:
