@@ -76,17 +76,17 @@ def _leaf_chains(family: BranchingFamily) -> np.ndarray:
     are computed once per distinct ``(t_from, t_to)``.  A bare root
     yields one identity.
     """
-    layout = family._layout
-    children, parent = layout.children.tolist(), layout.parent.tolist()
-    times = layout.time.tolist()
+    nodes, tree = family._nodes, family._tree
+    children, parent = tree.children.tolist(), nodes.parent.tolist()
+    times = nodes.time.tolist()
     # chains[r]: node r's chain, carried forward by its propagator if r has children.
-    chains = np.empty(layout.projectors.shape, dtype=complex)
-    chains[0] = np.eye(family.dim)
+    chains = np.empty(nodes.projectors.shape, dtype=complex)
+    chains[tree.levels[0]] = np.eye(family.dim)
     propagators: dict[tuple[float, float], np.ndarray] = {}
     # ``take`` gathers rows at a fraction of fancy indexing's fixed cost.
-    for rows in layout.levels[1:]:
-        parents = chains.take(layout.parent[rows], axis=0)
-        chains[rows] = layout.projectors.take(rows, axis=0) @ parents
+    for rows in tree.levels[1:]:
+        parents = chains.take(nodes.parent[rows], axis=0)
+        chains[rows] = nodes.projectors.take(rows, axis=0) @ parents
         groups: dict[tuple[float, float], list[int]] = {}
         for r in rows.tolist():
             if children[r]:
@@ -95,7 +95,7 @@ def _leaf_chains(family: BranchingFamily) -> np.ndarray:
             if key not in propagators:
                 propagators[key] = family.evolution.propagator(*key)
             chains[sel] = propagators[key] @ chains.take(sel, axis=0)
-    return chains[layout.children == 0]
+    return chains[tree.leaves]
 
 
 def _flat_sides(ks: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:

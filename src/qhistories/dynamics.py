@@ -12,6 +12,7 @@ so running a history backwards undoes running it forwards.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -31,11 +32,16 @@ TIME_ALIGN_TOL = 1e-9
 
 
 def _finite_times(times: Sequence[float], what: str) -> list[float]:
-    """``times`` as floats; raises ValueError naming the first NaN or infinite one."""
-    out = [float(t) for t in times]
-    bad = [t for t in out if not np.isfinite(t)]
-    if bad:
-        raise ValueError(f"{what} {bad[0]} is not finite")
+    """``times`` as floats; raises ValueError naming the first NaN or
+    infinite one, or an integer beyond the float range, as given."""
+    out = []
+    for t in times:
+        try:
+            out.append(float(t))
+        except OverflowError:  # an integer beyond the float range
+            out.append(math.inf)
+        if not math.isfinite(out[-1]):
+            raise ValueError(f"{what} {t} is not finite")
     return out
 
 

@@ -26,7 +26,8 @@ are a fixed point, so ``serialize(parse(serialize(f)))`` reproduces
 The node list is encoded and decoded in bulk, up to ``_SLICE_NUMBERS``
 (4096) numbers at a time, so that the Python floats and lists alive at
 once stay small.  Writing is one pass: the dynamics, the state and each
-slice of node records are printed by ``%`` templates from one array each.
+slice of node records are printed by ``%`` templates from one array each,
+for the records a slice of the family's projector stack.
 Where a finiteness, kind or shape check fails, the same pass raises
 ValueError naming the first non-finite number in canonical order, or the
 first node the reader would refuse: a child without a projector, a root
@@ -46,8 +47,9 @@ Reading checks the keys and the id, parent and time types of all nodes
 at once, then the types and lengths of all projectors and their rows, so
 that the stack below is allocated only for rows the text holds.  It then
 checks and converts the pairs and numbers a slice of rows at a time, in place,
-into one (N, d, d) stack whose rows become the nodes' projectors; the
-state and dynamics matrices take the same path one matrix at a time.
+into one (N, d, d) stack, zero at the roots, that the family keeps as its
+projector stack; the state and dynamics matrices take the same path one
+matrix at a time.
 The bytes and the values are those of the per-node, per-entry codec.
 A document that fails the bulk check is read node by node, only to name
 its first bad field.
@@ -82,7 +84,7 @@ from .dynamics import (
 )
 from .errors import ParseError
 from .linalg import DEFAULT_TOL
-from .structure import BranchingFamily, Moment
+from .structure import BranchingFamily, _Nodes
 
 __all__ = [
     "load_document",
@@ -150,24 +152,20 @@ def _record_template(dim: int, is_child: bool) -> str:
             + '"time":%.17g}')
 
 
-def _records_to_json(moments, dim: int) -> str:
-    """The records of ``moments`` printed by one ``%`` template.
+def _records_to_json(family: BranchingFamily, rows: range) -> str:
+    """The records of ``family``'s nodes in ``rows`` printed by one ``%`` template.
 
     Raises ValueError naming the first node the reader would refuse or the
     first non-finite number, node by node in canonical order.
     """
-    kinds = [(m.parent is not None, m.projector is not None) for m in moments]
-    projectors = [m.projector for m in moments if m.projector is not None]
-    times = np.array([float(m.time) for m in moments]) + 0.0
-    try:
-        stack = np.array(projectors or np.empty((0, dim, dim)), dtype=complex)
-    except ValueError:  # unequal shapes, or entries that are not numbers
-        stack = np.empty(0)
-    numbers = stack.view(np.float64)
-    numbers += 0.0  # turns -0.0 into 0.0 in the copy np.array made
-    if not (set(kinds) <= {(False, False), (True, True)} and stack.shape[1:] == (dim, dim)
-            and np.isfinite(numbers).all() and np.isfinite(times).all()):
-        for m in moments:
+    nodes, dim, cut = family._nodes, family.dim, slice(rows.start, rows.stop)
+    parents = nodes.parent[cut].tolist()
+    numbers = nodes.projectors[cut][nodes.parent[cut] != -1].view(np.float64)
+    numbers += 0.0  # turns -0.0 into 0.0 in the copy the mask made
+    times = nodes.time[cut] + 0.0
+    if nodes.misfits or not (np.isfinite(numbers).all() and np.isfinite(times).all()):
+        checked = []  # hand-built projectors may also be nested lists or of another dtype
+        for m in family._views(rows):
             if m.parent is None and m.projector is not None:
                 raise ValueError(f"cannot serialize node {m.id}: "
                                  "a node without a parent must not carry a projector")
@@ -182,17 +180,19 @@ def _records_to_json(moments, dim: int) -> str:
                 if shape != (dim, dim):
                     raise ValueError(f"cannot serialize node {m.id}: projector shape "
                                      f"{shape} is not ({dim}, {dim})")
-                _finite(np.ascontiguousarray(m.projector, dtype=complex).view(np.float64))
-            _finite(float(m.time))
-    rows = iter(numbers.reshape(len(stack), 2 * dim * dim).tolist())
+                checked.append(_finite(np.ascontiguousarray(m.projector, dtype=complex)
+                                       .view(np.float64)))
+            _finite(m.time)
+        numbers = np.array(checked)
+    numbers = iter(numbers.reshape(-1, 2 * dim * dim).tolist())
     args = []
-    for m, (is_child, _), time in zip(moments, kinds, times.tolist()):
-        args.append(int(m.id))
-        if is_child:
-            args.append(int(m.parent))
-            args += next(rows)
+    for r, p, time in zip(rows, parents, times.tolist()):
+        args.append(int(nodes.ids[r]))
+        if p != -1:
+            args.append(int(nodes.parent_id(r, p)))
+            args += next(numbers)
         args.append(time)
-    template = ",".join([_record_template(dim, is_child) for is_child, _ in kinds])
+    template = ",".join([_record_template(dim, p != -1) for p in parents])
     return template % tuple(args)
 
 
@@ -210,8 +210,8 @@ def serialize_family(family: BranchingFamily) -> bytes:
     else:
         state = _matrix_to_json(family.initial_state)
     step = max(1, _SLICE_NUMBERS // (2 * dim * dim + 3))
-    nodes = ",".join([_records_to_json(family.moments[start:start + step], dim)
-                      for start in range(0, len(family.moments), step)])
+    nodes = ",".join([_records_to_json(family, range(start, min(start + step, len(family))))
+                      for start in range(0, len(family), step)])
     return ('{"dim":%d,"dynamics":%s,"initial_state":%s,"nodes":[%s]}'
             % (dim, dynamics, state, nodes)).encode("utf-8")
 
@@ -428,29 +428,30 @@ def _family_from(doc, tol: float) -> BranchingFamily:
         raise _schema("nodes", "expected a list of nodes")
     if not raw_nodes:
         raise _schema("nodes", "a family needs at least one node")
-    moments = _nodes_in_bulk(raw_nodes, dim)
-    if moments is None:
-        moments = _nodes_one_by_one(raw_nodes, dim)
-    return BranchingFamily(dim, moments, state, evolution)
+    nodes = _nodes_in_bulk(raw_nodes, dim)
+    if nodes is None:
+        _nodes_one_by_one(raw_nodes, dim)
+    return BranchingFamily._trusted(dim, nodes, state, evolution)
 
 
-def _nodes_in_bulk(raw_nodes: list, dim: int) -> list[Moment] | None:
-    """The moments of a node list, or None if any node fails a check.
+def _nodes_in_bulk(raw_nodes: list, dim: int) -> _Nodes | None:
+    """The node store of a node list, or None if any node fails a check.
 
     Checks every node at once: each is an object with the keys of a root
     (``id``, ``time``) or of a child (also ``parent`` and ``projector``),
     ids are distinct integers, parents integers, times finite numbers, and
-    all projectors convert as one (N, dim, dim) stack whose rows become
-    the moments' projectors.
+    all projectors convert as one (N, dim, dim) stack, with zero rows for
+    the roots, which the store keeps.
     """
     if set(map(type, raw_nodes)) != {dict} or not set(map(len, raw_nodes)) <= {2, 4}:
         return None
     children = [node for node in raw_nodes if len(node) == 4]
+    zero = [[[0, 0]] * dim] * dim  # a root's row of the stack
     try:
         ids = list(map(operator.itemgetter("id"), raw_nodes))
         times = list(map(operator.itemgetter("time"), raw_nodes))
         parents = list(map(operator.itemgetter("parent"), children))
-        projectors = list(map(operator.itemgetter("projector"), children))
+        projectors = [node["projector"] if len(node) == 4 else zero for node in raw_nodes]
     except KeyError:
         return None
     if (set(map(type, ids)) != {int} or len(set(ids)) != len(ids)
@@ -464,15 +465,13 @@ def _nodes_in_bulk(raw_nodes: list, dim: int) -> list[Moment] | None:
     numbers = _stack_numbers(projectors, dim)
     if numbers is None or not np.isfinite(times).all():
         return None
-    rows = iter(numbers.view(complex).reshape(-1, dim, dim))
-    projectors = [next(rows) if size == 4 else None for size in map(len, raw_nodes)]
-    parents = map(dict.get, raw_nodes, itertools.repeat("parent"))
-    return list(map(Moment, ids, parents, times.tolist(), projectors))
+    parents = list(map(dict.get, raw_nodes, itertools.repeat("parent")))
+    return _Nodes.of(tuple(ids), parents, times, numbers.view(complex).reshape(-1, dim, dim))
 
 
-def _nodes_one_by_one(raw_nodes: list, dim: int) -> list[Moment]:
-    """The moments of a node list, raising the ParseError of its first bad node."""
-    moments = []
+def _nodes_one_by_one(raw_nodes: list, dim: int) -> None:
+    """Raise the ParseError of the first bad node of a node list that
+    :func:`_nodes_in_bulk` refuses; every such list has one."""
     seen_ids: set[int] = set()
     for i, raw in enumerate(raw_nodes):
         field = f"nodes[{i}]"
@@ -484,21 +483,19 @@ def _nodes_one_by_one(raw_nodes: list, dim: int) -> list[Moment]:
         if node_id in seen_ids:
             raise _schema(f"{field}.id", f"duplicate node id {node_id}")
         seen_ids.add(node_id)
-        time = _as_float(raw["time"], f"{field}.time")
+        _as_float(raw["time"], f"{field}.time")
         parent = None
         if "parent" in raw:
             parent = _as_int(raw["parent"], f"{field}.parent")
-        projector = None
         if "projector" in raw:
             if parent is None:
                 raise _schema(f"{field}.projector",
                               "a node without a parent must not carry a projector")
-            projector = _as_matrix(raw["projector"], dim, f"{field}.projector")
+            _as_matrix(raw["projector"], dim, f"{field}.projector")
         elif parent is not None:
             raise _schema(f"{field}.projector",
                           "a node with a parent must carry a projector")
-        moments.append(Moment(node_id, parent, time, projector))
-    return moments
+    raise AssertionError("a node list refused in bulk reads node by node")
 
 
 def parse_family(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamily:
@@ -525,22 +522,22 @@ def export_dot(family: BranchingFamily, annotate_weights: bool = False,
     identical text.
     """
     family.ensure_valid(tol)
+    nodes = family._nodes
     weights = {}
     if annotate_weights:
-        table = weight_table(family, tol)
-        for leaf, w in zip(family.leaves(), table):
-            weights[leaf.id] = w
+        weights = dict(zip(family._tree.leaves.tolist(), weight_table(family, tol).tolist()))
+    ranks = np.rint(np.trace(nodes.projectors, axis1=1, axis2=2).real).tolist()
+    parents = nodes.parent.tolist()
     lines = ["digraph family {", "  node [shape=circle];"]
-    for m in family.moments:
-        label = f"m{m.id}\\nt={m.time:g}"
-        if m.projector is not None:
-            rank = int(round(float(np.trace(m.projector).real)))
-            label += f"\\nrank {rank}"
-        if m.id in weights:
-            label += f"\\nW={weights[m.id]:.6g}"
-        lines.append(f'  n{m.id} [label="{label}"];')
-    for m in family.moments:
-        for child in family.children_of(m.id):
-            lines.append(f"  n{m.id} -> n{child.id};")
+    for r, (node_id, time, p) in enumerate(zip(nodes.ids, nodes.time.tolist(), parents)):
+        label = f"m{node_id}\\nt={time:g}"
+        if p != -1:
+            label += f"\\nrank {int(ranks[r])}"
+        if r in weights:
+            label += f"\\nW={weights[r]:.6g}"
+        lines.append(f'  n{node_id} [label="{label}"];')
+    # Edges grouped by parent in insertion order, as ``children_of`` lists them.
+    for r in family._tree.kids.tolist():
+        lines.append(f"  n{nodes.ids[parents[r]]} -> n{nodes.ids[r]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

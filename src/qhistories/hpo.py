@@ -319,26 +319,28 @@ def embed_family(family: BranchingFamily, tol: float = DEFAULT_TOL) -> HPOFamily
     the dense check.
     """
     family.ensure_valid(tol)
-    layout = family._layout
-    leaves = np.flatnonzero(layout.children == 0)
-    depths = layout.depth[leaves]
-    slots = len(layout.levels) - 1
+    nodes, tree = family._nodes, family._tree
+    leaves = tree.leaves
+    depths = tree.depth[leaves]
+    slots = len(tree.levels) - 1
     if slots == 0:
         raise EmbeddingError("family contains the empty history (bare root)")
     # index[i, s]: row of leaf i's ancestor at depth s + 1; a shorter path
-    # is padded in front with the root, which is its own parent.
+    # is padded in front with the root, which ``up`` makes its own parent.
+    up = nodes.parent.copy()
+    up[tree.levels[0]] = tree.levels[0]
     index = np.empty((len(leaves), slots), dtype=np.intp)
     index[:, -1] = leaves
     for s in range(slots - 1, 0, -1):
-        index[:, s - 1] = layout.parent[index[:, s]]
+        index[:, s - 1] = up[index[:, s]]
     grids = {tuple(g[slots - k:]) for g, k in
-             zip(layout.time[layout.parent[index]].tolist(), depths.tolist())}
+             zip(nodes.time[up[index]].tolist(), depths.tolist())}
     if len(grids) > 1:
         raise EmbeddingError(
             f"histories do not share one time grid: found {sorted(grids)}")
     _check_space(family.dim, slots)
     certified = _certified(family._norms[:, index], DEFAULT_TOL).tolist()
-    stacks = layout.projectors[index]
+    stacks = nodes.projectors[index]
     grid = _slot_times(slots, grids.pop(), family.dim)
     return HPOFamily(tuple(HistoryProjector._factored(st, grid, ok)
                            for st, ok in zip(stacks, certified)))

@@ -9,19 +9,21 @@ own time is never paired with a projector and is pure metadata.
 Families are persistent values: :meth:`BranchingFamily.extend` returns a
 new family and never mutates the receiver.  Families built through the
 constructors in this module are valid by construction; families assembled
-by hand (for instance by the document parser) must pass
-:meth:`BranchingFamily.validate` before any chain computation will accept
-them.
+by hand or read from a document must pass :meth:`BranchingFamily.validate`
+before any chain computation will accept them.
 
-Each family builds one array layout of its tree on first use: its nodes
-depth first, with each node's parent row, depth and time, and one stack of
-the node projectors.  Validation, histories, the product-shape check, the
-chain operators and the history-space embedding all read that layout.
+A family holds its nodes in one store, built once at construction and in
+insertion order: the ids, a map from id to row, each node's parent row,
+the times as floats and one read-only stack of the node projectors.  The
+depth-first structure of the tree (depths, levels, child counts, leaves)
+is a set of index arrays into those rows, built on first use.
+Validation, histories, the product-shape check, the chain operators, the
+history-space embedding and the document writer all read the store;
+:class:`Moment` objects are built only when a caller asks for one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -166,27 +168,53 @@ class ValidationReport:
         return "\n".join(str(issue) for issue in self.issues)
 
 
-class _Layout(NamedTuple):
-    """A family's nodes as arrays, one row per node.
+class _Nodes(NamedTuple):
+    """A family's nodes as arrays, one row per node in insertion order.
 
-    Rows run depth first from a single root, siblings in insertion order,
-    then over the nodes that walk does not reach (only an invalid family
-    has them) in insertion order.  ``parent`` holds the row of each node's
-    parent, with the root and the unreached nodes their own parents;
-    ``depth`` is -1 for the unreached nodes, and ``levels[k]`` holds the
-    rows of depth k, which are that tree level in breadth-first order.
-    ``projectors`` is the read-only stack of the node projectors, zero
-    where a node carries no (d, d) projector.  The leaf rows come in leaf
-    order.
+    ``parent`` holds parent rows: -1 for a root, -2 for a parent id that
+    ``missing`` keeps, as it is not in the family.  ``projectors`` is zero
+    where a node carries no (d, d) array; ``misfits`` keeps the hand-built
+    moments whose projector it does not stand for: a root's, or a child's
+    that is None or not a (d, d) array.
     """
 
-    nodes: tuple[Moment, ...]
+    ids: tuple
+    row: dict
     parent: np.ndarray
+    time: np.ndarray
+    projectors: np.ndarray
+    missing: dict
+    misfits: dict
+
+    @classmethod
+    def of(cls, ids: tuple, parents: Sequence, time: np.ndarray, projectors: np.ndarray,
+           misfits: dict | None = None) -> "_Nodes":
+        """The nodes given by id, parent id (None for a root), float time and
+        projector row; raises ValueError naming the first repeated id."""
+        row: dict = {}
+        for r, node_id in enumerate(ids):
+            if row.setdefault(node_id, r) != r:
+                raise ValueError(f"duplicate node id {node_id}")
+        parent = np.array([-1 if p is None else row.get(p, -2) for p in parents], dtype=np.intp)
+        missing = {r: parents[r] for r in np.flatnonzero(parent == -2).tolist()}
+        return cls(ids, row, parent, time, projectors, missing, misfits or {})
+
+    def parent_id(self, r: int, p: int):
+        """The parent id of row ``r``, whose parent row is ``p``; None for a root."""
+        return self.ids[p] if p >= 0 else self.missing.get(r)
+
+
+class _Tree(NamedTuple):
+    """Index arrays into a family's rows: ``depth`` (-1 where a walk from a
+    single root does not reach), ``levels[k]`` (the rows of depth k, depth
+    first), ``children`` (counts), ``kids`` (the rows with a parent in the
+    family, grouped by parent row) and ``leaves`` (depth first)."""
+
     depth: np.ndarray
     levels: list[np.ndarray]
-    time: np.ndarray
     children: np.ndarray
-    projectors: np.ndarray
+    kids: np.ndarray
+    leaves: np.ndarray
 
 
 class BranchingFamily:
@@ -199,7 +227,8 @@ class BranchingFamily:
     moments : iterable of Moment
         Tree nodes in insertion order.  Child order within one parent is
         the order of appearance here, and it fixes the deterministic
-        depth-first leaf ordering used by weight tables.
+        depth-first leaf ordering used by weight tables.  Ids must be
+        distinct and times finite.
     initial_state : matrix
         Density matrix the weights are taken against.
     evolution : EvolutionProvider
@@ -209,109 +238,124 @@ class BranchingFamily:
     def __init__(self, dim: int, moments: Iterable[Moment], initial_state,
                  evolution: EvolutionProvider):
         self.dim = int(dim)
-        self.moments = tuple(moments)
+        moments = tuple(moments)
         self.initial_state = as_operator(initial_state)
         if not isinstance(evolution, EvolutionProvider):
             raise ValueError("evolution must be an EvolutionProvider")
         self.evolution = evolution
-
-        self._by_id: dict[int, Moment] = {}
-        for m in self.moments:
-            if m.id in self._by_id:
-                raise ValueError(f"duplicate node id {m.id}")
-            self._by_id[m.id] = m
-        self._children: dict[int, list[Moment]] = {m.id: [] for m in self.moments}
-        for m in self.moments:
-            if m.parent is not None and m.parent in self._children:
-                self._children[m.parent].append(m)
+        shape = (self.dim, self.dim)
+        stack = np.array([m.projector if m._carries(shape) else np.zeros(shape) for m in moments],
+                         dtype=complex).reshape(-1, *shape)
+        stack.flags.writeable = False
+        times = np.array(_finite_times([m.time for m in moments], "node time"))
+        self._nodes = _Nodes.of(
+            tuple(m.id for m in moments), [m.parent for m in moments], times, stack,
+            {r: m for r, m in enumerate(moments)
+             if (m.projector is not None if m.parent is None else not m._carries(shape))})
         # Smallest tolerance this family is known to validate at, if any.
         self._valid_tol: float | None = None
 
+    @classmethod
+    def _trusted(cls, dim: int, nodes: _Nodes, initial_state: np.ndarray,
+                 evolution: EvolutionProvider) -> "BranchingFamily":
+        """The family of ``nodes`` as given, with finite times, a (dim, dim)
+        complex state and a provider."""
+        self = cls.__new__(cls)
+        nodes.projectors.flags.writeable = False
+        self.dim, self._nodes = dim, nodes
+        self.initial_state, self.evolution = initial_state, evolution
+        self._valid_tol = None
+        return self
+
     # -- queries ---------------------------------------------------------
 
-    def moment(self, node_id: int) -> Moment:
+    @property
+    def moments(self) -> tuple[Moment, ...]:
+        """Every node in insertion order, as :class:`Moment` views built on each access."""
+        return self._views(range(len(self)))
+
+    def _views(self, rows) -> tuple[Moment, ...]:
+        """:class:`Moment` views of ``rows``; their projectors are rows of the stack."""
+        nodes, misfits = self._nodes, self._nodes.misfits
+        rows = np.asarray(rows, dtype=np.intp)
+        views = []
+        for r, p, t in zip(rows.tolist(), nodes.parent[rows].tolist(), nodes.time[rows].tolist()):
+            projector = (misfits[r].projector if r in misfits
+                         else None if p == -1 else nodes.projectors[r])
+            views.append(Moment(nodes.ids[r], nodes.parent_id(r, p), t, projector))
+        return tuple(views)
+
+    def _row(self, node_id: int) -> int:
         try:
-            return self._by_id[node_id]
+            return self._nodes.row[node_id]
         except KeyError:
             raise ValueError(f"no node with id {node_id}") from None
 
+    def moment(self, node_id: int) -> Moment:
+        return self._views([self._row(node_id)])[0]
+
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._by_id
+        return node_id in self._nodes.row
 
     def root(self) -> Moment:
-        roots = [m for m in self.moments if m.parent is None]
+        roots = np.flatnonzero(self._nodes.parent == -1)
         if len(roots) != 1:
             raise ValueError(f"family has {len(roots)} roots, expected exactly 1")
-        return roots[0]
+        return self._views(roots)[0]
 
     def children_of(self, node_id: int) -> tuple[Moment, ...]:
-        self.moment(node_id)
-        return tuple(self._children[node_id])
+        return self._views(np.flatnonzero(self._nodes.parent == self._row(node_id)))
 
     def is_leaf(self, node_id: int) -> bool:
-        return not self.children_of(node_id)
+        return not (self._nodes.parent == self._row(node_id)).any()
 
     def path(self, node_id: int) -> list[Moment]:
-        """Moments from the root down to ``node_id`` inclusive."""
-        out = [self.moment(node_id)]
-        seen = {node_id}
-        while out[-1].parent is not None:
-            parent = out[-1].parent
-            if parent not in self._by_id or parent in seen:
-                raise ValueError(f"broken parent chain above node {node_id}")
-            seen.add(parent)
-            out.append(self._by_id[parent])
-        return list(reversed(out))
+        """Moments from the root down to ``node_id`` inclusive, read up the parent rows."""
+        parent = self._nodes.parent
+        rows = [self._row(node_id)]
+        while parent[rows[-1]] >= 0 and len(rows) <= len(parent):
+            rows.append(int(parent[rows[-1]]))
+        if parent[rows[-1]] != -1:  # a missing parent, or a cycle
+            raise ValueError(f"broken parent chain above node {node_id}")
+        return list(self._views(rows[::-1]))
 
     @cached_property
-    def _layout(self) -> _Layout:
-        """The family's :class:`_Layout`, built on first use from one walk."""
-        roots = [m for m in self.moments if m.parent is None]
-        nodes: list[Moment] = []
-        depths: list[int] = []
-        levels: list[list[int]] = []
-        stack = [(roots[0], 0)] if len(roots) == 1 else []
+    def _tree(self) -> _Tree:
+        """The family's :class:`_Tree`, built on first use."""
+        parent = self._nodes.parent
+        kids = np.flatnonzero(parent >= 0)
+        kids = kids[np.argsort(parent[kids], kind="stable")]
+        children = np.bincount(parent[kids], minlength=len(parent))
+        # Row r's children are below[ends[r] - count[r]:ends[r]].
+        below, count, ends = kids.tolist(), children.tolist(), np.cumsum(children).tolist()
+        up = parent.tolist()
+        depth = [-1] * (len(up) + 1)  # depth[-1], past the last row, stands for a root's parent
+        roots = np.flatnonzero(parent == -1).tolist()
+        order, stack = [], roots if len(roots) == 1 else []
         while stack:
-            m, k = stack.pop()
-            if k == len(levels):
-                levels.append([])
-            levels[k].append(len(nodes))
-            nodes.append(m)
-            depths.append(k)
-            stack.extend((c, k + 1) for c in reversed(self._children[m.id]))
-        row = {m.id: r for r, m in enumerate(nodes)}
-        nodes += [m for m in self.moments if m.id not in row]
-        depth = np.array(depths + [-1] * (len(nodes) - len(depths)), dtype=np.intp)
-        shape = (self.dim, self.dim)
-        zero = np.zeros(shape, dtype=complex)
-        projectors = np.array([m.projector if m._carries(shape) else zero for m in nodes],
-                              dtype=complex)
-        projectors = projectors.reshape(-1, *shape)
-        projectors.flags.writeable = False
-        return _Layout(tuple(nodes),
-                       np.array([row.get(m.parent, r) for r, m in enumerate(nodes)], dtype=np.intp),
-                       depth,
-                       [np.array(rows, dtype=np.intp) for rows in levels],
-                       np.array([m.time for m in nodes], dtype=float),
-                       np.array([len(self._children[m.id]) for m in nodes], dtype=np.intp),
-                       projectors)
+            r = stack.pop()
+            depth[r] = depth[up[r]] + 1
+            order.append(r)
+            stack += below[ends[r] - count[r]:ends[r]][::-1]
+        depth, order = np.array(depth[:-1], dtype=np.intp), np.array(order, dtype=np.intp)
+        by_depth = order[np.argsort(depth[order], kind="stable")]
+        levels = np.split(by_depth, np.cumsum(np.bincount(depth[order]))[:-1])
+        return _Tree(depth, levels, children, kids, order[children[order] == 0])
 
     @cached_property
     def _norms(self) -> np.ndarray:
-        """:func:`linalg._projector_norms` of the layout's projector stack, one column per row."""
-        return _projector_norms(self._layout.projectors)
+        """:func:`linalg._projector_norms` of the projector stack, one column per row."""
+        return _projector_norms(self._nodes.projectors)
 
     def leaves(self) -> tuple[Moment, ...]:
         """Leaves in depth-first order; this order indexes weight tables."""
-        layout = self._layout
-        ends = (layout.children == 0) & (layout.depth >= 0)
-        return tuple(itertools.compress(layout.nodes, ends))
+        return self._views(self._tree.leaves)
 
     def __len__(self) -> int:
-        return len(self.moments)
+        return len(self._nodes.ids)
 
     def __repr__(self) -> str:
-        return (f"BranchingFamily(dim={self.dim}, nodes={len(self.moments)}, "
+        return (f"BranchingFamily(dim={self.dim}, nodes={len(self)}, "
                 f"evolution={self.evolution!r})")
 
     # -- validation ------------------------------------------------------
@@ -326,72 +370,67 @@ class BranchingFamily:
         group (one stacked check for all), the initial state, and
         agreement between the family and its evolution provider.
         """
+        nodes, tree = self._nodes, self._tree
+        ids, parent, times, misfits = nodes.ids, nodes.parent, nodes.time.tolist(), nodes.misfits
         issues: list[ValidationIssue] = []
 
-        roots = [m for m in self.moments if m.parent is None]
+        roots = np.flatnonzero(parent == -1).tolist()
         if len(roots) != 1:
             issues.append(ValidationIssue(
-                "tree", tuple(m.id for m in roots),
+                "tree", tuple(ids[r] for r in roots),
                 f"expected exactly one root, found {len(roots)}"))
-        for m in self.moments:
-            if m.parent is not None and m.parent not in self._by_id:
-                issues.append(ValidationIssue(
-                    "tree", (m.id,), f"parent {m.parent} does not exist"))
+        for r, p in nodes.missing.items():
+            issues.append(ValidationIssue("tree", (ids[r],), f"parent {p} does not exist"))
+        unreachable = np.flatnonzero(tree.depth < 0).tolist()
+        if len(roots) == 1 and unreachable:
+            issues.append(ValidationIssue(
+                "tree", tuple(ids[r] for r in unreachable),
+                "nodes are not reachable from the root"))
 
-        layout = self._layout
-        if len(roots) == 1:
-            unreachable = [m.id for m, k in zip(layout.nodes, layout.depth.tolist()) if k < 0]
-            if unreachable:
-                issues.append(ValidationIssue(
-                    "tree", tuple(unreachable),
-                    "nodes are not reachable from the root"))
-
-        shape = (self.dim, self.dim)
-        row_of = {m.id: r for r, m in enumerate(layout.nodes) if m._carries(shape)}
         size, _, herm, idem = self._norms
         is_proj, size = ((herm <= tol) & (idem <= tol)).tolist(), size.tolist()
-
-        for m in self.moments:
-            if m.parent is None:
-                if m.projector is not None:
+        for r, p in enumerate(parent.tolist()):
+            if p == -1:
+                if r in misfits:
                     issues.append(ValidationIssue(
-                        "projector", (m.id,), "root must not carry a projector"))
+                        "projector", (ids[r],), "root must not carry a projector"))
                 continue
-            if m.projector is None:
+            if r in misfits and misfits[r].projector is None:
                 issues.append(ValidationIssue(
-                    "projector", (m.id,), "non-root node carries no projector"))
-            elif not m._carries(shape):
+                    "projector", (ids[r],), "non-root node carries no projector"))
+            elif r in misfits:
                 issues.append(ValidationIssue(
-                    "dimension", (m.id,),
-                    f"projector {m._projector_kind()} does not match dim {self.dim}"))
-            elif not is_proj[row_of[m.id]]:
+                    "dimension", (ids[r],),
+                    f"projector {misfits[r]._projector_kind()} does not match dim {self.dim}"))
+            elif not is_proj[r]:
                 issues.append(ValidationIssue(
-                    "projector", (m.id,), "matrix is not a projector within tol"))
-            elif not allow_zero_projectors and size[row_of[m.id]] <= tol:
+                    "projector", (ids[r],), "matrix is not a projector within tol"))
+            elif not allow_zero_projectors and size[r] <= tol:
                 issues.append(ValidationIssue(
-                    "zero-projector", (m.id,), "projector is the zero matrix"))
-            parent = self._by_id.get(m.parent)
-            if parent is not None and not (m.time > parent.time):
+                    "zero-projector", (ids[r],), "projector is the zero matrix"))
+            if p >= 0 and not (times[r] > times[p]):
                 issues.append(ValidationIssue(
-                    "time-order", (parent.id, m.id),
-                    f"child time {m.time} is not after parent time {parent.time}"))
+                    "time-order", (ids[p], ids[r]),
+                    f"child time {times[r]} is not after parent time {times[p]}"))
 
         # Sibling groups of placed projectors only, in parent order.
-        groups = [kids for kids in self._children.values()
-                  if kids and all(c.id in row_of for c in kids)]
-        grouped = [c for kids in groups for c in kids]
-        bounds = np.cumsum([0] + [len(kids) for kids in groups])
-        clashes, complete = decomposition_defects(
-            layout.projectors[[row_of[c.id] for c in grouped]], bounds, tol)
+        heads = np.flatnonzero(tree.children)
+        group = np.repeat(np.arange(len(heads)), tree.children[heads])  # of each row of kids
+        misplaced = np.isin(tree.kids, list(misfits))
+        whole = np.bincount(group[misplaced], minlength=len(heads)) == 0
+        grouped, heads = tree.kids[whole[group]], heads[whole]
+        bounds = np.concatenate(([0], np.cumsum(tree.children[heads])))
+        clashes, complete = decomposition_defects(nodes.projectors[grouped], bounds, tol)
         cut = np.searchsorted(clashes[:, 0], bounds)  # group g: clashes[cut[g]:cut[g + 1]]
         for g in np.flatnonzero(~complete | (np.diff(cut) > 0)).tolist():
             for i, j in clashes[cut[g]:cut[g + 1]].tolist():
                 issues.append(ValidationIssue(
-                    "orthogonality", (grouped[i].id, grouped[j].id),
+                    "orthogonality", (ids[grouped[i]], ids[grouped[j]]),
                     "sibling projectors are not orthogonal"))
             if not complete[g]:
+                members = grouped[bounds[g]:bounds[g + 1]].tolist()
                 issues.append(ValidationIssue(
-                    "completeness", (groups[g][0].parent,) + tuple(c.id for c in groups[g]),
+                    "completeness", (ids[heads[g]],) + tuple(ids[c] for c in members),
                     "children projectors do not sum to the identity"))
 
         state = self.initial_state
@@ -408,11 +447,11 @@ class BranchingFamily:
                 "dynamics", (),
                 f"evolution dimension {self.evolution.dim} does not match "
                 f"family dimension {self.dim}"))
-        for m in self.moments:
-            if self._children[m.id] and not self._can_branch_at(m.time):
+        for r in np.flatnonzero(tree.children).tolist():
+            if not self._can_branch_at(times[r]):
                 issues.append(ValidationIssue(
-                    "dynamics", (m.id,),
-                    f"time {m.time} does not align with any breakpoint "
+                    "dynamics", (ids[r],),
+                    f"time {times[r]} does not align with any breakpoint "
                     f"of the unitary table"))
 
         report = ValidationReport(tuple(issues))
@@ -437,19 +476,35 @@ class BranchingFamily:
         return (not isinstance(self.evolution, PiecewiseUnitary)
                 or self.evolution.covers(t))
 
-    def _grown(self, moments: Sequence[Moment], branch_times: Iterable[float],
+    def _grown(self, leaves: Sequence[int], mats: Sequence[np.ndarray], times: Sequence[float],
                tol: float, zero_free: bool) -> "BranchingFamily":
-        """This family grown to ``moments`` below leaves at ``branch_times``.
+        """This family with the decomposition ``mats`` below each of ``leaves``,
+        the new nodes at ``times`` with ids from one above the largest.
 
-        The new decompositions must have been checked at ``tol``.  The
-        validity mark carries over unless zero members were allowed or
-        the dynamics cannot branch at one of ``branch_times``.
+        The decomposition must have been checked at ``tol``.  The validity
+        mark carries over unless zero members were allowed or the dynamics
+        cannot branch at a leaf's time.
         """
-        fam = BranchingFamily(self.dim, moments, self.initial_state, self.evolution)
+        nodes, first, k = self._nodes, self._next_id, len(leaves) * len(mats)
+        ids = tuple(range(first, first + k))
+        row = nodes.row.copy()
+        row.update(zip(ids, range(len(nodes.ids), len(nodes.ids) + k)))
+        stack = np.asarray(mats)
+        grown = nodes._replace(
+            ids=nodes.ids + ids, row=row, time=np.concatenate([nodes.time, times]),
+            parent=np.concatenate([nodes.parent, np.repeat(leaves, len(mats))]),
+            projectors=np.concatenate([nodes.projectors, *[stack] * len(leaves)]))
+        fam = BranchingFamily._trusted(self.dim, grown, self.initial_state, self.evolution)
+        fam._next_id = first + k
         if (self._valid_tol is not None and tol <= self._valid_tol and zero_free
-                and all(self._can_branch_at(t) for t in branch_times)):
+                and all(self._can_branch_at(t) for t in nodes.time[leaves].tolist())):
             fam._valid_tol = self._valid_tol
         return fam
+
+    @cached_property
+    def _next_id(self) -> int:
+        """The first id :meth:`_grown` hands out: one above the largest."""
+        return max(self._nodes.ids) + 1
 
     def extend(self, leaf_id: int, projectors: Sequence,
                child_times: Sequence[float], tol: float = DEFAULT_TOL,
@@ -462,7 +517,7 @@ class BranchingFamily:
         ids starting just above the current maximum, in the order given,
         and they describe the system at the time of ``leaf_id``.
         """
-        leaf = self.moment(leaf_id)
+        leaf = self._row(leaf_id)
         if not self.is_leaf(leaf_id):
             raise ValueError(f"node {leaf_id} is not a leaf")
         mats = require_decomposition(projectors, dim=self.dim, tol=tol,
@@ -472,15 +527,12 @@ class BranchingFamily:
             raise ValueError(
                 f"{len(mats)} projectors need {len(mats)} child times, "
                 f"got {len(times)}")
+        leaf_time = float(self._nodes.time[leaf])
         for t in times:
-            if not (t > leaf.time):
+            if not (t > leaf_time):
                 raise ValueError(
-                    f"child time {t} is not after the leaf time {leaf.time}")
-        next_id = max(self._by_id) + 1
-        new_moments = list(self.moments)
-        for offset, (p, t) in enumerate(zip(mats, times)):
-            new_moments.append(Moment(next_id + offset, leaf_id, t, p))
-        return self._grown(new_moments, [leaf.time], tol, zero_free=not allow_zero)
+                    f"child time {t} is not after the leaf time {leaf_time}")
+        return self._grown([leaf], mats, times, tol, zero_free=not allow_zero)
 
     # -- histories -------------------------------------------------------
 
@@ -495,13 +547,13 @@ class BranchingFamily:
         read-only rows of the family's projector stack.
         """
         self.ensure_valid(tol)
-        layout = self._layout
-        times = layout.time.tolist()
-        steps: list[tuple[tuple[float, np.ndarray], ...]] = [()]
-        for g, p in zip(layout.parent.tolist()[1:], layout.projectors[1:]):
-            steps.append(steps[g] + ((times[g], p),))
-        return [HistorySequence._trusted(steps[r])
-                for r in np.flatnonzero(layout.children == 0).tolist()]
+        nodes, tree = self._nodes, self._tree
+        times, up = nodes.time.tolist(), nodes.parent.tolist()
+        steps: list[tuple[tuple[float, np.ndarray], ...]] = [()] * len(up)
+        for rows in tree.levels[1:]:
+            for r in rows.tolist():
+                steps[r] = steps[up[r]] + ((times[up[r]], nodes.projectors[r]),)
+        return [HistorySequence._trusted(steps[r]) for r in tree.leaves.tolist()]
 
     def history_of_leaf(self, leaf_id: int, tol: float = DEFAULT_TOL) -> HistorySequence:
         """The history ending at one particular leaf."""
@@ -510,8 +562,7 @@ class BranchingFamily:
             raise ValueError(f"node {leaf_id} is not a leaf")
         nodes = self.path(leaf_id)
         return HistorySequence._trusted(tuple(
-            (float(parent.time), as_operator(child.projector))
-            for parent, child in zip(nodes, nodes[1:])
+            (parent.time, child.projector) for parent, child in zip(nodes, nodes[1:])
         ))
 
     def is_product_shaped(self, tol: float = DEFAULT_TOL) -> bool:
@@ -523,15 +574,15 @@ class BranchingFamily:
         independence.  Leaf times enter no history and are not compared.
         """
         self.ensure_valid(tol)
-        layout = self._layout
+        nodes, tree = self._nodes, self._tree
         # Every level above the last has children; the last has none.
-        for level, below in zip(layout.levels, layout.levels[1:]):
-            counts, times = layout.children[level], layout.time[level]
+        for level, below in zip(tree.levels, tree.levels[1:]):
+            counts, times = tree.children[level], nodes.time[level]
             if counts.min() != counts.max():
                 return False
             if times.max() - times.min() > tol:
                 return False
-            stack = layout.projectors[below].reshape(len(level), -1, self.dim, self.dim)
+            stack = nodes.projectors[below].reshape(len(level), -1, self.dim, self.dim)
             if np.abs(stack[1:] - stack[:1]).max(initial=0.0) > tol:
                 return False
         return True
@@ -559,8 +610,9 @@ def new_family(dim: int, root_time: float, initial_state="maximally_mixed",
     if evolution.dim != dim:
         raise ValueError(
             f"evolution dimension {evolution.dim} does not match family dim {dim}")
-    root = Moment(ROOT_ID, None, _finite_times([root_time], "root time")[0], None)
-    fam = BranchingFamily(dim, (root,), state, evolution)
+    root = _Nodes.of((ROOT_ID,), [None], np.array(_finite_times([root_time], "root time")),
+                     np.zeros((1, dim, dim), dtype=complex))
+    fam = BranchingFamily._trusted(int(dim), root, state, evolution)
     fam._valid_tol = tol
     return fam
 
@@ -588,14 +640,13 @@ def from_product(dim: int, times: Sequence[float], decompositions: Sequence[Sequ
         raise ValueError(f"times must be strictly increasing, got {ts}")
     if not ts[-1] + 1.0 > ts[-1]:
         raise ValueError(f"leaf time {ts[-1]} + 1 is not after the last time {ts[-1]}")
-    root = new_family(dim, ts[0], initial_state, evolution, tol=tol)
+    fam = new_family(dim, ts[0], initial_state, evolution, tol=tol)
     levels = [require_decomposition(d, dim=dim, tol=tol) for d in decompositions]
-    # Ids run level by level, as leaf-by-leaf ``extend`` calls number them.
-    ids = itertools.count(ROOT_ID + 1)
-    moments = list(root.moments)
-    parents = [ROOT_ID]
+    # Each level grows below all of the last, whose rows end the store, so
+    # ids run level by level, as leaf-by-leaf ``extend`` calls number them.
+    width = 1
     for mats, t_next in zip(levels, ts[1:] + [ts[-1] + 1.0]):
-        level = [Moment(next(ids), parent, t_next, p) for parent in parents for p in mats]
-        moments.extend(level)
-        parents = [m.id for m in level]
-    return root._grown(moments, ts, tol, zero_free=True)
+        fam = fam._grown(range(len(fam) - width, len(fam)), mats,
+                         [t_next] * (width * len(mats)), tol, zero_free=True)
+        width *= len(mats)
+    return fam

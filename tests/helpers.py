@@ -28,6 +28,7 @@ from qhistories import (
     is_density_matrix,
     is_projector,
     new_family,
+    weight_table,
 )
 from qhistories.errors import EmbeddingError
 from qhistories.hpo import (
@@ -437,6 +438,29 @@ def embed_family(family: BranchingFamily) -> tuple[HPOFamily, list[bool]]:
     grid = _slot_times(slots, grids.pop(), family.dim)
     return HPOFamily(tuple(HistoryProjector._factored(st, grid, ok)
                            for st, ok in zip(stacks, certified))), certified
+
+
+def export_dot(family: BranchingFamily, annotate_weights: bool = False) -> str:
+    """``fileio.export_dot`` node by node, with one ``children_of`` call per node for the edges."""
+    family.ensure_valid()
+    weights = {}
+    if annotate_weights:
+        for leaf, w in zip(family.leaves(), weight_table(family)):
+            weights[leaf.id] = w
+    lines = ["digraph family {", "  node [shape=circle];"]
+    for m in family.moments:
+        label = f"m{m.id}\\nt={m.time:g}"
+        if m.projector is not None:
+            rank = int(round(float(np.trace(m.projector).real)))
+            label += f"\\nrank {rank}"
+        if m.id in weights:
+            label += f"\\nW={weights[m.id]:.6g}"
+        lines.append(f'  n{m.id} [label="{label}"];')
+    for m in family.moments:
+        for child in family.children_of(m.id):
+            lines.append(f"  n{m.id} -> n{child.id};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _schema(field: str, message: str) -> ParseError:

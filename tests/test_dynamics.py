@@ -108,6 +108,6 @@ def test_piecewise_construction_errors():
         PiecewiseUnitary([0.0], [])
     # NaN defeats the ordering check, and an infinite end passes it.
     for breakpoints, bad in (([0.0, np.nan, 0.5], "nan"), ([0.0, 0.5, np.inf], "inf"),
-                             ([-np.inf, 0.0, 0.5], "-inf")):
+                             ([-np.inf, 0.0, 0.5], "-inf"), ([0, 1, 10 ** 400], 10 ** 400)):
         with pytest.raises(ValueError, match=f"breakpoint {bad} is not finite"):
             PiecewiseUnitary(breakpoints, [u, u])

@@ -16,10 +16,13 @@ from helpers import (
     PROVIDER_KINDS,
     families_equal,
     load_nodes,
+    random_decomposition,
+    random_density,
     random_family,
     random_provider,
     run_capped,
 )
+from helpers import export_dot as oracle_export_dot
 from qhistories import (
     BranchingFamily,
     ConstantHamiltonian,
@@ -28,14 +31,19 @@ from qhistories import (
     Moment,
     ParseError,
     TrivialEvolution,
+    embed_family,
     export_dot,
+    from_product,
     load_document,
     new_family,
     parse_family,
     serialize_family,
+    weight_table,
 )
 from qhistories import fileio
-from qhistories.demos import P0, P1, branch_no_prod_family, fig2_family, isham_reversed_family
+from qhistories.demos import (
+    P0, P1, P_MINUS, P_PLUS, branch_no_prod_family, fig2_family, isham_reversed_family,
+)
 from qhistories.fileio import MAX_MATRIX_BYTES
 
 
@@ -297,12 +305,21 @@ def test_node_list_in_slices_matches_the_reference(numbers, monkeypatch):
     assert (exc.value.field, exc.value.message) == (want.value.field, want.value.message)
     assert exc.value.field == f"nodes[{len(doc['nodes']) - 1}].projector[1][0][1]"
     # A non-finite number in the last slice is still named.
-    last = fam.moments[-1]
-    bad = BranchingFamily(2, fam.moments[:-1] + (Moment(last.id, last.parent, math.inf,
-                                                        last.projector),),
-                          fam.initial_state, fam.evolution)
     with pytest.raises(ValueError, match="non-finite number inf"):
-        serialize_family(bad)
+        serialize_family(_with_time(fam, fam.moments[-1].id, math.inf))
+
+
+def _with_time(fam: BranchingFamily, node_id: int, time: float) -> BranchingFamily:
+    """``fam`` with one node's time replaced in its node store.
+
+    Every constructor refuses a non-finite time; this plants one, so that
+    the writer's own check of times stays tested.
+    """
+    nodes = fam._nodes
+    times = nodes.time.copy()
+    times[nodes.row[node_id]] = time
+    return BranchingFamily._trusted(fam.dim, nodes._replace(time=times),
+                                    fam.initial_state, fam.evolution)
 
 
 def test_codec_writes_projectors_of_another_type_and_refuses_another_shape():
@@ -362,11 +379,11 @@ def _non_finite_family(where: dict) -> BranchingFamily:
         provider = ConstantHamiltonian(np.diag([1.0, -1.0]))
         provider.hamiltonian = planted(provider.hamiltonian, where.get("dynamics"))
     moments = [Moment(0, None, 0.0, None),
-               Moment(1, 0, where.get("time", 1.0), planted(P0, where.get("early"))),
+               Moment(1, 0, 1.0, planted(P0, where.get("early"))),
                Moment(2, 0, 1.0, P1), Moment(3, 1, 2.0, P0),
                Moment(4, 1, 2.0, planted(P1, where.get("late")))]
     state = planted(np.diag([0.75, 0.25]), where.get("state"))
-    return BranchingFamily(2, moments, state, provider)
+    return _with_time(BranchingFamily(2, moments, state, provider), 1, where.get("time", 1.0))
 
 
 _LOCATIONS = ("dynamics", "state", "early", "time", "late")
@@ -830,6 +847,42 @@ def test_export_dot_weight_annotation():
     assert "W=0.25" in out
 
 
+def test_export_dot_fig2_text():
+    assert export_dot(fig2_family()) == "\n".join([
+        "digraph family {",
+        "  node [shape=circle];",
+        '  n0 [label="m0\\nt=0"];',
+        '  n1 [label="m1\\nt=1\\nrank 1"];',
+        '  n2 [label="m2\\nt=1.5\\nrank 2"];',
+        '  n3 [label="m3\\nt=2\\nrank 1"];',
+        '  n4 [label="m4\\nt=2\\nrank 1"];',
+        '  n5 [label="m5\\nt=2\\nrank 1"];',
+        '  n6 [label="m6\\nt=2.5\\nrank 2"];',
+        '  n7 [label="m7\\nt=2.5\\nrank 1"];',
+        "  n0 -> n1;",
+        "  n0 -> n2;",
+        "  n1 -> n3;",
+        "  n1 -> n4;",
+        "  n1 -> n5;",
+        "  n2 -> n6;",
+        "  n2 -> n7;",
+        "}",
+        ""])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(PROVIDER_KINDS), st.booleans())
+def test_export_dot_matches_the_node_by_node_reference(seed, kind, annotate):
+    fam = random_family(np.random.default_rng(seed), kind=kind)
+    for family in (fam, load_document(serialize_family(fam))):
+        assert export_dot(family, annotate) == oracle_export_dot(family, annotate)
+    # Leaves extended out of depth-first order: edges still follow each
+    # parent's insertion.
+    late = new_family(2, 0.0).extend(0, [P0, P1], [1.0, 1.0])
+    late = late.extend(2, [P_PLUS, P_MINUS], [2.0, 2.0]).extend(1, [P0, P1], [2.0, 2.0])
+    assert export_dot(late, annotate) == oracle_export_dot(late, annotate)
+
+
 def test_export_dot_refuses_invalid_family():
     overlapping = BranchingFamily(
         2,
@@ -986,3 +1039,61 @@ def test_node_list_mutations_match_the_node_by_node_oracle(case):
     assert got_error == want_error
     if want_error is None:
         assert list(map(_moment_bits, got.moments)) == list(map(_moment_bits, want))
+
+
+# -- the node store --------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans())
+def test_extend_load_and_from_product_build_one_store(seed, steps, product):
+    # The tree is grown level by level, leaf after leaf, so that ids run as
+    # ``from_product`` numbers them; with ``product`` every level reuses one
+    # decomposition.  Adding 0.0 drops -0.0 entries, which documents write as 0.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+    times = np.cumsum(rng.uniform(0.1, 1.0, size=steps)).tolist()
+
+    def decomposition():
+        return [p + 0.0 for p in random_decomposition(dim, int(rng.integers(1, dim + 1)), rng)]
+
+    levels = [decomposition() for _ in range(steps)]
+    fam = new_family(dim, times[0], random_density(dim, rng),
+                     random_provider(dim, rng, "hamiltonian"))
+    frontier = [0]
+    for k, t_next in enumerate(times[1:] + [times[-1] + 1.0]):
+        below = []
+        for leaf in frontier:
+            parts = levels[k] if product else decomposition()
+            fam = fam.extend(leaf, parts, [t_next] * len(parts))
+            below += [m.id for m in fam.children_of(leaf)]
+        frontier = below
+    back = load_document(serialize_family(fam))
+    assert families_equal(fam, back)
+    assert list(map(_moment_bits, back.moments)) == list(map(_moment_bits, fam.moments))
+    assert back.is_product_shaped() == fam.is_product_shaped()
+    if product:
+        assert fam.is_product_shaped()
+        built = from_product(dim, times, levels, fam.initial_state, fam.evolution)
+        assert families_equal(built, fam)
+        assert list(map(_moment_bits, built.moments)) == list(map(_moment_bits, fam.moments))
+
+
+def test_store_paths_build_no_moment():
+    with mock.patch.object(Moment, "__init__", side_effect=AssertionError("a Moment was built")):
+        product = from_product(2, [0.0, 1.0], [[P0, P1], [P_PLUS, P_MINUS]])
+        grown = product.extend(3, [P0, P1], [3.0, 3.0])
+        for fam in (product, grown):
+            loaded = load_document(serialize_family(fam))
+            assert loaded.validate().ok
+            assert weight_table(loaded).sum() == pytest.approx(1.0)
+        assert len(embed_family(load_document(serialize_family(product)))) == 4
+
+
+def test_loaded_moments_are_views_of_one_stack():
+    fam = load_document(serialize_family(random_family(np.random.default_rng(9700), dim=3,
+                                                       stop_probability=0.1)))
+    projectors = [m.projector for m in fam.moments if m.projector is not None]
+    assert len(projectors) == len(fam) - 1
+    assert len({id(p.base) for p in projectors}) == 1
+    assert projectors[0].base is not None
+    assert not any(p.flags.writeable for p in projectors)

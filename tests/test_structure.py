@@ -123,7 +123,7 @@ def test_extend_allows_unequal_child_times():
 
 
 def test_new_family_rejects_non_finite_root_times():
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, 10 ** 400):
         with pytest.raises(ValueError, match=f"root time {bad} is not finite"):
             new_family(2, bad)
 
@@ -140,7 +140,7 @@ def test_extend_errors():
         fam.extend(1, [P0, P_PLUS], [2.0, 2.0])
     with pytest.raises(ValueError, match="no node"):
         fam.extend(99, [P0, P1], [2.0, 2.0])
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, 10 ** 400):
         with pytest.raises(ValueError, match=f"child time {bad} is not finite"):
             fam.extend(1, [P0, P1], [2.0, bad])
 
@@ -293,6 +293,44 @@ def test_duplicate_ids_rejected_at_construction():
         BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "overflow"])
+def test_hand_built_families_refuse_non_finite_times(bad):
+    # As every other constructor and the reader do; a NaN time was a
+    # time-order issue, and an infinite leaf time validated.
+    moments = [Moment(0, None, 0.0, None), Moment(1, 0, bad, P0), Moment(2, 0, 1.0, P1)]
+    with pytest.raises(ValueError, match=f"node time {bad} is not finite"):
+        BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
+
+
+def test_empty_family_reports_no_root():
+    fam = BranchingFamily(2, [], maximally_mixed(2), TrivialEvolution(2))
+    assert str(fam.validate()) == "tree: expected exactly one root, found 0"
+    assert (len(fam), fam.moments, fam.leaves()) == (0, (), ())
+
+
+def test_path_reads_the_parent_rows():
+    def family(*moments):
+        return BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
+
+    fam = fig2_family()
+    assert [m.id for m in fam.path(6)] == [0, 2, 6]
+    assert [m.id for m in fam.path(0)] == [0]
+    with pytest.raises(ValueError, match="no node with id 9"):
+        fam.path(9)
+    # A second root leaves every path to its own root intact.
+    two_roots = family(Moment(0, None, 0.0, None), Moment(1, 0, 1.0, P0),
+                       Moment(5, None, 0.0, None), Moment(6, 5, 1.0, P1))
+    assert [m.id for m in two_roots.path(6)] == [5, 6]
+    broken = [family(Moment(0, None, 0.0, None), Moment(1, 7, 1.0, P0)),  # missing parent
+              family(Moment(0, None, 0.0, None), Moment(1, 2, 1.0, P0),  # a cycle
+                     Moment(2, 1, 2.0, P1)),
+              family(Moment(0, None, 0.0, None), Moment(1, 1, 1.0, P0))]  # its own parent
+    for fam in broken:
+        with pytest.raises(ValueError, match="broken parent chain above node 1"):
+            fam.path(1)
+
+
 # -- histories ---------------------------------------------------------------
 
 def test_histories_pair_projectors_with_parent_times():
@@ -395,7 +433,7 @@ def test_from_product_rejects_bad_times():
         from_product(2, [1.0, 0.5], [[P0, P1], [P0, P1]])
     with pytest.raises(ValueError, match="times"):
         from_product(2, [0.0], [[P0, P1], [P0, P1]])
-    for times in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
+    for times in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [0.0, 10 ** 400]):
         with pytest.raises(ValueError, match="time .* is not finite"):
             from_product(2, times, [[P0, P1]] * 3)
     # times[-1] + 1 == times[-1]: the leaves would be no later than their parents.
