@@ -9,9 +9,12 @@ For a valid family the chains come from one pass per tree level rather
 than one pass per history: every shared prefix of histories is a single
 node, so a node's chain is computed once, as its projector times its
 parent's chain carried forward by one propagator, a whole level in one
-batched product over the family's projector stack, and each propagator
-is computed once per distinct pair of times.  The leaves' chains form a
-stack ``K`` of shape ``(n, d, d)``.
+batched product over the family's projector stack.  The leaves' chains
+form a stack ``K`` of shape ``(n, d, d)``, computed once per family and
+kept by it, read-only, for every later weight table, decoherence matrix
+and sibling merge.  Each propagator is computed once per provider: the
+providers remember them, and a pass asks for each distinct pair of
+times once.
 
 Weights and decoherence entries are the Gell-Mann--Hartle decoherence
 functional ``D_ab = Tr[rho K_a^dag K_b]``.  With ``A = K`` and
@@ -72,9 +75,10 @@ def _leaf_chains(family: BranchingFamily) -> np.ndarray:
     One pass per tree level: the root's chain is the identity and a
     level's chains are, in one batched product, its projectors times the
     chains their parents carry, where a node ``p`` below ``g`` carries
-    ``U(t_g, t_p) K_p`` and the root carries its identity.  Propagators
-    are computed once per distinct ``(t_from, t_to)``.  A bare root
-    yields one identity.
+    ``U(t_g, t_p) K_p`` and the root carries its identity.  The provider
+    is asked once per distinct ``(t_from, t_to)``.  A bare root yields one
+    identity.  Each call computes afresh; ``BranchingFamily._chains``
+    keeps the first result.
     """
     nodes, tree = family._nodes, family._tree
     children, parent = tree.children.tolist(), nodes.parent.tolist()
@@ -154,7 +158,7 @@ def evolved_state(seq: HistorySequence, evolution: EvolutionProvider, rho) -> np
 def weight_table(family: BranchingFamily, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Weights of every history of a valid family, in depth-first leaf order."""
     family.ensure_valid(tol)
-    return _weights(_leaf_chains(family), family.initial_state, tol)
+    return _weights(family._chains, family.initial_state, tol)
 
 
 def decoherence_matrix(seqs: Sequence[HistorySequence],
@@ -173,7 +177,7 @@ def family_decoherence_matrix(family: BranchingFamily,
                               tol: float = DEFAULT_TOL) -> np.ndarray:
     """Decoherence matrix of a valid family's histories in leaf order."""
     family.ensure_valid(tol)
-    return _gram(_leaf_chains(family), family.initial_state)
+    return _gram(family._chains, family.initial_state)
 
 
 def _offdiag(d: np.ndarray) -> np.ndarray:

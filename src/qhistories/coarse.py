@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .chain import weight
+import numpy as np
+
+from .chain import _weights, chain_operator
 from .dynamics import EvolutionProvider
 from .errors import TransBranchError
 from .linalg import DEFAULT_TOL, max_abs
@@ -45,28 +47,65 @@ def event_probability(weights: Sequence[float], subset: Iterable[int]) -> float:
     return math.fsum(table[i] for i in indices)
 
 
+def _sibling_leaves(family: BranchingFamily, leaf_a: int, leaf_b: int,
+                    tol: float) -> tuple[int, int]:
+    """Positions in leaf order of two sibling leaves; raises as
+    :func:`intra_branch_sum` does, in its order."""
+    family.ensure_valid(tol)
+    rows = family._row(leaf_a), family._row(leaf_b)
+    tree = family._tree
+    for leaf, r in zip((leaf_a, leaf_b), rows):
+        if tree.children[r]:
+            raise ValueError(f"node {leaf} is not a leaf")
+    if leaf_a == leaf_b:
+        raise ValueError("cannot sum a leaf with itself")
+    parent = family._nodes.parent
+    if parent[rows[0]] != parent[rows[1]]:
+        raise TransBranchError(leaf_a, leaf_b)
+    leaves = tree.leaves.tolist()
+    return leaves.index(rows[0]), leaves.index(rows[1])
+
+
+def _merged_history(family: BranchingFamily, leaf_a: int, leaf_b: int) -> HistorySequence:
+    """The history of ``leaf_a`` with its last projector replaced by the sum
+    of the two leaves' projectors."""
+    base = family.history_of_leaf(leaf_a)
+    p = family.moment(leaf_a).projector + family.moment(leaf_b).projector
+    return HistorySequence(base.steps[:-1] + ((base.steps[-1][0], p),))
+
+
 def intra_branch_sum(family: BranchingFamily, leaf_a: int, leaf_b: int,
                      tol: float = DEFAULT_TOL) -> HistorySequence:
     """Merge two sibling leaves into one history.
 
     The result shares the common prefix of both histories and ends in the
     sum of the two final projectors, which is again a projector because
-    siblings are orthogonal.  Leaves that do not share a parent raise
-    :class:`TransBranchError`.
+    siblings are orthogonal.  An unknown id, a node that is not a leaf or
+    the same leaf twice raise ValueError; leaves that do not share a
+    parent raise :class:`TransBranchError`.
     """
-    family.ensure_valid(tol)
-    a = family.moment(leaf_a)
-    b = family.moment(leaf_b)
-    for m in (a, b):
-        if not family.is_leaf(m.id):
-            raise ValueError(f"node {m.id} is not a leaf")
-    if leaf_a == leaf_b:
-        raise ValueError("cannot sum a leaf with itself")
-    if a.parent != b.parent:
-        raise TransBranchError(leaf_a, leaf_b)
-    base = family.history_of_leaf(leaf_a)
-    merged = base.steps[:-1] + ((base.steps[-1][0], a.projector + b.projector),)
-    return HistorySequence(merged)
+    _sibling_leaves(family, leaf_a, leaf_b, tol)
+    return _merged_history(family, leaf_a, leaf_b)
+
+
+def _sum_weights(k_1: np.ndarray, k_2: np.ndarray, rho,
+                 tol: float) -> tuple[float, float, float]:
+    """W(1 + 2), W(1) and W(2) of two chains, checked as :func:`weight` checks.
+
+    Chains are linear in each projector, so the chain of a merge that sums
+    one projector of otherwise equal histories is ``k_1 + k_2``.
+    """
+    w_sum, w_1, w_2 = _weights(np.stack([k_1 + k_2, k_1, k_2]), rho, tol).tolist()
+    return w_sum, w_1, w_2
+
+
+def _sibling_weights(family: BranchingFamily, leaf_a: int, leaf_b: int,
+                     tol: float) -> tuple[float, float, float]:
+    """W(a + b), W(a) and W(b) of two sibling leaves, read from the family's
+    leaf chains; raises as :func:`intra_branch_sum` does."""
+    a, b = _sibling_leaves(family, leaf_a, leaf_b, tol)
+    chains = family._chains
+    return _sum_weights(chains[a], chains[b], family.initial_state, tol)
 
 
 def verify_intra_additivity(family: BranchingFamily, leaf_a: int, leaf_b: int,
@@ -74,30 +113,24 @@ def verify_intra_additivity(family: BranchingFamily, leaf_a: int, leaf_b: int,
     """Check W(merged) == W(a) + W(b) for two sibling leaves.
 
     True whenever the weights agree within ``tol``; for sibling leaves
-    this holds without any consistency assumption.
+    this holds without any consistency assumption.  Raises as
+    :func:`intra_branch_sum` does.
     """
-    return _merged_weights(family, leaf_a, leaf_b, tol)[-1]
+    w_sum, w_a, w_b = _sibling_weights(family, leaf_a, leaf_b, tol)
+    return abs(w_sum - (w_a + w_b)) <= tol
 
 
 def _merged_weights(family: BranchingFamily, leaf_a: int, leaf_b: int,
                     tol: float) -> tuple[HistorySequence, float, float, float, bool]:
     """The merge of two sibling leaves, W(a), W(b), W(merge), and whether they add within ``tol``."""
-    merged = intra_branch_sum(family, leaf_a, leaf_b, tol)
-    evolution, rho = family.evolution, family.initial_state
-    w_a = weight(family.history_of_leaf(leaf_a), evolution, rho, tol)
-    w_b = weight(family.history_of_leaf(leaf_b), evolution, rho, tol)
-    w_sum = weight(merged, evolution, rho, tol)
+    w_sum, w_a, w_b = _sibling_weights(family, leaf_a, leaf_b, tol)
+    merged = _merged_history(family, leaf_a, leaf_b)
     return merged, w_a, w_b, w_sum, abs(w_sum - (w_a + w_b)) <= tol
 
 
-def product_sum(seq1: HistorySequence, seq2: HistorySequence,
-                tol: float = DEFAULT_TOL) -> HistorySequence:
-    """Merge two equal-time histories differing at exactly one position.
-
-    The differing projectors must be orthogonal; their sum replaces them
-    and every other step is kept.  Differing at zero positions, at more
-    than one, or with non-orthogonal projectors is an error.
-    """
+def _differing_slot(seq1: HistorySequence, seq2: HistorySequence, tol: float) -> int:
+    """The one position where two summable histories differ; raises as
+    :func:`product_sum` documents."""
     if len(seq1) != len(seq2):
         raise ValueError(
             f"sequences have different lengths {len(seq1)} and {len(seq2)}")
@@ -117,12 +150,23 @@ def product_sum(seq1: HistorySequence, seq2: HistorySequence,
             f"sequences differ at positions {differing}; "
             f"summation needs exactly one")
     j = differing[0]
-    p, q = seq1.projectors[j], seq2.projectors[j]
-    if max_abs(p @ q) > tol:
+    if max_abs(seq1.projectors[j] @ seq2.projectors[j]) > tol:
         raise ValueError(
             f"projectors at position {j} are not orthogonal; sum is not a projector")
+    return j
+
+
+def product_sum(seq1: HistorySequence, seq2: HistorySequence,
+                tol: float = DEFAULT_TOL) -> HistorySequence:
+    """Merge two equal-time histories differing at exactly one position.
+
+    The differing projectors must be orthogonal; their sum replaces them
+    and every other step is kept.  Differing at zero positions, at more
+    than one, or with non-orthogonal projectors is an error.
+    """
+    j = _differing_slot(seq1, seq2, tol)
     steps = list(seq1.steps)
-    steps[j] = (steps[j][0], p + q)
+    steps[j] = (steps[j][0], seq1.projectors[j] + seq2.projectors[j])
     return HistorySequence(tuple(steps))
 
 
@@ -133,13 +177,13 @@ def verify_product_additivity(seq1: HistorySequence, seq2: HistorySequence,
 
     Returns ``(additive, discrepancy)`` where ``discrepancy`` is
     ``W(sum) - W(seq1) - W(seq2)``.  Because chain operators are linear
-    in each slot, the discrepancy equals twice the real part of the
-    pair's decoherence entry, so it vanishes exactly when the pair does
-    not interfere.
+    in each slot, the sum's chain is the sum of the pair's chains, and the
+    discrepancy equals twice the real part of the pair's decoherence
+    entry, so it vanishes exactly when the pair does not interfere.
+    Raises as :func:`product_sum` does.
     """
-    merged = product_sum(seq1, seq2, tol)
-    w_sum = weight(merged, evolution, rho, tol)
-    w_1 = weight(seq1, evolution, rho, tol)
-    w_2 = weight(seq2, evolution, rho, tol)
+    _differing_slot(seq1, seq2, tol)
+    w_sum, w_1, w_2 = _sum_weights(chain_operator(seq1, evolution),
+                                   chain_operator(seq2, evolution), rho, tol)
     discrepancy = w_sum - (w_1 + w_2)
     return (abs(discrepancy) <= tol, float(discrepancy))

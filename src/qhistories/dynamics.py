@@ -8,6 +8,14 @@ A provider answers one question: what unitary carries states from time
 * ``propagator(t_b, t_a) == adjoint(propagator(t_a, t_b))``,
 
 so running a history backwards undoes running it forwards.
+
+The providers of this module remember the propagators they have
+computed, so each is computed once per provider: the Hamiltonian by
+time step, the unitary table by breakpoint pair, the trivial provider
+its one identity.  A remembered propagator is handed out as a
+read-only array, equal in bytes to what a fresh provider computes.  A
+provider keeps at most a fixed number of them (fewer at large
+dimensions) and forgets the oldest first.
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ __all__ = [
 
 # Times are matched against stored breakpoints within this tolerance.
 TIME_ALIGN_TOL = 1e-9
+# A provider remembers at most this many propagators, and at most this
+# many bytes of them.
+_MEMO_ENTRIES = 256
+_MEMO_BYTES = 8 << 20
 
 
 def _finite_times(times: Sequence[float], what: str) -> list[float]:
@@ -43,6 +55,24 @@ def _finite_times(times: Sequence[float], what: str) -> list[float]:
         if not math.isfinite(out[-1]):
             raise ValueError(f"{what} {t} is not finite")
     return out
+
+
+class _Memo(dict):
+    """Read-only propagators by key, at most a fixed number for the dimension;
+    the oldest is forgotten first."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.size = max(1, min(_MEMO_ENTRIES, _MEMO_BYTES // (16 * dim * dim)))
+
+    def keep(self, key, u: np.ndarray) -> np.ndarray:
+        """Remember ``u`` under ``key`` and return it as a read-only view."""
+        if len(self) >= self.size:
+            del self[next(iter(self))]
+        u = u.view()
+        u.flags.writeable = False
+        self[key] = u
+        return u
 
 
 class EvolutionProvider(ABC):
@@ -65,13 +95,15 @@ class TrivialEvolution(EvolutionProvider):
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         self._dim = int(dim)
+        self._identity = np.eye(self._dim, dtype=complex)
+        self._identity.flags.writeable = False
 
     @property
     def dim(self) -> int:
         return self._dim
 
     def propagator(self, t_from: float, t_to: float) -> np.ndarray:
-        return np.eye(self._dim, dtype=complex)
+        return self._identity
 
     def __repr__(self) -> str:
         return f"TrivialEvolution(dim={self._dim})"
@@ -81,7 +113,8 @@ class ConstantHamiltonian(EvolutionProvider):
     """Evolution exp(-i H (t_to - t_from)) under a fixed Hermitian generator.
 
     The eigendecomposition of ``H`` is cached at construction so each
-    propagator is a cheap reassembly.
+    propagator is a cheap reassembly, and each is remembered by its time
+    step ``t_to - t_from``.
     """
 
     def __init__(self, hamiltonian, tol: float = DEFAULT_TOL):
@@ -91,6 +124,7 @@ class ConstantHamiltonian(EvolutionProvider):
         self.hamiltonian = h
         self._dim = h.shape[0]
         self._eigenvalues, self._eigenvectors = np.linalg.eigh(h)
+        self._memo = _Memo(self._dim)
 
     @property
     def dim(self) -> int:
@@ -98,9 +132,13 @@ class ConstantHamiltonian(EvolutionProvider):
 
     def propagator(self, t_from: float, t_to: float) -> np.ndarray:
         dt = float(t_to) - float(t_from)
-        phases = np.exp(-1j * self._eigenvalues * dt)
-        v = self._eigenvectors
-        return (v * phases) @ v.conj().T
+        key = (dt, math.copysign(1.0, dt))  # a step of -0.0 may differ in the signs of zeros
+        u = self._memo.get(key)
+        if u is None:
+            phases = np.exp(-1j * self._eigenvalues * dt)
+            v = self._eigenvectors
+            u = self._memo.keep(key, (v * phases) @ v.conj().T)
+        return u
 
     def __repr__(self) -> str:
         return f"ConstantHamiltonian(dim={self._dim})"
@@ -114,7 +152,7 @@ class PiecewiseUnitary(EvolutionProvider):
     passed to :meth:`propagator` must coincide with breakpoints; there is
     no interpolation inside an interval, and asking for an uncovered or
     unaligned time is an error.  Backward propagation is the adjoint of
-    the forward product.
+    the forward product.  Propagators are remembered by breakpoint pair.
     """
 
     def __init__(self, breakpoints: Sequence[float], unitaries: Sequence,
@@ -139,6 +177,7 @@ class PiecewiseUnitary(EvolutionProvider):
         self.breakpoints = times
         self.unitaries = tuple(mats)
         self._dim = mats[0].shape[0]
+        self._memo = _Memo(self._dim)
 
     @property
     def dim(self) -> int:
@@ -159,14 +198,18 @@ class PiecewiseUnitary(EvolutionProvider):
     def propagator(self, t_from: float, t_to: float) -> np.ndarray:
         i = self._index_of(float(t_from))
         j = self._index_of(float(t_to))
+        u = self._memo.get((i, j))
+        if u is not None:
+            return u
         if i == j:
-            return np.eye(self._dim, dtype=complex)
-        if i < j:
+            u = np.eye(self._dim, dtype=complex)
+        elif i < j:
             u = self.unitaries[i]
             for k in range(i + 1, j):
                 u = self.unitaries[k] @ u
-            return u
-        return self.propagator(t_to, t_from).conj().T
+        else:
+            u = self.propagator(t_to, t_from).conj().T
+        return self._memo.keep((i, j), u)
 
     def __repr__(self) -> str:
         return (f"PiecewiseUnitary(dim={self._dim}, "

@@ -440,18 +440,17 @@ def _nodes_in_bulk(raw_nodes: list, dim: int) -> _Nodes | None:
     Checks every node at once: each is an object with the keys of a root
     (``id``, ``time``) or of a child (also ``parent`` and ``projector``),
     ids are distinct integers, parents integers, times finite numbers, and
-    all projectors convert as one (N, dim, dim) stack, with zero rows for
-    the roots, which the store keeps.
+    all child projectors convert as one array, copied into the store's
+    (N, dim, dim) stack, whose rows for the roots stay zero.
     """
     if set(map(type, raw_nodes)) != {dict} or not set(map(len, raw_nodes)) <= {2, 4}:
         return None
     children = [node for node in raw_nodes if len(node) == 4]
-    zero = [[[0, 0]] * dim] * dim  # a root's row of the stack
     try:
         ids = list(map(operator.itemgetter("id"), raw_nodes))
         times = list(map(operator.itemgetter("time"), raw_nodes))
         parents = list(map(operator.itemgetter("parent"), children))
-        projectors = [node["projector"] if len(node) == 4 else zero for node in raw_nodes]
+        projectors = list(map(operator.itemgetter("projector"), children))
     except KeyError:
         return None
     if (set(map(type, ids)) != {int} or len(set(ids)) != len(ids)
@@ -465,8 +464,10 @@ def _nodes_in_bulk(raw_nodes: list, dim: int) -> _Nodes | None:
     numbers = _stack_numbers(projectors, dim)
     if numbers is None or not np.isfinite(times).all():
         return None
+    stack = np.zeros((len(raw_nodes), dim, dim), dtype=complex)
+    stack[[len(node) == 4 for node in raw_nodes]] = numbers.view(complex).reshape(-1, dim, dim)
     parents = list(map(dict.get, raw_nodes, itertools.repeat("parent")))
-    return _Nodes.of(tuple(ids), parents, times, numbers.view(complex).reshape(-1, dim, dim))
+    return _Nodes.of(tuple(ids), parents, times, stack)
 
 
 def _nodes_one_by_one(raw_nodes: list, dim: int) -> None:

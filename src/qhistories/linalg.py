@@ -9,7 +9,7 @@ and decompositions are checked in bulk, on (n, d, d) stacks.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +38,12 @@ DEFAULT_TOL = 1e-9
 # Bytes of pair products or summed rows per batch in decomposition_defects;
 # 64 MiB batches validated a dim-32, 1057-node family half as fast.
 _CHUNK_BYTES = 4 << 20
+# is_decomposition checks a group whose pair products take at most this
+# many bytes with one batched product.  Larger groups are as fast through
+# decomposition_defects, whose fixed cost is small beside their products,
+# and faster in a fresh process, where fresh temporaries of more than
+# glibc's 128 KiB mmap threshold each cost page faults (d = 32, k = 4).
+_GROUP_BYTES = 96 << 10
 
 
 def as_operator(m) -> np.ndarray:
@@ -118,10 +124,28 @@ def is_decomposition(projectors: Sequence, tol: float = DEFAULT_TOL,
     if any(p.shape != mats[0].shape for p in mats):
         raise ValueError("decomposition members have mixed dimensions")
     stack = np.stack(mats)
-    size, _, herm, idem = _projector_norms(stack)
-    clashes, complete = decomposition_defects(stack, [0, len(stack)], tol)
-    return bool(np.all((herm <= tol) & (idem <= tol) & (allow_zero | ~(size <= tol)))
-                and not len(clashes) and complete[0])
+    k, d = stack.shape[:2]
+    if k * (k + 1) * 8 * d * d > _GROUP_BYTES:  # k(k + 1)/2 products of 16 d^2 bytes
+        size, _, herm, idem = _projector_norms(stack)
+        clashes, complete = decomposition_defects(stack, [0, k], tol)
+        return bool(np.all((herm <= tol) & (idem <= tol) & (allow_zero | ~(size <= tol)))
+                    and not len(clashes) and complete[0])
+    i, j, same = _upper_pairs(k)
+    products = stack[i] @ stack[j]
+    products[same] -= stack  # P_i P_i - P_i; the pairs i < j are P_i P_j
+    total = stack.sum(axis=0)
+    total.flat[::d + 1] -= 1
+    return bool(max_abs(products) <= tol and max_abs(total) <= tol
+                and max_abs(stack - stack.conj().transpose(0, 2, 1)) <= tol
+                and (allow_zero or not (np.abs(stack).max(axis=(1, 2)) <= tol).any()))
+
+
+@cache
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``i`` and ``j`` of the pairs i <= j of k members, row by row,
+    and the positions of the pairs i == j among them."""
+    i, j = np.triu_indices(k)
+    return i, j, np.flatnonzero(i == j)
 
 
 def _projector_norms(stack: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ A family holds its nodes in one store, built once at construction and in
 insertion order: the ids, a map from id to row, each node's parent row,
 the times as floats and one read-only stack of the node projectors.  The
 depth-first structure of the tree (depths, levels, child counts, leaves)
-is a set of index arrays into those rows, built on first use.
+is a set of index arrays into those rows, built on first use, and so is
+the stack of a valid family's leaf chain operators.
 Validation, histories, the product-shape check, the chain operators, the
 history-space embedding and the document writer all read the store;
 :class:`Moment` objects are built only when a caller asks for one.
@@ -341,6 +342,20 @@ class BranchingFamily:
         by_depth = order[np.argsort(depth[order], kind="stable")]
         levels = np.split(by_depth, np.cumsum(np.bincount(depth[order]))[:-1])
         return _Tree(depth, levels, children, kids, order[children[order] == 0])
+
+    @cached_property
+    def _chains(self) -> np.ndarray:
+        """The leaves' chain operators (``chain._leaf_chains``) as one
+        read-only (n, d, d) stack in leaf order, for a valid family only.
+
+        Computed on first use and kept, as the family never changes.  There
+        are at most as many leaves as nodes, so the stack at most doubles
+        what the family holds in its projector stack.
+        """
+        from .chain import _leaf_chains  # chain imports this module
+        chains = _leaf_chains(self)
+        chains.flags.writeable = False
+        return chains
 
     @cached_property
     def _norms(self) -> np.ndarray:

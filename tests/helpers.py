@@ -28,6 +28,8 @@ from qhistories import (
     is_density_matrix,
     is_projector,
     new_family,
+    product_sum,
+    weight,
     weight_table,
 )
 from qhistories.errors import EmbeddingError
@@ -405,6 +407,27 @@ def histories(family: BranchingFamily) -> list[HistorySequence]:
         for child in kids:
             prefixes[child.id] = steps + ((float(m.time), as_operator(child.projector)),)
     return out
+
+
+def sibling_merge_weights(family: BranchingFamily, leaf_a: int,
+                          leaf_b: int) -> tuple[float, float, float]:
+    """W(a), W(b) and W(a + b) of two sibling leaves, each the ``weight`` of
+    its own history: the two leaves' histories and their merge, which ends
+    in the sum of their last projectors."""
+    evolution, rho = family.evolution, family.initial_state
+    a, b = family.history_of_leaf(leaf_a), family.history_of_leaf(leaf_b)
+    (t, p), (_, q) = a.steps[-1], b.steps[-1]
+    merged = HistorySequence(a.steps[:-1] + ((t, p + q),))
+    return weight(a, evolution, rho), weight(b, evolution, rho), weight(merged, evolution, rho)
+
+
+def product_merge_weights(seq1: HistorySequence, seq2: HistorySequence, evolution,
+                          rho) -> tuple[float, float, float]:
+    """W(seq1), W(seq2) and W(seq1 + seq2), each the ``weight`` of its own
+    history; raises as ``product_sum`` does."""
+    merged = product_sum(seq1, seq2)
+    return (weight(seq1, evolution, rho), weight(seq2, evolution, rho),
+            weight(merged, evolution, rho))
 
 
 def embed_family(family: BranchingFamily) -> tuple[HPOFamily, list[bool]]:

@@ -29,6 +29,7 @@ from qhistories import (
     is_dynamically_impossible,
     is_weakly_consistent,
     new_family,
+    verify_intra_additivity,
     weight,
     weight_table,
 )
@@ -229,12 +230,20 @@ def _branching_under_count(rng):
 
 
 def test_each_propagator_is_computed_once_per_pass():
+    # The first weight table or decoherence matrix of a family asks for each
+    # propagator once; the family keeps its chains, so no later call asks.
     for build in (_product_under_count, _branching_under_count):
-        fam, counting, keys = build(np.random.default_rng(34))
-        for compute in (family_decoherence_matrix, weight_table):
-            counting.calls.clear()
-            compute(fam)
+        for first, second in ((family_decoherence_matrix, weight_table),
+                              (weight_table, family_decoherence_matrix)):
+            fam, counting, keys = build(np.random.default_rng(34))
+            first(fam)
             assert counting.calls == Counter(keys)
+            counting.calls.clear()
+            first(fam)
+            second(fam)
+            a, b = fam.leaves()[:2]
+            assert a.parent == b.parent and verify_intra_additivity(fam, a.id, b.id)
+            assert not counting.calls
 
 
 def test_decoherence_matrix_is_hermitian_with_weight_diagonal():

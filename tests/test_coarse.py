@@ -1,13 +1,30 @@
 """Coarse graining: sibling merges, product merges, additivity checks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import engineered_product_family, random_family
+from helpers import (
+    PROVIDER_KINDS,
+    engineered_product_family,
+    leaf_chains,
+    product_merge_weights,
+    random_decomposition,
+    random_density,
+    random_family,
+    sibling_merge_weights,
+)
 from qhistories import (
+    BranchingFamily,
+    ConstantHamiltonian,
     HistorySequence,
+    PiecewiseUnitary,
     TransBranchError,
+    TrivialEvolution,
     decoherence_matrix,
     event_probability,
     from_product,
@@ -19,6 +36,8 @@ from qhistories import (
     weight,
     weight_table,
 )
+from qhistories import coarse
+from qhistories.coarse import _merged_weights
 from qhistories.demos import P0, P1, P_MINUS, P_PLUS, branch_no_prod_family
 
 I2 = np.eye(2, dtype=complex)
@@ -209,3 +228,91 @@ def test_product_sum_weight_matches_event_probability_when_consistent():
     merged = product_sum(hists[0], hists[1])
     w = weight(merged, fam.evolution, fam.initial_state)
     assert w == pytest.approx(event_probability(table, [0, 1]), abs=1e-12)
+
+
+# -- merges read from chains --------------------------------------------------
+
+def test_merges_build_no_chain_twice():
+    # A sibling merge reads the family's leaf chains and walks no path; a
+    # product merge builds the pair's two chains and adds them.
+    fam = branch_no_prod_family()
+    with mock.patch.object(BranchingFamily, "path", side_effect=AssertionError), \
+            mock.patch.object(BranchingFamily, "history_of_leaf", side_effect=AssertionError):
+        assert verify_intra_additivity(fam, 5, 6)
+    hists = engineered_product_family(np.random.default_rng(62), dim=2, steps=2).histories()
+    with mock.patch.object(coarse, "chain_operator", wraps=coarse.chain_operator) as built:
+        verify_product_additivity(hists[0], hists[1], fam.evolution, fam.initial_state)
+    assert built.call_count == 2
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _fresh(provider):
+    """A new provider built from what ``provider`` was built from."""
+    if isinstance(provider, TrivialEvolution):
+        return TrivialEvolution(provider.dim)
+    if isinstance(provider, ConstantHamiltonian):
+        return ConstantHamiltonian(provider.hamiltonian)
+    return PiecewiseUnitary(provider.breakpoints, provider.unitaries)
+
+
+def _additive(w_1: float, w_2: float, w_sum: float) -> bool:
+    return abs(w_sum - (w_1 + w_2)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(PROVIDER_KINDS))
+def test_merges_from_chains_match_the_weight_oracle(seed, kind):
+    rng = np.random.default_rng(seed)
+    fam = random_family(rng, kind=kind, max_depth=3)
+    leaves = fam.leaves()[:10]
+    for a in leaves:
+        for b in leaves:
+            if a.id == b.id:
+                continue
+            if a.parent != b.parent:
+                with pytest.raises(TransBranchError):
+                    verify_intra_additivity(fam, a.id, b.id)
+                continue
+            w_a, w_b, w_sum = sibling_merge_weights(fam, a.id, b.id)
+            assert verify_intra_additivity(fam, a.id, b.id) == _additive(w_a, w_b, w_sum)
+            merged, *got, additive = _merged_weights(fam, a.id, b.id, 1e-9)
+            assert additive == _additive(w_a, w_b, w_sum)
+            assert_allclose(got, [w_a, w_b, w_sum], rtol=0, atol=1e-12)
+            assert merged.times == intra_branch_sum(fam, a.id, b.id).times
+
+    chains = fam._chains
+    assert not chains.flags.writeable
+    assert _same_bytes(chains, leaf_chains(fam))
+
+    # A product family under the same dynamics, for merges at every slot.
+    evolution = fam.evolution
+    if isinstance(evolution, PiecewiseUnitary):
+        times = list(evolution.breakpoints[:3])
+    else:
+        times = np.cumsum(rng.uniform(0.1, 1.0, size=3)).tolist()
+    parts = [int(rng.integers(1, fam.dim + 1)) for _ in times]
+    product = from_product(fam.dim, times, [random_decomposition(fam.dim, k, rng) for k in parts],
+                           random_density(fam.dim, rng), evolution)
+    hist, rho = product.histories(), product.initial_state
+    for i, j in rng.integers(len(hist), size=(12, 2)).tolist():
+        try:
+            w_1, w_2, w_sum = product_merge_weights(hist[i], hist[j], evolution, rho)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                verify_product_additivity(hist[i], hist[j], evolution, rho)
+            assert str(raised.value) == str(exc)
+            continue
+        additive, gap = verify_product_additivity(hist[i], hist[j], evolution, rho)
+        assert additive == _additive(w_1, w_2, w_sum)
+        assert abs(gap - (w_sum - (w_1 + w_2))) <= 1e-12
+
+    fresh = _fresh(evolution)
+    node_times = sorted({m.time for m in fam.moments})[:4]
+    for t_from in node_times:
+        for t_to in node_times:
+            for u in (evolution.propagator(t_from, t_to), evolution.propagator(t_from, t_to)):
+                assert not u.flags.writeable
+                assert _same_bytes(u, fresh.propagator(t_from, t_to))

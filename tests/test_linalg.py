@@ -144,6 +144,48 @@ def test_decomposition_defects_matches_the_pairwise_oracle(monkeypatch, pairs):
             assert complete.tolist() == expected_complete
 
 
+def _damaged_member(p: np.ndarray, rng) -> np.ndarray:
+    """``p`` made a non-projector (scaled, skewed or NaN) or the zero matrix."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return p * (1 + 1e-6)
+    if kind == 1:
+        skew = np.zeros_like(p)
+        skew[0, -1] = 1e-6j
+        return p + skew
+    if kind == 2:
+        q = p.copy()
+        q[-1, -1] = np.nan
+        return q
+    return np.zeros_like(p)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("group_bytes", [0, None])
+def test_is_decomposition_matches_the_pairwise_oracle(monkeypatch, group_bytes):
+    # 0 sends every group through decomposition_defects; by default small
+    # groups take one batched product of their pairs i <= j.
+    if group_bytes is not None:
+        monkeypatch.setattr(linalg, "_GROUP_BYTES", group_bytes)
+    rng = np.random.default_rng(23)
+    verdicts = set()
+    for d in (2, 3, 4, 8):
+        for _ in range(15):
+            groups, _ = _groups_and_loose_rows(rng, d)
+            for group in groups:
+                if rng.random() < 0.3:
+                    k = int(rng.integers(len(group)))
+                    group = group[:k] + [_damaged_member(group[k], rng)] + group[k + 1:]
+                clashes, complete = oracle_defects(group, DEFAULT_TOL)
+                for allow_zero in (False, True):
+                    expected = (not clashes and complete and all(
+                        is_projector(p) and (allow_zero or max_abs(p) > DEFAULT_TOL)
+                        for p in group))
+                    assert is_decomposition(group, allow_zero=allow_zero) == expected
+                    verdicts.add(expected)
+    assert verdicts == {False, True}
+
+
 def test_decomposition_defects_reads_nan_as_incomplete_not_clashing():
     nan = P0.copy()
     nan[0, 0] = np.nan
