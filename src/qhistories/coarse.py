@@ -7,6 +7,12 @@ family that differ at a single position can be merged when the differing
 projectors are orthogonal, but then additivity of weights is a genuine
 question, answered by the pair's decoherence entry.  Merging histories
 from different branches is refused: no decomposition defines their sum.
+
+Both merges are linear in the chain operators: the merge of histories
+``a`` and ``b`` has the chain ``K_a + K_b``.  So the additivity checks
+build no merged history.  A sibling merge reads ``K_a`` and ``K_b`` from
+the family's kept leaf chains, and a product merge builds the pair's two
+chains, with no third for the sum.
 """
 
 from __future__ import annotations
@@ -95,8 +101,7 @@ def _sum_weights(k_1: np.ndarray, k_2: np.ndarray, rho,
     Chains are linear in each projector, so the chain of a merge that sums
     one projector of otherwise equal histories is ``k_1 + k_2``.
     """
-    w_sum, w_1, w_2 = _weights(np.stack([k_1 + k_2, k_1, k_2]), rho, tol).tolist()
-    return w_sum, w_1, w_2
+    return tuple(_weights(np.stack([k_1 + k_2, k_1, k_2]), rho, tol).tolist())
 
 
 def _sibling_weights(family: BranchingFamily, leaf_a: int, leaf_b: int,

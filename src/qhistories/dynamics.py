@@ -68,7 +68,7 @@ class _Memo(dict):
     def keep(self, key, u: np.ndarray) -> np.ndarray:
         """Remember ``u`` under ``key`` and return it as a read-only view."""
         if len(self) >= self.size:
-            del self[next(iter(self))]
+            self.pop(next(iter(self)), None)
         u = u.view()
         u.flags.writeable = False
         self[key] = u

@@ -464,10 +464,11 @@ def _nodes_in_bulk(raw_nodes: list, dim: int) -> _Nodes | None:
     numbers = _stack_numbers(projectors, dim)
     if numbers is None or not np.isfinite(times).all():
         return None
-    stack = np.zeros((len(raw_nodes), dim, dim), dtype=complex)
-    stack[[len(node) == 4 for node in raw_nodes]] = numbers.view(complex).reshape(-1, dim, dim)
     parents = list(map(dict.get, raw_nodes, itertools.repeat("parent")))
-    return _Nodes.of(tuple(ids), parents, times, stack)
+    nodes = _Nodes.of(tuple(ids), parents, times,
+                      np.zeros((len(raw_nodes), dim, dim), dtype=complex))
+    nodes.projectors[nodes.parent != -1] = numbers.view(complex).reshape(-1, dim, dim)
+    return nodes
 
 
 def _nodes_one_by_one(raw_nodes: list, dim: int) -> None:

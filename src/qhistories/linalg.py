@@ -38,11 +38,11 @@ DEFAULT_TOL = 1e-9
 # Bytes of pair products or summed rows per batch in decomposition_defects;
 # 64 MiB batches validated a dim-32, 1057-node family half as fast.
 _CHUNK_BYTES = 4 << 20
-# is_decomposition checks a group whose pair products take at most this
-# many bytes with one batched product.  Larger groups are as fast through
-# decomposition_defects, whose fixed cost is small beside their products,
-# and faster in a fresh process, where fresh temporaries of more than
-# glibc's 128 KiB mmap threshold each cost page faults (d = 32, k = 4).
+# is_decomposition checks a group whose k(k + 1)/2 pair products take at
+# most this many bytes with one batched product, at about half the cost of
+# decomposition_defects on small groups.  Past it the batched product was
+# slower in a fresh process (d = 32, k = 4: 160 KiB of products, 1.2-1.5x),
+# so larger groups go through decomposition_defects.
 _GROUP_BYTES = 96 << 10
 
 
@@ -143,7 +143,8 @@ def is_decomposition(projectors: Sequence, tol: float = DEFAULT_TOL,
 @cache
 def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows ``i`` and ``j`` of the pairs i <= j of k members, row by row,
-    and the positions of the pairs i == j among them."""
+    and the positions of the pairs i == j among them; ``_GROUP_BYTES``
+    keeps k below 111."""
     i, j = np.triu_indices(k)
     return i, j, np.flatnonzero(i == j)
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import haar_unitary, random_hermitian
-from qhistories import ConstantHamiltonian, PiecewiseUnitary, TrivialEvolution
+from qhistories import ConstantHamiltonian, PiecewiseUnitary, TrivialEvolution, dynamics
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -111,3 +111,29 @@ def test_piecewise_construction_errors():
                              ([-np.inf, 0.0, 0.5], "-inf"), ([0, 1, 10 ** 400], 10 ** 400)):
         with pytest.raises(ValueError, match=f"breakpoint {bad} is not finite"):
             PiecewiseUnitary(breakpoints, [u, u])
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_providers_remember_read_only_propagators(monkeypatch):
+    # Two entries at most: asking for a third step forgets the oldest,
+    # which is then computed again, equal in bytes to a fresh provider's.
+    monkeypatch.setattr(dynamics, "_MEMO_ENTRIES", 2)
+    rng = np.random.default_rng(26)
+    h = random_hermitian(3, rng)
+    table, us = _table(rng)
+    fresh_table = PiecewiseUnitary(table.breakpoints, us)
+    for prov, fresh in ((ConstantHamiltonian(h), ConstantHamiltonian(h)),
+                        (table, fresh_table), (TrivialEvolution(3), TrivialEvolution(3))):
+        first = prov.propagator(0.0, 2.0)
+        assert prov.propagator(0.0, 2.0) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 0.0
+        for t_from, t_to in ((2.0, 0.0), (1.0, 3.0), (0.0, 2.0), (0.0, -0.0), (1.0, 1.0)):
+            u = prov.propagator(t_from, t_to)
+            assert not u.flags.writeable
+            assert _same_bytes(u, fresh.propagator(t_from, t_to))
+    assert len(table._memo) == 2
+    assert _same_bytes(us[0], fresh_table.unitaries[0]) and us[0].flags.writeable

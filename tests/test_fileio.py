@@ -1041,6 +1041,21 @@ def test_node_list_mutations_match_the_node_by_node_oracle(case):
         assert list(map(_moment_bits, got.moments)) == list(map(_moment_bits, want))
 
 
+def test_roots_anywhere_in_the_node_list_load_as_the_oracle_reads_them():
+    # The child rows of the stack are the rows with a parent, wherever the
+    # roots stand.
+    doc = json.loads(serialize_family(random_family(np.random.default_rng(7), dim=2, max_depth=2,
+                                                    stop_probability=0.0)))
+    nodes = doc["nodes"]
+    assert "parent" not in nodes[0] and len(nodes) > 2
+    for order in (nodes, nodes[1:] + nodes[:1], nodes[::-1], nodes[:1],
+                  [*nodes, {"id": 999, "time": 5.0}]):
+        doc["nodes"] = order
+        got = load_document(json.dumps(doc))
+        assert list(map(_moment_bits, got.moments)) == list(
+            map(_moment_bits, load_nodes(order, doc["dim"])))
+
+
 # -- the node store --------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
