@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import family_decoherence_matrix, is_consistent, is_weakly_consistent, weight_table
-from .coarse import _merged_weights
+from .coarse import _sibling_weights, intra_branch_sum
 from .demos import branch_no_prod_family, fig2_family, isham_reversed_family
 from .errors import EmbeddingError, InvalidFamilyError, ParseError, TransBranchError
 from .fileio import export_dot, load_document, serialize_family
@@ -128,7 +128,8 @@ def _cmd_coarse(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        merged, w_a, w_b, w_sum, additive = _merged_weights(family, leaf_a, leaf_b, args.tol)
+        merged = intra_branch_sum(family, leaf_a, leaf_b, args.tol)
+        w_sum, w_a, w_b = _sibling_weights(family, leaf_a, leaf_b, args.tol)
     except TransBranchError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_TRANS_BRANCH
@@ -143,6 +144,7 @@ def _cmd_coarse(args) -> int:
     print(f"W(leaf {leaf_a}) = {_fmt(w_a)}")
     print(f"W(leaf {leaf_b}) = {_fmt(w_b)}")
     print(f"W(sum) = {_fmt(w_sum)}")
+    additive = abs(w_sum - (w_a + w_b)) <= args.tol
     print(f"additive within {args.tol:g}: {'yes' if additive else 'no'}")
     return EXIT_OK
 

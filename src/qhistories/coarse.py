@@ -12,7 +12,8 @@ Both merges are linear in the chain operators: the merge of histories
 ``a`` and ``b`` has the chain ``K_a + K_b``.  So the additivity checks
 build no merged history.  A sibling merge reads ``K_a`` and ``K_b`` from
 the family's kept leaf chains, and a product merge builds the pair's two
-chains, with no third for the sum.
+chains, with no third for the sum.  :func:`intra_branch_sum` reads a
+sibling merge's history from the family's node store at the caller's ``tol``.
 """
 
 from __future__ import annotations
@@ -72,14 +73,6 @@ def _sibling_leaves(family: BranchingFamily, leaf_a: int, leaf_b: int,
     return leaves.index(rows[0]), leaves.index(rows[1])
 
 
-def _merged_history(family: BranchingFamily, leaf_a: int, leaf_b: int) -> HistorySequence:
-    """The history of ``leaf_a`` with its last projector replaced by the sum
-    of the two leaves' projectors."""
-    base = family.history_of_leaf(leaf_a)
-    p = family.moment(leaf_a).projector + family.moment(leaf_b).projector
-    return HistorySequence(base.steps[:-1] + ((base.steps[-1][0], p),))
-
-
 def intra_branch_sum(family: BranchingFamily, leaf_a: int, leaf_b: int,
                      tol: float = DEFAULT_TOL) -> HistorySequence:
     """Merge two sibling leaves into one history.
@@ -90,8 +83,11 @@ def intra_branch_sum(family: BranchingFamily, leaf_a: int, leaf_b: int,
     the same leaf twice raise ValueError; leaves that do not share a
     parent raise :class:`TransBranchError`.
     """
-    _sibling_leaves(family, leaf_a, leaf_b, tol)
-    return _merged_history(family, leaf_a, leaf_b)
+    a, b = _sibling_leaves(family, leaf_a, leaf_b, tol)
+    steps = family.history_of_leaf(leaf_a, tol).steps
+    leaves, stack = family._tree.leaves, family._nodes.projectors
+    p = stack[leaves[a]] + stack[leaves[b]]
+    return HistorySequence._trusted(steps[:-1] + ((steps[-1][0], p),))
 
 
 def _sum_weights(k_1: np.ndarray, k_2: np.ndarray, rho,
@@ -125,14 +121,6 @@ def verify_intra_additivity(family: BranchingFamily, leaf_a: int, leaf_b: int,
     return abs(w_sum - (w_a + w_b)) <= tol
 
 
-def _merged_weights(family: BranchingFamily, leaf_a: int, leaf_b: int,
-                    tol: float) -> tuple[HistorySequence, float, float, float, bool]:
-    """The merge of two sibling leaves, W(a), W(b), W(merge), and whether they add within ``tol``."""
-    w_sum, w_a, w_b = _sibling_weights(family, leaf_a, leaf_b, tol)
-    merged = _merged_history(family, leaf_a, leaf_b)
-    return merged, w_a, w_b, w_sum, abs(w_sum - (w_a + w_b)) <= tol
-
-
 def _differing_slot(seq1: HistorySequence, seq2: HistorySequence, tol: float) -> int:
     """The one position where two summable histories differ; raises as
     :func:`product_sum` documents."""
@@ -141,6 +129,8 @@ def _differing_slot(seq1: HistorySequence, seq2: HistorySequence, tol: float) ->
             f"sequences have different lengths {len(seq1)} and {len(seq2)}")
     if len(seq1) == 0:
         raise ValueError("cannot sum empty sequences")
+    if seq1.dim != seq2.dim:
+        raise ValueError(f"sequences have different dimensions {seq1.dim} and {seq2.dim}")
     for k, (t1, t2) in enumerate(zip(seq1.times, seq2.times)):
         if abs(t1 - t2) > tol:
             raise ValueError(f"step {k}: times {t1} and {t2} differ")

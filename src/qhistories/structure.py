@@ -18,9 +18,9 @@ the times as floats and one read-only stack of the node projectors.  The
 depth-first structure of the tree (depths, levels, child counts, leaves)
 is a set of index arrays into those rows, built on first use, and so is
 the stack of a valid family's leaf chain operators.
-Validation, histories, the product-shape check, the chain operators, the
-history-space embedding and the document writer all read the store;
-:class:`Moment` objects are built only when a caller asks for one.
+Validation, all histories or one leaf's, the product-shape check, the chain
+operators, the history-space embedding and the document writer all read
+the store; :class:`Moment` objects are built only when a caller asks for one.
 """
 
 from __future__ import annotations
@@ -571,14 +571,16 @@ class BranchingFamily:
         return [HistorySequence._trusted(steps[r]) for r in tree.leaves.tolist()]
 
     def history_of_leaf(self, leaf_id: int, tol: float = DEFAULT_TOL) -> HistorySequence:
-        """The history ending at one particular leaf."""
+        """The history ending at one particular leaf, read up the parent rows."""
         self.ensure_valid(tol)
-        if not self.is_leaf(leaf_id):
+        rows, nodes = [self._row(leaf_id)], self._nodes
+        if self._tree.children[rows[0]]:
             raise ValueError(f"node {leaf_id} is not a leaf")
-        nodes = self.path(leaf_id)
+        while nodes.parent[rows[-1]] >= 0:
+            rows.append(nodes.parent[rows[-1]])
+        rows.reverse()
         return HistorySequence._trusted(tuple(
-            (parent.time, child.projector) for parent, child in zip(nodes, nodes[1:])
-        ))
+            zip(nodes.time[rows[:-1]].tolist(), [nodes.projectors[r] for r in rows[1:]])))
 
     def is_product_shaped(self, tol: float = DEFAULT_TOL) -> bool:
         """True iff the family could have come from a product construction.

@@ -160,6 +160,13 @@ def engineered_product_family(rng: np.random.Generator,
                         random_density(dim, rng), provider)
 
 
+def loose_qubit_family() -> BranchingFamily:
+    """Two qubit leaves, 1 and 2, whose projectors P0·(1 + 1e-7) and I minus
+    that decompose the identity within 1e-6 but not within 1e-9."""
+    p = np.diag([1.0 + 1e-7, 0.0])
+    return new_family(2, 0.0).extend(0, [p, np.eye(2) - p], [1.0, 1.0], tol=1e-6)
+
+
 def families_equal(f1: BranchingFamily, f2: BranchingFamily) -> bool:
     """Structural equality with bit-exact matrices (used for round trips)."""
     if f1.dim != f2.dim or len(f1.moments) != len(f2.moments):
@@ -409,16 +416,24 @@ def histories(family: BranchingFamily) -> list[HistorySequence]:
     return out
 
 
+def sibling_merge(family: BranchingFamily, leaf_a: int,
+                  leaf_b: int) -> tuple[HistorySequence, HistorySequence, HistorySequence]:
+    """The histories of two sibling leaves, taken from the walk oracle
+    ``histories``, and their merge, which ends in the sum of their last
+    projectors."""
+    leaves = [m.id for m in depth_first(family) if not family.children_of(m.id)]
+    hists = histories(family)
+    a, b = hists[leaves.index(leaf_a)], hists[leaves.index(leaf_b)]
+    (t, p), (_, q) = a.steps[-1], b.steps[-1]
+    return a, b, HistorySequence(a.steps[:-1] + ((t, p + q),))
+
+
 def sibling_merge_weights(family: BranchingFamily, leaf_a: int,
                           leaf_b: int) -> tuple[float, float, float]:
     """W(a), W(b) and W(a + b) of two sibling leaves, each the ``weight`` of
-    its own history: the two leaves' histories and their merge, which ends
-    in the sum of their last projectors."""
+    its own history from :func:`sibling_merge`."""
     evolution, rho = family.evolution, family.initial_state
-    a, b = family.history_of_leaf(leaf_a), family.history_of_leaf(leaf_b)
-    (t, p), (_, q) = a.steps[-1], b.steps[-1]
-    merged = HistorySequence(a.steps[:-1] + ((t, p + q),))
-    return weight(a, evolution, rho), weight(b, evolution, rho), weight(merged, evolution, rho)
+    return tuple(weight(h, evolution, rho) for h in sibling_merge(family, leaf_a, leaf_b))
 
 
 def product_merge_weights(seq1: HistorySequence, seq2: HistorySequence, evolution,

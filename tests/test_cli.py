@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import HOSTILE_DOCUMENTS
+from helpers import HOSTILE_DOCUMENTS, loose_qubit_family
 from qhistories import (
     BranchingFamily,
     Moment,
@@ -192,6 +192,17 @@ def test_coarse_trans_branch_exit(tmp_path, capsys):
     path = _write(tmp_path, branch_no_prod_family())
     assert main(["coarse", path, "--leaves", "3,5"]) == 3
     assert "trans-branch sum undefined" in capsys.readouterr().err
+
+
+def test_coarse_validates_at_the_given_tol(tmp_path, capsys):
+    # Valid within 1e-6, not within the default 1e-9.
+    path = _write(tmp_path, loose_qubit_family())
+    assert main(["coarse", path, "--tol", "1e-6", "--leaves", "1,2"]) == 0
+    out = capsys.readouterr().out
+    assert "sum of leaves 1 and 2 (parent 0):" in out
+    assert "additive within 1e-06: yes" in out
+    assert main(["coarse", path, "--leaves", "1,2"]) == 1
+    capsys.readouterr()
 
 
 def test_coarse_bad_leaf_list(tmp_path, capsys):

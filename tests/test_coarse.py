@@ -12,16 +12,19 @@ from helpers import (
     PROVIDER_KINDS,
     engineered_product_family,
     leaf_chains,
+    loose_qubit_family,
     product_merge_weights,
     random_decomposition,
     random_density,
     random_family,
+    sibling_merge,
     sibling_merge_weights,
 )
 from qhistories import (
     BranchingFamily,
     ConstantHamiltonian,
     HistorySequence,
+    InvalidFamilyError,
     PiecewiseUnitary,
     TransBranchError,
     TrivialEvolution,
@@ -37,7 +40,7 @@ from qhistories import (
     weight_table,
 )
 from qhistories import coarse
-from qhistories.coarse import _merged_weights
+from qhistories.coarse import _sibling_weights
 from qhistories.demos import P0, P1, P_MINUS, P_PLUS, branch_no_prod_family
 
 I2 = np.eye(2, dtype=complex)
@@ -117,6 +120,16 @@ def test_intra_branch_sum_argument_errors():
         intra_branch_sum(fam, 3, 99)
 
 
+def test_intra_branch_sum_validates_at_the_callers_tol():
+    fam = loose_qubit_family()
+    merged = intra_branch_sum(fam, 1, 2, tol=1e-6)
+    assert merged.times == (0.0,)
+    assert_allclose(merged.projectors[0], I2, rtol=0, atol=1e-15)
+    assert verify_intra_additivity(fam, 1, 2, tol=1e-6)
+    with pytest.raises(InvalidFamilyError):
+        intra_branch_sum(fam, 1, 2)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_intra_additivity_random_sibling_pairs(seed):
     fam = random_family(np.random.default_rng(5000 + seed))
@@ -166,6 +179,16 @@ def test_product_sum_errors():
         product_sum(s1, HistorySequence(((0.0, P0),)))
     with pytest.raises(ValueError, match="empty"):
         product_sum(HistorySequence(()), HistorySequence(()))
+
+
+def test_product_merges_of_mixed_dimensions_name_both():
+    # Refused before any arithmetic, where numpy would fail to broadcast.
+    s2 = HistorySequence(((0.0, P0),))
+    s3 = HistorySequence(((0.0, np.diag([1.0, 0.0, 0.0])),))
+    for merge in (lambda: product_sum(s2, s3),
+                  lambda: verify_product_additivity(s2, s3, TrivialEvolution(2), I2 / 2)):
+        with pytest.raises(ValueError, match="different dimensions 2 and 3"):
+            merge()
 
 
 def test_final_position_merge_is_always_additive():
@@ -239,6 +262,13 @@ def test_merges_build_no_chain_twice():
     with mock.patch.object(BranchingFamily, "path", side_effect=AssertionError), \
             mock.patch.object(BranchingFamily, "history_of_leaf", side_effect=AssertionError):
         assert verify_intra_additivity(fam, 5, 6)
+    # The merged history is read from the node store, through no Moment view.
+    expected = sibling_merge(fam, 5, 6)[2]
+    with mock.patch.object(BranchingFamily, "path", side_effect=AssertionError), \
+            mock.patch.object(BranchingFamily, "_views", side_effect=AssertionError):
+        merged = intra_branch_sum(fam, 5, 6)
+    assert merged.times == expected.times
+    assert all(_same_bytes(p, q) for p, q in zip(merged.projectors, expected.projectors))
     hists = engineered_product_family(np.random.default_rng(62), dim=2, steps=2).histories()
     with mock.patch.object(coarse, "chain_operator", wraps=coarse.chain_operator) as built:
         verify_product_additivity(hists[0], hists[1], fam.evolution, fam.initial_state)
@@ -278,10 +308,14 @@ def test_merges_from_chains_match_the_weight_oracle(seed, kind):
                 continue
             w_a, w_b, w_sum = sibling_merge_weights(fam, a.id, b.id)
             assert verify_intra_additivity(fam, a.id, b.id) == _additive(w_a, w_b, w_sum)
-            merged, *got, additive = _merged_weights(fam, a.id, b.id, 1e-9)
-            assert additive == _additive(w_a, w_b, w_sum)
-            assert_allclose(got, [w_a, w_b, w_sum], rtol=0, atol=1e-12)
-            assert merged.times == intra_branch_sum(fam, a.id, b.id).times
+            merged = intra_branch_sum(fam, a.id, b.id, 1e-9)
+            got_sum, got_a, got_b = _sibling_weights(fam, a.id, b.id, 1e-9)
+            assert _additive(got_a, got_b, got_sum) == _additive(w_a, w_b, w_sum)
+            assert_allclose([got_a, got_b, got_sum], [w_a, w_b, w_sum], rtol=0, atol=1e-12)
+            oracle = sibling_merge(fam, a.id, b.id)[2]
+            assert merged.times == oracle.times
+            assert len(merged) == len(oracle)
+            assert all(_same_bytes(p, q) for p, q in zip(merged.projectors, oracle.projectors))
 
     chains = fam._chains
     assert not chains.flags.writeable
