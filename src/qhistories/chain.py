@@ -25,6 +25,7 @@ its diagonal taken row by row.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -180,16 +181,25 @@ def family_decoherence_matrix(family: BranchingFamily,
     return _gram(family._chains, family.initial_state)
 
 
-def _offdiag(d: np.ndarray) -> np.ndarray:
-    d = np.asarray(d)
+def _off_diagonal_max(d, real_part: bool) -> float:
+    """Largest |D_ab| (or |Re D_ab|) over a != b, 0.0 when there is none.
+
+    NaN when a diagonal entry (its real part) is not finite, as the norm
+    of ``d - diag(d)`` reads it (inf - inf), without forming that matrix.
+    """
+    d = np.asarray(d, dtype=complex)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {d.shape}")
-    return d - np.diag(np.diag(d))
+    magnitudes = np.abs(d.real if real_part else d)
+    if not np.isfinite(magnitudes.diagonal()).all():
+        return math.nan
+    np.fill_diagonal(magnitudes, 0.0)
+    return float(magnitudes.max(initial=0.0))
 
 
 def is_consistent(d, tol: float = DEFAULT_TOL) -> bool:
     """Medium consistency: every off-diagonal entry vanishes within ``tol``."""
-    return max_abs(_offdiag(np.asarray(d, dtype=complex))) <= tol
+    return _off_diagonal_max(d, real_part=False) <= tol
 
 
 def is_weakly_consistent(d, tol: float = DEFAULT_TOL) -> bool:
@@ -198,7 +208,7 @@ def is_weakly_consistent(d, tol: float = DEFAULT_TOL) -> bool:
     Strictly weaker than medium consistency, so anything passing
     :func:`is_consistent` passes here too.
     """
-    return max_abs(_offdiag(np.asarray(d, dtype=complex)).real) <= tol
+    return _off_diagonal_max(d, real_part=True) <= tol
 
 
 def is_dynamically_impossible(seq: HistorySequence,

@@ -251,6 +251,24 @@ def hs_inner(rho, k1, k2) -> complex:
     return complex(np.trace(r @ a.conj().T @ b))
 
 
+def _off_diagonal(d) -> np.ndarray:
+    d = np.asarray(d, dtype=complex)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {d.shape}")
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal is NaN
+        return d - np.diag(np.diag(d))
+
+
+def is_consistent(d, tol: float = DEFAULT_TOL) -> bool:
+    """Medium consistency as the norm of ``d - diag(d)`` reads it."""
+    return max_abs(_off_diagonal(d)) <= tol
+
+
+def is_weakly_consistent(d, tol: float = DEFAULT_TOL) -> bool:
+    """Weak consistency as the norm of ``Re(d - diag(d))`` reads it."""
+    return max_abs(_off_diagonal(d).real) <= tol
+
+
 def decomposition_defects(mats, tol: float) -> tuple[list[tuple[int, int]], bool]:
     """Non-orthogonal index pairs of ``mats`` and whether they sum to the identity.
 

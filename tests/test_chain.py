@@ -1,11 +1,15 @@
 """Chain operators, weights and decoherence matrices."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import helpers
 from helpers import (
     PROVIDER_KINDS,
     haar_unitary,
@@ -268,6 +272,36 @@ def test_weak_consistency_is_weaker():
     d = np.array([[0.5, 0.3j], [-0.3j, 0.5]])
     assert is_weakly_consistent(d)
     assert not is_consistent(d)
+
+
+_PART = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-12, -5e-10, 2e-9, 0.25, -1.0, 1e300,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 5), data=st.data(),
+       tol=st.sampled_from([0.0, 1e-9, 1e-3, 1.0, math.inf]))
+def test_verdicts_match_the_difference_oracle(n, data, tol):
+    # NaN and inf anywhere, on the diagonal too, in either part.
+    parts = data.draw(st.lists(st.tuples(_PART, _PART), min_size=n * n, max_size=n * n))
+    d = np.array([complex(re, im) for re, im in parts], dtype=complex).reshape(n, n)
+    for m in (d, d.real):
+        assert is_consistent(m, tol) == helpers.is_consistent(m, tol)
+        assert is_weakly_consistent(m, tol) == helpers.is_weakly_consistent(m, tol)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2), ()])
+def test_verdicts_refuse_a_non_square_matrix(shape):
+    d = np.zeros(shape)
+    for verdict, oracle in ((is_consistent, helpers.is_consistent),
+                            (is_weakly_consistent, helpers.is_weakly_consistent)):
+        with pytest.raises(ValueError) as expected:
+            oracle(d)
+        with pytest.raises(ValueError) as got:
+            verdict(d)
+        assert str(got.value) == str(expected.value)
 
 
 def test_single_history_matrix():

@@ -1,9 +1,13 @@
 """End-to-end checks of the command line interface via ``main``."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import HOSTILE_DOCUMENTS, loose_qubit_family
 from qhistories import (
@@ -105,6 +109,21 @@ def test_bad_tol_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "1e309"])
+def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
+    # fig2 is valid; before the check these values made every command call
+    # it invalid (exit 1), as "not a projector" or "the zero matrix".
+    path = _write(tmp_path, fig2_family())
+    for argv in (["validate", path], ["weights", path], ["consistency", path],
+                 ["coarse", path, "--leaves", "3,4"], ["hpo-check", path]):
+        assert main(argv + [f"--tol={tol}"]) == 64
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == (f"qhistories {argv[0]}: error: argument --tol: "
+                           f"expected a finite number >= 0, got {tol!r}")
+    assert main(["validate", path, "--tol", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "OK"
+
+
 # -- weights ------------------------------------------------------------------
 
 def test_weights_human_format(tmp_path, capsys):
@@ -173,6 +192,78 @@ def test_consistency_rows_match_per_entry_format(tmp_path, capsys, monkeypatch):
     assert main(["consistency", _write(tmp_path, _inconsistent_family())]) == 2
     rows = capsys.readouterr().out.splitlines()[1:n + 1]
     assert rows == [" ".join(format(v, ".6g") for v in row) for row in np.abs(d)]
+
+
+def _per_entry_rows(d) -> str:
+    return "".join(" ".join(format(v, ".6g") for v in row) + "\n"
+                   for row in np.abs(d).tolist())
+
+
+def _hard_values(rng, kind: str, size: int) -> np.ndarray:
+    """Values around the cases a six-digit writer can get wrong."""
+    if kind == "bits":  # any float64, NaN and inf among them
+        return rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+    if kind == "tiny":  # exact zeros, subnormals and the smallest normals
+        return rng.choice([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                           1e-300, 1e-100, 9.9999951e-101], size=size)
+    if kind == "powers":  # 10^k, one ulp either side
+        v = np.array([float(f"1e{k}") for k in rng.integers(-300, 301, size=size)])
+    elif kind == "ties":  # seven significant digits ending in 5
+        digits = rng.integers(100000, 1000000, size=size) * 10 + 5
+        v = np.array([float(f"{q}e{k}") for q, k in zip(digits, rng.integers(-110, 110, size))])
+    else:  # "decades": values that round up to the next power of ten
+        v = np.array([float(f"9.99999{r}e{k}") for r, k in
+                      zip(rng.integers(4, 10, size=size), rng.integers(-110, 110, size))])
+    return np.nextafter(v, v * rng.choice([0.0, 2.0], size=size)) if rng.random() < 0.7 else v
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([(1, 1), (2, 3), (63, 63), (64, 64), (65, 65), (1, 4097), (3, 4500)]),
+       kinds=st.lists(st.sampled_from(["bits", "tiny", "powers", "ties", "decades"]),
+                      min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1), complex_input=st.booleans())
+def test_magnitude_rows_match_per_entry_format(shape, kinds, seed, complex_input):
+    # The row blocks hold about 4096 entries: 63^2 fits in one, 64^2 is one
+    # exactly, 65^2 takes two, and a row of 4097 or 4500 is wider than one.
+    rng = np.random.default_rng(seed)
+    size = shape[0] * shape[1]
+    d = np.choose(rng.integers(len(kinds), size=size),
+                  [_hard_values(rng, kind, size) for kind in kinds]).reshape(shape)
+    if complex_input:  # |0 + di| = |d|, through the complex absolute value
+        z = np.zeros(shape, dtype=complex)
+        z.imag = d
+        d = z
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_magnitudes(d)
+    assert out.getvalue() == _per_entry_rows(d)
+
+
+def test_typical_magnitudes_never_reach_the_per_entry_fallback(tmp_path, capsys, monkeypatch):
+    # |D| as product families give it: 1e-19..1, with exact zeros.  A slide
+    # back to per-entry formatting would keep the bytes and lose the speed,
+    # so count the calls of the fallback, cli's own format().
+    rng = np.random.default_rng(64)
+    n = 64
+    d = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * 10.0 ** rng.uniform(
+        -19, 0, size=(n, n))
+    d[rng.random((n, n)) < 0.2] = 0.0
+    calls = []
+
+    def counting_format(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(cli, "format", counting_format, raising=False)
+    monkeypatch.setattr("qhistories.cli.family_decoherence_matrix", lambda fam, tol: d)
+    path = _write(tmp_path, _inconsistent_family())
+    assert main(["consistency", path]) == 2
+    assert capsys.readouterr().out.splitlines()[1:n + 1] == _per_entry_rows(d).splitlines()
+    assert calls == []
+    d[3, 5] = np.nan  # the counter does see the fallback
+    assert main(["consistency", path]) == 2
+    assert capsys.readouterr().out.splitlines()[1:n + 1] == _per_entry_rows(d).splitlines()
+    assert len(calls) == 1 and np.isnan(calls[0])
 
 
 # -- coarse -------------------------------------------------------------------
