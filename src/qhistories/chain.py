@@ -13,8 +13,8 @@ batched product over the family's projector stack.  The leaves' chains
 form a stack ``K`` of shape ``(n, d, d)``, computed once per family and
 kept by it, read-only, for every later weight table, decoherence matrix
 and sibling merge.  Each propagator is computed once per provider: the
-providers remember them, and a pass asks for each distinct pair of
-times once.
+providers remember them, and a tree level asks for each distinct pair
+of times once.
 
 Weights and decoherence entries are the Gell-Mann--Hartle decoherence
 functional ``D_ab = Tr[rho K_a^dag K_b]``.  With ``A = K`` and
@@ -76,10 +76,10 @@ def _leaf_chains(family: BranchingFamily) -> np.ndarray:
     One pass per tree level: the root's chain is the identity and a
     level's chains are, in one batched product, its projectors times the
     chains their parents carry, where a node ``p`` below ``g`` carries
-    ``U(t_g, t_p) K_p`` and the root carries its identity.  The provider
-    is asked once per distinct ``(t_from, t_to)``.  A bare root yields one
-    identity.  Each call computes afresh; ``BranchingFamily._chains``
-    keeps the first result.
+    ``U(t_g, t_p) K_p`` and the root carries its identity.  The provider,
+    which remembers its propagators, is asked once per level and distinct
+    ``(t_from, t_to)``.  A bare root yields one identity.  Each call
+    computes afresh; ``BranchingFamily._chains`` keeps the first result.
     """
     nodes, tree = family._nodes, family._tree
     children, parent = tree.children.tolist(), nodes.parent.tolist()
@@ -87,7 +87,6 @@ def _leaf_chains(family: BranchingFamily) -> np.ndarray:
     # chains[r]: node r's chain, carried forward by its propagator if r has children.
     chains = np.empty(nodes.projectors.shape, dtype=complex)
     chains[tree.levels[0]] = np.eye(family.dim)
-    propagators: dict[tuple[float, float], np.ndarray] = {}
     # ``take`` gathers rows at a fraction of fancy indexing's fixed cost.
     for rows in tree.levels[1:]:
         parents = chains.take(nodes.parent[rows], axis=0)
@@ -97,9 +96,7 @@ def _leaf_chains(family: BranchingFamily) -> np.ndarray:
             if children[r]:
                 groups.setdefault((times[parent[r]], times[r]), []).append(r)
         for key, sel in groups.items():
-            if key not in propagators:
-                propagators[key] = family.evolution.propagator(*key)
-            chains[sel] = propagators[key] @ chains.take(sel, axis=0)
+            chains[sel] = family.evolution.propagator(*key) @ chains.take(sel, axis=0)
     return chains[tree.leaves]
 
 
@@ -120,6 +117,9 @@ def _weights(ks: np.ndarray, rho, tol: float) -> np.ndarray:
     """Weights of a stack of chains, checked and clamped as :func:`weight` says."""
     a, b = _flat_sides(ks, rho)
     values = np.einsum("ij,ij->i", a.conj(), b)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"weight {values[~finite][0]} is not finite")
     imag = values.imag[np.abs(values.imag) > tol]
     if imag.size:
         raise ValueError(f"weight has imaginary part {imag[0]}")
@@ -142,7 +142,8 @@ def weight(seq: HistorySequence, evolution: EvolutionProvider, rho,
 
     The value is real and nonnegative up to roundoff; tiny negative
     values (above ``-tol``) are clamped to zero, anything worse is an
-    error, as is a non-negligible imaginary part.
+    error, as is a non-negligible imaginary part or a value that is not
+    finite.
     """
     return float(_weights(chain_operator(seq, evolution)[np.newaxis], rho, tol)[0])
 

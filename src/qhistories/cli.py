@@ -70,12 +70,9 @@ def _load(path: str, tol: float):
 
 
 def _load_valid(path: str, tol: float):
+    """:func:`_load`, then the validity check; ``main`` maps its refusal to exit 1."""
     family = _load(path, tol)
-    try:
-        family.ensure_valid(tol)
-    except InvalidFamilyError as exc:
-        print(str(exc), file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+    family.ensure_valid(tol)
     return family
 
 

@@ -68,14 +68,13 @@ from typing import Sequence
 import numpy as np
 
 from .chain import weight
-from .dynamics import TrivialEvolution
+from .dynamics import TrivialEvolution, _finite_times
 from .errors import EmbeddingError
 from .linalg import (
     _CHUNK_BYTES,
     DEFAULT_TOL,
     _projector_norms,
     as_operator,
-    decomposition_defects,
     is_projector,
     kron_all,
     max_abs,
@@ -232,7 +231,7 @@ def _slot_times(slots: int, slot_times: Sequence[float], base_dim: int) -> tuple
         raise ValueError("a history projector needs at least one slot")
     if base_dim < 1:
         raise ValueError(f"base dimension must be positive, got {base_dim}")
-    times = tuple(float(t) for t in slot_times)
+    times = tuple(_finite_times(slot_times, "slot time"))
     if len(times) != slots:
         raise ValueError(
             f"{slots} slots need {slots} slot times, got {len(times)}")
@@ -355,34 +354,26 @@ def is_hpo_family(members, tol: float = DEFAULT_TOL) -> bool:
     their shared leading factors (see the module docstring), with the
     exact factor products or the dense total where a bound exceeds
     ``tol``; a dense total over the byte budget raises ``ValueError``.  A
-    family with a dense member is checked on dense matrices throughout,
-    one batch of them at a time.
+    family with a dense member takes the dense total for completeness and
+    the dense products pair by pair for orthogonality.
     """
     if not isinstance(members, HPOFamily):
         members = HPOFamily(tuple(members))
-    if any(m._stack is None for m in members.members):
-        clashes, complete = decomposition_defects(_Matrices(members.members),
-                                                  [0, len(members)], tol)
-        return not len(clashes) and bool(complete[0])
+    ms = members.members
+    if any(m._stack is None for m in ms):
+        total = _dense_sum(ms, members.dim)
+        total.flat[::members.dim + 1] -= 1.0
+        if not max_abs(total) <= tol:
+            return False
+        for i, m in enumerate(ms[:-1]):
+            left = m.matrix
+            if any(max_abs(left @ other.matrix) > tol for other in ms[i + 1:]):
+                return False
+        return True
     verdict, _ = _tree_verdict(members, tol)
     if verdict is None:
         _check_dense(members.dim)  # raises: the total is over budget
     return verdict
-
-
-class _Matrices:
-    """The members' dense matrices as a sequence, each built when indexed."""
-
-    def __init__(self, members: Sequence[HistoryProjector]):
-        self._members = members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return np.stack([m.matrix for m in self._members[k]])
-        return self._members[k].matrix
 
 
 def _tree_verdict(family: HPOFamily, tol: float) -> tuple[bool | None, float]:

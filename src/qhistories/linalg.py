@@ -103,18 +103,9 @@ def is_density_matrix(m, tol: float = DEFAULT_TOL) -> bool:
     return bool(eigenvalues.min() >= -tol)
 
 
-def is_decomposition(projectors: Sequence, tol: float = DEFAULT_TOL,
-                     allow_zero: bool = False) -> bool:
-    """True iff ``projectors`` are mutually orthogonal projectors summing to the identity.
-
-    Parameters
-    ----------
-    projectors : sequence of matrices
-        The candidate decomposition, all of one dimension.
-    tol : float
-        Max-entry tolerance for every sub-check.
-    allow_zero : bool
-        Zero members are rejected by default; pass True to permit them.
+def is_decomposition(projectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
+    """True iff ``projectors`` are mutually orthogonal nonzero projectors
+    summing to the identity, every check within the max-entry ``tol``.
 
     Raises ``ValueError`` on an empty sequence or mixed dimensions.
     """
@@ -128,7 +119,7 @@ def is_decomposition(projectors: Sequence, tol: float = DEFAULT_TOL,
     if k * (k + 1) * 8 * d * d > _GROUP_BYTES:  # k(k + 1)/2 products of 16 d^2 bytes
         size, _, herm, idem = _projector_norms(stack)
         clashes, complete = decomposition_defects(stack, [0, k], tol)
-        return bool(np.all((herm <= tol) & (idem <= tol) & (allow_zero | ~(size <= tol)))
+        return bool(np.all((herm <= tol) & (idem <= tol) & ~(size <= tol))
                     and not len(clashes) and complete[0])
     i, j, same = _upper_pairs(k)
     products = stack[i] @ stack[j]
@@ -137,7 +128,7 @@ def is_decomposition(projectors: Sequence, tol: float = DEFAULT_TOL,
     total.flat[::d + 1] -= 1
     return bool(max_abs(products) <= tol and max_abs(total) <= tol
                 and max_abs(stack - stack.conj().transpose(0, 2, 1)) <= tol
-                and (allow_zero or not (np.abs(stack).max(axis=(1, 2)) <= tol).any()))
+                and not (np.abs(stack).max(axis=(1, 2)) <= tol).any())
 
 
 @cache
@@ -156,13 +147,12 @@ def _projector_norms(stack: np.ndarray) -> np.ndarray:
                             square - stack])).max(axis=(2, 3))
 
 
-def decomposition_defects(stack, bounds: Sequence[int],
+def decomposition_defects(stack: np.ndarray, bounds: Sequence[int],
                           tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Non-orthogonal pairs, and completeness, of groups of rows of a stack.
 
-    ``stack`` is an (n, d, d) array or a sequence of (d, d) arrays, never
-    stacked whole.  Group g is rows ``bounds[g]:bounds[g + 1]``, not empty;
-    rows from ``bounds[-1]`` on are in no group.  Returns the (k, 2) array
+    ``stack`` is an (n, d, d) array.  Group g is rows ``bounds[g]:bounds[g + 1]``,
+    not empty; rows from ``bounds[-1]`` on are in no group.  Returns the (k, 2) array
     of pairs i < j in one group with max|P_i P_j| > tol, in lexicographic
     order, and for each group whether max|sum - I| <= tol.  Products and
     partial sums are formed at most ``_CHUNK_BYTES`` at a time.
@@ -170,12 +160,9 @@ def decomposition_defects(stack, bounds: Sequence[int],
     bounds = np.asarray(bounds, dtype=np.intp)
     if bounds[-1] == 0:
         return np.empty((0, 2), dtype=np.intp), np.ones(0, dtype=bool)
-    d = stack[0].shape[0]
+    d = stack.shape[1]
     chunk = max(1, _CHUNK_BYTES // (16 * d * d))
     group = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-
-    def take(rows: np.ndarray) -> np.ndarray:
-        return stack[rows] if isinstance(stack, np.ndarray) else np.stack([stack[r] for r in rows])
 
     # Row i pairs with the later rows of its group: pairs first[i] onwards.
     later = bounds[1:][group] - np.arange(len(group)) - 1
@@ -185,7 +172,7 @@ def decomposition_defects(stack, bounds: Sequence[int],
         k = np.arange(k0, min(k0 + chunk, pairs))
         i = np.searchsorted(first, k, side="right") - 1
         j = i + 1 + k - first[i]
-        bad = np.abs(take(i) @ take(j)).max(axis=(1, 2)) > tol
+        bad = np.abs(stack[i] @ stack[j]).max(axis=(1, 2)) > tol
         clashes.append(np.stack([i[bad], j[bad]], axis=1))
 
     sums = np.zeros((len(bounds) - 1, d, d), dtype=complex)
@@ -206,15 +193,14 @@ def require_projector(m, tol: float = DEFAULT_TOL, what: str = "projector") -> n
 
 
 def require_decomposition(projectors: Sequence, dim: int | None = None,
-                          tol: float = DEFAULT_TOL,
-                          allow_zero: bool = False) -> list[np.ndarray]:
+                          tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Coerce and return a decomposition of the identity, raising on failure."""
     mats = [as_operator(p) for p in projectors]
     if mats and dim is not None and mats[0].shape[0] != dim:
         raise ValueError(
             f"decomposition dimension {mats[0].shape[0]} does not match expected {dim}"
         )
-    if not is_decomposition(mats, tol, allow_zero=allow_zero):
+    if not is_decomposition(mats, tol):
         raise ValueError(
             "projectors do not form a decomposition of the identity "
             f"within tol={tol}"

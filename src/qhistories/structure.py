@@ -106,7 +106,7 @@ class HistorySequence:
                 t, p = step
             except (TypeError, ValueError):
                 raise ValueError(f"step {k}: expected a (time, projector) pair")
-            normalized.append((float(t), as_operator(p)))
+            normalized.append((_finite_times([t], "step time")[0], as_operator(p)))
         times = [t for t, _ in normalized]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"step times must be strictly increasing, got {times}")
@@ -253,7 +253,7 @@ class BranchingFamily:
             tuple(m.id for m in moments), [m.parent for m in moments], times, stack,
             {r: m for r, m in enumerate(moments)
              if (m.projector is not None if m.parent is None else not m._carries(shape))})
-        # Smallest tolerance this family is known to validate at, if any.
+        # The tolerance of the latest passing validation, if any.
         self._valid_tol: float | None = None
 
     @classmethod
@@ -310,16 +310,6 @@ class BranchingFamily:
     def is_leaf(self, node_id: int) -> bool:
         return not (self._nodes.parent == self._row(node_id)).any()
 
-    def path(self, node_id: int) -> list[Moment]:
-        """Moments from the root down to ``node_id`` inclusive, read up the parent rows."""
-        parent = self._nodes.parent
-        rows = [self._row(node_id)]
-        while parent[rows[-1]] >= 0 and len(rows) <= len(parent):
-            rows.append(int(parent[rows[-1]]))
-        if parent[rows[-1]] != -1:  # a missing parent, or a cycle
-            raise ValueError(f"broken parent chain above node {node_id}")
-        return list(self._views(rows[::-1]))
-
     @cached_property
     def _tree(self) -> _Tree:
         """The family's :class:`_Tree`, built on first use."""
@@ -375,15 +365,17 @@ class BranchingFamily:
 
     # -- validation ------------------------------------------------------
 
-    def validate(self, tol: float = DEFAULT_TOL,
-                 allow_zero_projectors: bool = False) -> ValidationReport:
+    def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
         """Check every family invariant and report all violations found.
 
         Checks, in order: tree shape (single root, known parents, no
-        unreachable nodes), projector placement and shape, strict time
-        growth along edges, the decomposition property of every sibling
-        group (one stacked check for all), the initial state, and
-        agreement between the family and its evolution provider.
+        unreachable nodes), projector placement, shape and size (a zero
+        projector is an issue), strict time growth along edges, the
+        decomposition property of every sibling group (one stacked check
+        for all), the initial state, and agreement between the family and
+        its evolution provider.  A passing run marks the family valid at
+        ``tol``: the zero check tightens as ``tol`` grows, the others loosen,
+        so the mark says nothing about any other tolerance.
         """
         nodes, tree = self._nodes, self._tree
         ids, parent, times, misfits = nodes.ids, nodes.parent, nodes.time.tolist(), nodes.misfits
@@ -420,7 +412,7 @@ class BranchingFamily:
             elif not is_proj[r]:
                 issues.append(ValidationIssue(
                     "projector", (ids[r],), "matrix is not a projector within tol"))
-            elif not allow_zero_projectors and size[r] <= tol:
+            elif size[r] <= tol:
                 issues.append(ValidationIssue(
                     "zero-projector", (ids[r],), "projector is the zero matrix"))
             if p >= 0 and not (times[r] > times[p]):
@@ -470,15 +462,14 @@ class BranchingFamily:
                     f"of the unitary table"))
 
         report = ValidationReport(tuple(issues))
-        # A relaxed pass may have let zero projectors through.
-        if (report.ok and not allow_zero_projectors
-                and (self._valid_tol is None or tol < self._valid_tol)):
+        if report.ok:
             self._valid_tol = tol
         return report
 
     def ensure_valid(self, tol: float = DEFAULT_TOL) -> None:
-        """Raise :class:`InvalidFamilyError` unless the family validates at ``tol``."""
-        if self._valid_tol is not None and tol >= self._valid_tol:
+        """Raise :class:`InvalidFamilyError` unless the family validates at ``tol``;
+        a family marked valid at exactly ``tol`` is not checked again."""
+        if tol == self._valid_tol:
             return
         report = self.validate(tol)
         if not report.ok:
@@ -492,13 +483,13 @@ class BranchingFamily:
                 or self.evolution.covers(t))
 
     def _grown(self, leaves: Sequence[int], mats: Sequence[np.ndarray], times: Sequence[float],
-               tol: float, zero_free: bool) -> "BranchingFamily":
+               tol: float) -> "BranchingFamily":
         """This family with the decomposition ``mats`` below each of ``leaves``,
         the new nodes at ``times`` with ids from one above the largest.
 
         The decomposition must have been checked at ``tol``.  The validity
-        mark carries over unless zero members were allowed or the dynamics
-        cannot branch at a leaf's time.
+        mark carries over only if this family is marked valid at that same
+        ``tol`` and the dynamics can branch at every leaf's time.
         """
         nodes, first, k = self._nodes, self._next_id, len(leaves) * len(mats)
         ids = tuple(range(first, first + k))
@@ -511,9 +502,9 @@ class BranchingFamily:
             projectors=np.concatenate([nodes.projectors, *[stack] * len(leaves)]))
         fam = BranchingFamily._trusted(self.dim, grown, self.initial_state, self.evolution)
         fam._next_id = first + k
-        if (self._valid_tol is not None and tol <= self._valid_tol and zero_free
-                and all(self._can_branch_at(t) for t in nodes.time[leaves].tolist())):
-            fam._valid_tol = self._valid_tol
+        if tol == self._valid_tol and all(self._can_branch_at(t)
+                                          for t in nodes.time[leaves].tolist()):
+            fam._valid_tol = tol
         return fam
 
     @cached_property
@@ -522,8 +513,7 @@ class BranchingFamily:
         return max(self._nodes.ids) + 1
 
     def extend(self, leaf_id: int, projectors: Sequence,
-               child_times: Sequence[float], tol: float = DEFAULT_TOL,
-               allow_zero: bool = False) -> "BranchingFamily":
+               child_times: Sequence[float], tol: float = DEFAULT_TOL) -> "BranchingFamily":
         """Return a new family with a decomposition attached below a leaf.
 
         ``projectors`` must form a decomposition of the identity and each
@@ -535,8 +525,7 @@ class BranchingFamily:
         leaf = self._row(leaf_id)
         if not self.is_leaf(leaf_id):
             raise ValueError(f"node {leaf_id} is not a leaf")
-        mats = require_decomposition(projectors, dim=self.dim, tol=tol,
-                                     allow_zero=allow_zero)
+        mats = require_decomposition(projectors, dim=self.dim, tol=tol)
         times = _finite_times(child_times, "child time")
         if len(times) != len(mats):
             raise ValueError(
@@ -547,7 +536,7 @@ class BranchingFamily:
             if not (t > leaf_time):
                 raise ValueError(
                     f"child time {t} is not after the leaf time {leaf_time}")
-        return self._grown([leaf], mats, times, tol, zero_free=not allow_zero)
+        return self._grown([leaf], mats, times, tol)
 
     # -- histories -------------------------------------------------------
 
@@ -619,9 +608,8 @@ def new_family(dim: int, root_time: float, initial_state="maximally_mixed",
     if isinstance(initial_state, str):
         if initial_state != "maximally_mixed":
             raise ValueError(f"unknown initial state {initial_state!r}")
-        state = maximally_mixed(dim)
-    else:
-        state = require_density_matrix(initial_state, dim=dim, tol=tol)
+        initial_state = maximally_mixed(dim)  # its trace may miss 1 by an ulp
+    state = require_density_matrix(initial_state, dim=dim, tol=tol)
     if evolution is None:
         evolution = TrivialEvolution(dim)
     if evolution.dim != dim:
@@ -664,6 +652,6 @@ def from_product(dim: int, times: Sequence[float], decompositions: Sequence[Sequ
     width = 1
     for mats, t_next in zip(levels, ts[1:] + [ts[-1] + 1.0]):
         fam = fam._grown(range(len(fam) - width, len(fam)), mats,
-                         [t_next] * (width * len(mats)), tol, zero_free=True)
+                         [t_next] * (width * len(mats)), tol)
         width *= len(mats)
     return fam

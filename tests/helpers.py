@@ -285,8 +285,7 @@ def decomposition_defects(mats, tol: float) -> tuple[list[tuple[int, int]], bool
     return clashes, max_abs(total - np.eye(total.shape[0])) <= tol
 
 
-def validate(fam: BranchingFamily, tol: float = DEFAULT_TOL,
-             allow_zero_projectors: bool = False) -> ValidationReport:
+def validate(fam: BranchingFamily, tol: float = DEFAULT_TOL) -> ValidationReport:
     """``BranchingFamily.validate`` written node by node and pair by pair."""
     issues: list[ValidationIssue] = []
     by_id = {m.id: m for m in fam.moments}
@@ -330,7 +329,7 @@ def validate(fam: BranchingFamily, tol: float = DEFAULT_TOL,
         elif not is_projector(m.projector, tol):
             issues.append(ValidationIssue(
                 "projector", (m.id,), "matrix is not a projector within tol"))
-        elif not allow_zero_projectors and max_abs(m.projector) <= tol:
+        elif max_abs(m.projector) <= tol:
             issues.append(ValidationIssue(
                 "zero-projector", (m.id,), "projector is the zero matrix"))
         parent = by_id.get(m.parent)

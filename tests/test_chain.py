@@ -103,6 +103,18 @@ def test_evolved_state_empty_sequence_returns_state():
     assert_allclose(evolved_state(HistorySequence(()), TrivialEvolution(2), rho), rho)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "nan-imag"])
+def test_weight_refuses_non_finite_values(bad):
+    # Checks written as > tol and < -tol let NaN through as a weight.
+    p = P0.copy()
+    p[0, 0] = bad
+    for rho in (np.eye(2) / 2, RHO0):
+        with pytest.raises(ValueError, match="is not finite"):
+            weight(HistorySequence(((0.0, p), (1.0, P0))), TrivialEvolution(2), rho)
+
+
 def test_weight_table_binary_mixed():
     fam = new_family(2, 0.0).extend(0, [P0, P1], [1.0, 1.0])
     assert_allclose(weight_table(fam), [0.5, 0.5])
@@ -155,8 +167,8 @@ def _reference_decoherence(family):
     return np.array([[hs_inner(rho, ka, kb) for kb in ks] for ka in ks])
 
 
-def _leaf_depths(family):
-    return {len(family.path(leaf.id)) for leaf in family.leaves()}
+def _history_lengths(family):
+    return {len(h) for h in family.histories()}
 
 
 @pytest.mark.parametrize("kind", PROVIDER_KINDS)
@@ -167,7 +179,7 @@ def test_family_matrices_match_per_history_definition(kind):
         ref = _reference_decoherence(fam)
         assert np.max(np.abs(family_decoherence_matrix(fam) - ref)) <= 1e-12
         assert np.max(np.abs(weight_table(fam) - ref.diagonal().real)) <= 1e-12
-        unequal_depths += len(_leaf_depths(fam)) > 1
+        unequal_depths += len(_history_lengths(fam)) > 1
     assert unequal_depths > 0
 
 
@@ -190,7 +202,7 @@ def test_unitary_table_interval_shared_by_branches():
     fam = fam.extend(2, random_decomposition(2, 2, rng), [3.0, 3.0])
     fam = fam.extend(3, random_decomposition(2, 2, rng), [3.0, 3.0])
     fam = fam.extend(4, random_decomposition(2, 2, rng), [3.0, 3.0])
-    assert _leaf_depths(fam) == {3, 4}
+    assert _history_lengths(fam) == {2, 3}
     ref = _reference_decoherence(fam)
     assert np.max(np.abs(family_decoherence_matrix(fam) - ref)) <= 1e-12
     assert np.max(np.abs(weight_table(fam) - ref.diagonal().real)) <= 1e-12
@@ -229,7 +241,7 @@ def _branching_under_count(rng):
     fam = fam.extend(1, random_decomposition(2, 2, rng), [2.0, 2.0])
     for leaf in (2, 3, 4):
         fam = fam.extend(leaf, random_decomposition(2, 2, rng), [3.0, 3.0])
-    assert _leaf_depths(fam) == {3, 4}
+    assert _history_lengths(fam) == {2, 3}
     return fam, counting, [(0.0, 1.0), (0.0, 2.0), (1.0, 2.0)]
 
 

@@ -256,16 +256,14 @@ def test_product_sum_weight_matches_event_probability_when_consistent():
 # -- merges read from chains --------------------------------------------------
 
 def test_merges_build_no_chain_twice():
-    # A sibling merge reads the family's leaf chains and walks no path; a
-    # product merge builds the pair's two chains and adds them.
+    # A sibling merge reads the family's leaf chains and builds no history;
+    # a product merge builds the pair's two chains and adds them.
     fam = branch_no_prod_family()
-    with mock.patch.object(BranchingFamily, "path", side_effect=AssertionError), \
-            mock.patch.object(BranchingFamily, "history_of_leaf", side_effect=AssertionError):
+    with mock.patch.object(BranchingFamily, "history_of_leaf", side_effect=AssertionError):
         assert verify_intra_additivity(fam, 5, 6)
     # The merged history is read from the node store, through no Moment view.
     expected = sibling_merge(fam, 5, 6)[2]
-    with mock.patch.object(BranchingFamily, "path", side_effect=AssertionError), \
-            mock.patch.object(BranchingFamily, "_views", side_effect=AssertionError):
+    with mock.patch.object(BranchingFamily, "_views", side_effect=AssertionError):
         merged = intra_branch_sum(fam, 5, 6)
     assert merged.times == expected.times
     assert all(_same_bytes(p, q) for p, q in zip(merged.projectors, expected.projectors))

@@ -254,6 +254,19 @@ def test_history_projector_validation():
         HistoryProjector(np.eye(4), 2, (1.0, 0.0), 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "overflow"])
+def test_history_projectors_refuse_non_finite_times(bad):
+    for slots, times in ((1, (bad,)), (2, (0.0, bad)), (2, (bad, 0.0))):
+        with pytest.raises(ValueError, match=f"slot time {bad} is not finite"):
+            HistoryProjector(np.eye(2 ** slots), slots, times, 2)
+    with pytest.raises(ValueError, match=f"step time {bad} is not finite"):
+        embed(HistorySequence(((0.0, P0), (bad, P1))))
+    # embed checks the times of a sequence that skipped the constructor too.
+    with pytest.raises(ValueError, match=f"slot time {bad} is not finite"):
+        embed(HistorySequence._trusted(((0.0, P0), (bad, P1))))
+
+
 def test_is_homogeneous_long_history_fits_in_one_gib():
     # The first Schmidt split of an 8-slot qubit history is 4 x 16384; a
     # full right singular factor of it alone would take 4 GiB.  The dense

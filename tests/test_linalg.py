@@ -77,9 +77,11 @@ def test_is_decomposition_basic_cases():
 
 
 def test_is_decomposition_zero_member_flag():
-    members = [np.zeros((2, 2)), I2]
-    assert not is_decomposition(members)
-    assert is_decomposition(members, allow_zero=True)
+    # A zero member is never part of a decomposition; at a large tol, a
+    # member whose entries are all within tol counts as zero.
+    assert not is_decomposition([np.zeros((2, 2)), I2])
+    assert is_decomposition([P_PLUS, P_MINUS], tol=0.4)
+    assert not is_decomposition([P_PLUS, P_MINUS], tol=0.5)
 
 
 def test_is_decomposition_input_errors():
@@ -95,7 +97,6 @@ def test_is_decomposition_rejects_nan_and_inf_members():
         member = P0.copy()
         member[1, 1] = bad
         assert not is_decomposition([member, P1])
-        assert not is_decomposition([member, P1], allow_zero=True)
 
 
 def _groups_and_loose_rows(rng, d):
@@ -138,10 +139,9 @@ def test_decomposition_defects_matches_the_pairwise_oracle(monkeypatch, pairs):
             expected_complete.append(complete)
         assert expected_pairs[:2] == [[0, 3], [1, 2]]
         rows = [p for g in groups for p in g] + loose
-        for stack in (np.stack(rows), rows):
-            clashes, complete = decomposition_defects(stack, bounds, DEFAULT_TOL)
-            assert clashes.tolist() == expected_pairs
-            assert complete.tolist() == expected_complete
+        clashes, complete = decomposition_defects(np.stack(rows), bounds, DEFAULT_TOL)
+        assert clashes.tolist() == expected_pairs
+        assert complete.tolist() == expected_complete
 
 
 def _damaged_member(p: np.ndarray, rng) -> np.ndarray:
@@ -177,12 +177,10 @@ def test_is_decomposition_matches_the_pairwise_oracle(monkeypatch, group_bytes):
                     k = int(rng.integers(len(group)))
                     group = group[:k] + [_damaged_member(group[k], rng)] + group[k + 1:]
                 clashes, complete = oracle_defects(group, DEFAULT_TOL)
-                for allow_zero in (False, True):
-                    expected = (not clashes and complete and all(
-                        is_projector(p) and (allow_zero or max_abs(p) > DEFAULT_TOL)
-                        for p in group))
-                    assert is_decomposition(group, allow_zero=allow_zero) == expected
-                    verdicts.add(expected)
+                expected = (not clashes and complete and all(
+                    is_projector(p) and max_abs(p) > DEFAULT_TOL for p in group))
+                assert is_decomposition(group) == expected
+                verdicts.add(expected)
     assert verdicts == {False, True}
 
 

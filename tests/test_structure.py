@@ -33,6 +33,7 @@ from qhistories import (
     embed_family,
     family_decoherence_matrix,
     from_product,
+    load_document,
     maximally_mixed,
     new_family,
     serialize_family,
@@ -61,6 +62,15 @@ def test_sequence_rejects_bad_times_and_dims():
         HistorySequence(((1.0, P0), (1.0, P1)))
     with pytest.raises(ValueError, match="mixed"):
         HistorySequence(((0.0, P0), (1.0, np.eye(3))))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "overflow"])
+def test_sequence_refuses_non_finite_times(bad):
+    # A NaN step time passed the order check, and its weight came out NaN.
+    for steps in (((bad, P0),), ((0.0, P0), (bad, P1)), ((bad, P0), (0.0, P1))):
+        with pytest.raises(ValueError, match=f"step time {bad} is not finite"):
+            HistorySequence(steps)
 
 
 def test_empty_sequence_is_allowed():
@@ -213,25 +223,84 @@ def test_validate_reports_root_projector_and_zero():
     fam = BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
     report = fam.validate()
     assert any(i.kind == "zero-projector" for i in report.issues)
-    relaxed = fam.validate(allow_zero_projectors=True)
-    assert relaxed.ok
 
 
 def test_zero_projectors_never_mark_a_family_valid():
-    # A relaxed validation, or an extend that admits a zero member, must
-    # not let the family past the default checks of later computations.
+    # extend refuses a zero member, and a hand-built family with one does
+    # not get past the checks of later computations.
+    with pytest.raises(ValueError, match="decomposition of the identity"):
+        new_family(2, 0.0).extend(0, [np.zeros((2, 2)), I2], [1.0, 1.0])
     moments = [
         Moment(0, None, 0.0, None),
         Moment(1, 0, 1.0, np.zeros((2, 2))),
         Moment(2, 0, 1.0, I2),
     ]
-    relaxed = BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
-    assert relaxed.validate(allow_zero_projectors=True).ok
-    extended = new_family(2, 0.0).extend(0, [np.zeros((2, 2)), I2], [1.0, 1.0],
-                                         allow_zero=True)
-    for fam in (relaxed, extended):
-        with pytest.raises(InvalidFamilyError):
-            weight_table(fam)
+    fam = BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
+    with pytest.raises(InvalidFamilyError):
+        weight_table(fam)
+
+
+VALIDITY_TOLS = (0.0, 1e-12, 1e-9, 1e-6, 0.3, 0.6)
+
+
+def _fourier_family(tol=DEFAULT_TOL):
+    # Exact d = 4 Fourier-basis projectors: every entry is 1/4 in magnitude,
+    # so from tol 0.25 on each member counts as the zero matrix.
+    phases = np.array([1, 1j, -1, -1j])
+    ops = [np.outer(v, v.conj()) for v in phases[np.outer(range(4), range(4)) % 4].T / 2]
+    return from_product(4, [0.0], [ops], tol=tol)
+
+
+def _extended_family(tol=DEFAULT_TOL):
+    fam = new_family(2, 0.0, tol=tol).extend(0, [P0, P1], [1.0, 2.0], tol=tol)
+    return fam.extend(2, [P_PLUS, P_MINUS], [3.0, 3.0], tol=tol)
+
+
+def _random_product_family(tol=DEFAULT_TOL):
+    rng = np.random.default_rng(71)
+    return from_product(3, [0.0, 1.0], [random_decomposition(3, 3, rng) for _ in range(2)],
+                        evolution=random_provider(3, rng, "hamiltonian"), tol=tol)
+
+
+def _loaded_family(tol=DEFAULT_TOL):
+    return load_document(serialize_family(random_family(np.random.default_rng(72))), tol)
+
+
+@pytest.mark.parametrize("build", [_fourier_family, _extended_family, _random_product_family,
+                                   _loaded_family])
+def test_ensure_valid_raises_exactly_when_validate_fails(build):
+    # The validity mark holds at the tolerance it was set at and no other:
+    # the zero-projector check tightens as tol grows while the others loosen.
+    def refused(fam, tol):
+        try:
+            fam.ensure_valid(tol)
+        except InvalidFamilyError:
+            return True
+        return False
+
+    def agree(fam, tol, ensure_first):
+        if ensure_first:
+            no = refused(fam, tol)
+            ok = fam.validate(tol).ok
+        else:
+            ok = fam.validate(tol).ok
+            no = refused(fam, tol)
+        assert no == (not ok), tol
+        return ok
+
+    verdicts = set()
+    for ensure_first in (True, False):
+        for built_at in VALIDITY_TOLS:
+            try:
+                built = build(built_at)
+            except ValueError:  # not a decomposition at that tol
+                continue
+            for tol in VALIDITY_TOLS:
+                verdicts.add(agree(build(built_at), tol, ensure_first))
+            # One family checked at every tol in turn, up and then down.
+            for tol in VALIDITY_TOLS + VALIDITY_TOLS[::-1]:
+                agree(built, tol, ensure_first)
+    assert verdicts == {False, True}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -309,28 +378,6 @@ def test_empty_family_reports_no_root():
     assert (len(fam), fam.moments, fam.leaves()) == (0, (), ())
 
 
-def test_path_reads_the_parent_rows():
-    def family(*moments):
-        return BranchingFamily(2, moments, maximally_mixed(2), TrivialEvolution(2))
-
-    fam = fig2_family()
-    assert [m.id for m in fam.path(6)] == [0, 2, 6]
-    assert [m.id for m in fam.path(0)] == [0]
-    with pytest.raises(ValueError, match="no node with id 9"):
-        fam.path(9)
-    # A second root leaves every path to its own root intact.
-    two_roots = family(Moment(0, None, 0.0, None), Moment(1, 0, 1.0, P0),
-                       Moment(5, None, 0.0, None), Moment(6, 5, 1.0, P1))
-    assert [m.id for m in two_roots.path(6)] == [5, 6]
-    broken = [family(Moment(0, None, 0.0, None), Moment(1, 7, 1.0, P0)),  # missing parent
-              family(Moment(0, None, 0.0, None), Moment(1, 2, 1.0, P0),  # a cycle
-                     Moment(2, 1, 2.0, P1)),
-              family(Moment(0, None, 0.0, None), Moment(1, 1, 1.0, P0))]  # its own parent
-    for fam in broken:
-        with pytest.raises(ValueError, match="broken parent chain above node 1"):
-            fam.path(1)
-
-
 # -- histories ---------------------------------------------------------------
 
 def test_histories_pair_projectors_with_parent_times():
@@ -371,8 +418,7 @@ def test_histories_equal_checked_sequences(kind):
     for seed in range(4):
         fam = random_family(np.random.default_rng(900 + seed), kind=kind)
         leaves = [leaf.id for leaf in fam.leaves()]
-        with mock.patch.object(BranchingFamily, "path", side_effect=AssertionError), \
-                mock.patch.object(BranchingFamily, "_views", side_effect=AssertionError):
+        with mock.patch.object(BranchingFamily, "_views", side_effect=AssertionError):
             hists = fam.histories()
             by_leaf = [fam.history_of_leaf(leaf) for leaf in leaves]
         assert len(hists) == len(leaves)
@@ -595,9 +641,7 @@ def _corrupt(fam, kinds, rng):
 def test_validate_matches_the_node_by_node_oracle(seed, kinds):
     rng = np.random.default_rng(seed)
     fam = _corrupt(random_family(rng, max_depth=3), kinds, rng)
-    for allow_zero in (False, True):
-        expected = oracle_validate(fam, allow_zero_projectors=allow_zero)
-        assert str(fam.validate(allow_zero_projectors=allow_zero)) == str(expected)
+    assert str(fam.validate()) == str(oracle_validate(fam))
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
