@@ -9,8 +9,10 @@ object itself a product history?" becomes a tensor factorization test.
 
 Members built by :func:`embed` are *factored*: they keep their step
 projectors as ``factors`` and build the dense d^n x d^n ``matrix`` only
-when it is asked for, anew on each access.  Members built from a dense
-matrix, :func:`sum_hpo` results among them, have ``factors = None``.
+when it is asked for, anew on each access.  A :func:`sum_hpo` of
+factored members that are exactly the rows of a product of per-slot
+factor sets F_s is factored too, as (x)_s sum_{f in F_s} P_f; other
+sums, and members built from a dense matrix, have ``factors = None``.
 For factored members
 
 - the projector check at construction bounds the max-entry hermiticity
@@ -49,9 +51,12 @@ Orthogonality uses max|(P (x) X)(P (x) Y)| = max|P P| max|X Y| inside a
 child and max|X Y| <= ||X||_2 ||Y||_2 across siblings, where
 ||(x)_s A_s||_2 = prod_s ||A_s||_2; a bound above tol hands the decision
 to the exact slot-by-slot product of :func:`_factors_clash`, from
-(x)P (x)Q = (x)(PQ).  Dense totals (:func:`sum_hpo` and the fallback)
-are summed on the same tree, each distinct subfamily once, with
-siblings over equal subfamilies merged into (sum_a P_a) (x) R.
+(x)P (x)Q = (x)(PQ).  An :class:`HPOFamily` of factored members finds
+its distinct factors once, on first use, and builds the tree over their
+ids; a :func:`sum_hpo` builds the picked members' tree from the same
+ids.  Dense totals (non-product sums and the fallback) are summed on
+the tree, each distinct subfamily once, with siblings over equal
+subfamilies merged into (sum_a P_a) (x) R.
 
 Every dense d^n x d^n allocation is checked first against a budget of
 256 MiB (one 4096 x 4096 complex matrix); a larger one raises
@@ -63,6 +68,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -304,6 +310,13 @@ class HPOFamily:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """:func:`_factor_table` of the members' factors, or None if a member is dense."""
+        if any(m._stack is None for m in self.members):
+            return None
+        return _factor_table(np.array([m._stack for m in self.members]))
+
 
 def embed_family(family: BranchingFamily, tol: float = DEFAULT_TOL) -> HPOFamily:
     """Embed every history of a branching family at once.
@@ -382,56 +395,90 @@ def _tree_verdict(family: HPOFamily, tol: float) -> tuple[bool | None, float]:
     The verdict is None when the bound exceeds ``tol`` and the dense total
     that would decide is over the byte budget.
     """
-    stacks = np.stack([m._stack for m in family.members])
-    clash_bound, bound = _tree_bounds(stacks)
-    if clash_bound > tol and _factors_clash(stacks, tol):
+    factors, ids = family._table
+    tree = _id_tree(ids)
+    clash_bound, bound = _bounds(factors, *tree)
+    if clash_bound > tol and _factors_clash(factors[ids], tol):
         return False, bound
     if bound <= tol:
         return True, bound
     if 16 * family.dim ** 2 > _MAX_DENSE_BYTES:
         return None, bound
-    total = _dense_sum(family.members, family.dim)
+    total = np.zeros((family.dim, family.dim), dtype=complex)
+    _add_kron_sum(total, factors, *tree)
     total.flat[::family.dim + 1] -= 1.0
     return max_abs(total) <= tol, bound
 
 
-def _subfamilies(stacks: np.ndarray) -> tuple[np.ndarray, list, int]:
-    """The tree of factored members, one entry per distinct subfamily.
+def _factor_table(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct factors of factored members, and which one each member has per slot.
 
-    ``stacks`` holds each member's factors, shape (n, slots, d, d).  Members
-    sharing their factors before slot s form a node of the tree at depth
-    s; its children are its members grouped by their slot-s factor.  A
-    node's subfamily is its members' factors from slot s on.  Returns the
-    distinct factors, found by their bytes; the distinct subfamilies,
-    children before parents, each the number of members with one row of
-    factors (at depth ``slots``) or the tuple of its children's (factor,
-    subfamily) indices; and the index of the whole family's subfamily.
+    ``stacks`` holds each member's factors, shape (n, slots, d, d).  Factors
+    are told apart by the bytes of ``stacks + 0.0``, in which a -0.0 entry
+    reads as 0.0.  Returns the (k, d, d) distinct factors, in order of
+    first appearance, and the (n, slots) array of their ids.
     """
     n, slots, d, _ = stacks.shape
-    raw, size = np.ascontiguousarray(stacks).tobytes(), 16 * d * d
+    raw, size = (stacks + 0.0).tobytes(), 16 * d * d
     table: dict[bytes, int] = {}
     ids = [table.setdefault(raw[k:k + size], len(table)) for k in range(0, len(raw), size)]
     factors = np.frombuffer(b"".join(table), dtype=complex).reshape(-1, d, d)
+    return factors, np.array(ids, dtype=np.intp).reshape(n, slots)
+
+
+def _id_tree(ids: np.ndarray) -> tuple[list, int]:
+    """The tree of factored members, one entry per distinct subfamily.
+
+    ``ids`` holds each member's factor ids (:func:`_factor_table`), shape
+    (n, slots) with n > 0.  Members sharing their factors before slot s
+    form a node of the tree at depth s; its children are its members
+    grouped by their slot-s factor.  A node's subfamily is its members'
+    factors from slot s on.  Returns the distinct subfamilies, children
+    before parents, each the number of members with one row of factors
+    (at depth ``slots``) or the tuple of its children's (factor, subfamily)
+    indices; and the index of the whole family's subfamily.
+    """
     memo: dict = {}
-    counts: dict[tuple[int, ...], int] = {}
-    for k in range(0, len(ids), slots):
-        row = tuple(ids[k:k + slots])
-        counts[row] = counts.get(row, 0) + 1
     # Each prefix of factor ids at the current depth, and its subfamily.
-    level = {row: memo.setdefault(c, len(memo)) for row, c in counts.items()}
-    for s in reversed(range(slots)):
+    level = {row: memo.setdefault(c, len(memo))
+             for row, c in Counter(map(tuple, ids.tolist())).items()}
+    for s in reversed(range(ids.shape[1])):
         kids: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for prefix, sub in level.items():
             kids.setdefault(prefix[:s], []).append((prefix[s], sub))
         level = {prefix: memo.setdefault(tuple(ch), len(memo)) for prefix, ch in kids.items()}
-    return factors, list(memo), level[()]
+    return list(memo), level[()]
+
+
+def _product_slots(subfamilies: list, root: int) -> list[list[int]] | None:
+    """Per slot, the factor ids F_s whose product is the tree's members, or None.
+
+    The members are exactly the rows of F_0 x ... x F_(slots-1), each once,
+    when every node's children share one subfamily and the leaf counts one
+    member; their sum is then (x)_s sum_{f in F_s} P_f.
+    """
+    slots, sub = [], subfamilies[root]
+    while isinstance(sub, tuple):
+        if len({c for _, c in sub}) > 1:
+            return None
+        slots.append([f for f, _ in sub])
+        sub = subfamilies[sub[0][1]]
+    return slots if sub == 1 else None
 
 
 def _tree_bounds(stacks: np.ndarray) -> tuple[float, float]:
+    """Orthogonality and completeness bounds of the factored members ``stacks``,
+    shape (n, slots, d, d), from their tree (see :func:`_bounds`)."""
+    factors, ids = _factor_table(stacks)
+    return _bounds(factors, *_id_tree(ids))
+
+
+def _bounds(factors: np.ndarray, subfamilies: list, root: int) -> tuple[float, float]:
     """Orthogonality and completeness bounds of factored members, from their tree.
 
-    Bottom up, once per distinct subfamily of :func:`_subfamilies`, whose
-    children a carry the factors P_a, this computes
+    Bottom up, once per distinct subfamily of :func:`_id_tree` over the
+    ``factors`` of :func:`_factor_table`, whose children a carry the
+    factors P_a, this computes
 
     - ``clash``: a bound on max|M_i M_j| over its pairs of members,
       max(max_a max|P_a P_a| clash_a, max_{a != b} max|P_a P_b| R_a R_b),
@@ -442,8 +489,7 @@ def _tree_bounds(stacks: np.ndarray) -> tuple[float, float]:
 
     Returns both bounds for the whole family.
     """
-    d = stacks.shape[2]
-    factors, subfamilies, root = _subfamilies(stacks)
+    d = factors.shape[1]
 
     # The norms the bounds take: per factor, per pair of sibling factors
     # and per distinct node.
@@ -536,23 +582,24 @@ def _dense_sum(members: Sequence[HistoryProjector], dim: int) -> np.ndarray:
     total = np.zeros((dim, dim), dtype=complex)
     stacks = [m._stack for m in members if m._stack is not None]
     if stacks:
-        _add_kron_sum(total, np.stack(stacks))
+        factors, ids = _factor_table(np.stack(stacks))
+        _add_kron_sum(total, factors, *_id_tree(ids))
     for m in members:
         if m._stack is None:
             total += m._matrix
     return total
 
 
-def _add_kron_sum(out: np.ndarray, stacks: np.ndarray) -> None:
-    """Add the Kronecker products of the (n, slots, d, d) ``stacks`` to ``out``.
+def _add_kron_sum(out: np.ndarray, factors: np.ndarray, subfamilies: list, root: int) -> None:
+    """Add the Kronecker products of factored members to ``out``, from their tree.
 
-    A node of the members' tree (:func:`_subfamilies`) adds P (x) R for
+    ``factors`` and the tree are those of :func:`_factor_table` and
+    :func:`_id_tree`.  A node of the tree adds P (x) R for
     each child, R the sum over the child's remaining factors; children
     with the same subfamily add (sum of their P) (x) R together, so a
     product family's total takes one dense product per level of its tree.
     A subfamily's R is computed once; one that several nodes need is kept.
     """
-    factors, subfamilies, root = _subfamilies(stacks)
     uses = Counter(c for sub in subfamilies if isinstance(sub, tuple) for c in {c for _, c in sub})
     kept: dict[int, np.ndarray] = {}
     d = factors.shape[1]
@@ -573,12 +620,11 @@ def _add_kron_sum(out: np.ndarray, stacks: np.ndarray) -> None:
                 add(rest, subfamilies[c])
                 if uses[c] > 1:
                     kept[c] = rest
-            # One row of the first factor and a slice of R at a time, so that
-            # no temporary is much larger than _CHUNK_BYTES.
-            step = max(1, _CHUNK_BYTES // (16 * d * e))
-            for i in range(d):
-                for x in range(0, e, step):
-                    blocks[i, x:x + step] += first[i][:, None] * rest[x:x + step, None, :]
+            # A slice of R's rows at a time, so that no temporary is much
+            # larger than _CHUNK_BYTES.
+            step = max(1, _CHUNK_BYTES // (16 * d * d * e))
+            for x in range(0, e, step):
+                blocks[:, x:x + step] += first[:, None, :, None] * rest[None, x:x + step, None, :]
 
     add(out, subfamilies[root])
 
@@ -601,10 +647,27 @@ def sum_hpo(family: HPOFamily, selector: Sequence) -> HistoryProjector:
 
     Orthogonality of the members makes the sum a projector again; the
     all-zeros selector gives the zero projector and the all-ones selector
-    the identity on the history space.
+    the identity on the history space.  When the family's members are
+    factored and the selected ones are exactly the rows of a product of
+    per-slot factor sets F_s, the sum is the factored projector
+    (x)_s sum_{f in F_s} P_f; any other sum is dense.  A history space
+    whose dense matrix is over the byte budget is refused either way.
     """
     picked = _selector_indices(selector, len(family))
-    total = _dense_sum([family.members[i] for i in picked], family.dim)
+    _check_dense(family.dim)
+    table = family._table
+    if table is None or not picked:
+        total = _dense_sum([family.members[i] for i in picked], family.dim)
+    else:
+        factors, ids = table
+        tree = _id_tree(ids[picked])
+        slots = _product_slots(*tree)
+        if slots is not None:
+            stack = np.stack([factors[fs].sum(axis=0) for fs in slots])
+            return HistoryProjector._factored(stack, family.slot_times,
+                                              _factors_certified(stack, DEFAULT_TOL))
+        total = np.zeros((family.dim, family.dim), dtype=complex)
+        _add_kron_sum(total, factors, *tree)
     return HistoryProjector(total, family.slots, family.slot_times, family.base_dim)
 
 

@@ -194,7 +194,11 @@ def require_projector(m, tol: float = DEFAULT_TOL, what: str = "projector") -> n
 
 def require_decomposition(projectors: Sequence, dim: int | None = None,
                           tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Coerce and return a decomposition of the identity, raising on failure."""
+    """Coerce and return a decomposition of the identity, raising on failure.
+
+    The message names the first failing check: a zero member, a member
+    that is no projector, a non-orthogonal pair, or an incomplete sum.
+    """
     mats = [as_operator(p) for p in projectors]
     if mats and dim is not None and mats[0].shape[0] != dim:
         raise ValueError(
@@ -203,9 +207,24 @@ def require_decomposition(projectors: Sequence, dim: int | None = None,
     if not is_decomposition(mats, tol):
         raise ValueError(
             "projectors do not form a decomposition of the identity "
-            f"within tol={tol}"
+            f"within tol={tol}: {_first_defect(np.stack(mats), tol)}"
         )
     return mats
+
+
+def _first_defect(stack: np.ndarray, tol: float) -> str:
+    """The first check of :func:`is_decomposition` that the (n, d, d) ``stack`` fails."""
+    size, _, herm, idem = _projector_norms(stack)
+    zero = np.flatnonzero(size <= tol)
+    if len(zero):
+        return f"zero member {zero[0]}"
+    bad = np.flatnonzero(~((herm <= tol) & (idem <= tol)))
+    if len(bad):
+        return f"member {bad[0]} not a projector"
+    clashes, _ = decomposition_defects(stack, [0, len(stack)], tol)
+    if len(clashes):
+        return f"members {clashes[0, 0]} and {clashes[0, 1]} not orthogonal"
+    return "sum not the identity"
 
 
 def require_density_matrix(m, dim: int | None = None,

@@ -304,6 +304,15 @@ def test_verdicts_match_the_difference_oracle(n, data, tol):
         assert is_weakly_consistent(m, tol) == helpers.is_weakly_consistent(m, tol)
 
 
+def test_verdicts_take_a_diagonal_whose_magnitude_overflows():
+    # |x + xi| overflows in np.abs, but x - x cancels in d - diag(d).
+    x = 1.2711610061536462e+308
+    d = np.array([[complex(x, x), 0.0], [0.0, 1.0]])
+    for m in (d[:1, :1], d):
+        assert is_consistent(m, 0.0) and helpers.is_consistent(m, 0.0)
+        assert is_weakly_consistent(m, 0.0)
+
+
 @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2), ()])
 def test_verdicts_refuse_a_non_square_matrix(shape):
     d = np.zeros(shape)

@@ -41,6 +41,7 @@ from qhistories import hpo
 from qhistories.hpo import (
     RANK1_CUTOFF,
     _dense_sum,
+    _factor_table,
     _factors_certified,
     _factors_clash,
     _schmidt_rank_one,
@@ -592,6 +593,114 @@ def test_mixed_dense_and_factored_family_gets_the_dense_answer():
                                                       DEFAULT_TOL)
             assert is_hpo_family(group) == (not clashes and complete)
         assert is_hpo_family(mixed)
+
+
+# -- sums of factored members -------------------------------------------------
+
+def _slot_indices(histories):
+    """Per history, the index of each step among the distinct projectors of its slot."""
+    seen = [{} for _ in histories[0].projectors]
+    return [tuple(ids.setdefault(p.tobytes(), len(ids)) for ids, p in zip(seen, h.projectors))
+            for h in histories]
+
+
+def _is_product(indices):
+    """True iff the (distinct) index rows are all the rows of a product of per-slot sets."""
+    return bool(indices) and len(indices) == math.prod(len({ix[s] for ix in indices})
+                                                       for s in range(len(indices[0])))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(PROVIDER_KINDS))
+def test_product_selections_stay_factored(seed, kind):
+    rng = np.random.default_rng(seed)
+    dim, slots = int(rng.integers(2, 4)), int(rng.integers(1, 6))
+    parts, histories = _product_histories(rng, dim, slots, kind)
+    family = HPOFamily(tuple(embed(h) for h in histories))
+    indices = _slot_indices(histories)
+    for _ in range(4):
+        if rng.random() < 0.5:  # a product of random per-slot subsets
+            keep = [set(rng.permutation(k)[:int(rng.integers(1, k + 1))].tolist())
+                    for k in parts]
+            sel = [int(all(i in ks for i, ks in zip(ix, keep))) for ix in indices]
+        else:
+            sel = rng.integers(0, 2, size=len(histories)).tolist()
+        picked = [i for i, flag in enumerate(sel) if flag]
+        y = sum_hpo(family, sel)
+        assert (y.factors is not None) == _is_product([indices[i] for i in picked])
+        dense = sum((kron_all(histories[i].projectors) for i in picked),
+                    np.zeros((family.dim, family.dim), dtype=complex))
+        assert_allclose(y.matrix, dense, rtol=0, atol=1e-12)
+        assert is_homogeneous(y) == _schmidt_rank_one(dense, dim, slots, RANK1_CUTOFF)
+        if y.factors is None:
+            continue
+        # The sum joins the family in place of its summands, or next to them.
+        rest = [m for i, m in enumerate(family.members) if not sel[i]]
+        for group in (rest + [y], list(family.members) + [y]):
+            clashes, complete = decomposition_defects([m.matrix for m in group], DEFAULT_TOL)
+            assert is_hpo_family(group) == (not clashes and complete)
+        assert is_hpo_family(rest + [y])
+
+
+def test_repeats_dense_members_and_empty_selections_sum_densely():
+    family, _ = isham_counterexample()
+    members = list(family.members)
+    # h1 + h2 is the product I (x) |1><1|, but not with h1 twice.
+    repeated = HPOFamily(tuple(members + [members[0]]))
+    assert sum_hpo(repeated, [1, 1, 0, 0, 0]).factors is not None
+    for sel in ([1, 0, 0, 0, 1], [1, 1, 0, 0, 1]):  # 2 h1, 2 h1 + h2
+        with pytest.raises(ValueError, match="not a projector"):
+            sum_hpo(repeated, sel)
+    m = members[1]
+    mixed = HPOFamily(tuple([members[0], HistoryProjector(m.matrix, m.slots, m.slot_times,
+                                                          m.base_dim)] + members[2:]))
+    y = sum_hpo(mixed, [1, 1, 0, 0])
+    assert y.factors is None and np.array_equal(y.matrix, np.kron(I2, P1))
+    assert is_homogeneous(y)
+    zero = sum_hpo(family, [0, 0, 0, 0])
+    assert zero.factors is None and not zero.matrix.any()
+
+
+def test_factor_identity_ignores_the_sign_of_zero():
+    signed = P0.copy()
+    signed[0, 1] = signed[1, 0] = complex(-0.0, -0.0)
+    assert np.array_equal(signed, P0) and signed.tobytes() != P0.tobytes()
+    rows = [[(0.0, P0), (1.0, P0)], [(0.0, P1), (1.0, signed)]]
+    family = HPOFamily(tuple(embed(HistorySequence(tuple(r))) for r in rows))
+    plain = np.stack([np.stack([P0, P0]), np.stack([P1, P0])])
+    stacks = np.stack([np.stack(m.factors) for m in family.members])
+    factors, ids = _factor_table(stacks)
+    assert len(factors) == 2 and ids.tolist() == [[0, 0], [1, 0]]
+    assert _tree_bounds(stacks) == _tree_bounds(plain)
+    y = sum_hpo(family, [1, 1])
+    assert y.factors is not None and np.array_equal(y.matrix, np.kron(I2, P0))
+
+
+def test_a_product_sum_in_a_twelve_slot_space_takes_no_dense_matrix():
+    # The history space has 4096 dimensions, whose dense matrix takes the
+    # whole 256 MiB budget.  A one-slot pair sums to a product: neither the
+    # sum nor the homogeneity test may build it.
+    # Peak RSS is read as VmHWM, which, unlike ru_maxrss, starts afresh
+    # at exec rather than carrying the forking test process's peak.
+    pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    result = run_capped("""
+        import numpy as np
+        from qhistories import embed_family, from_product, is_homogeneous, sum_hpo
+        from qhistories.demos import P0, P1, P_MINUS, P_PLUS
+        decomps = [[P0, P1], [P_PLUS, P_MINUS], [P0, P1]] + [[np.eye(2)]] * 9
+        family = embed_family(from_product(2, [float(k) for k in range(12)], decomps))
+        y = sum_hpo(family, [1, 0, 1, 0, 0, 0, 0, 0])  # rows 000 and 010
+        homogeneous = is_homogeneous(y)
+        with open("/proc/self/status") as f:
+            peak = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+        print(family.dim, y.factors is not None, homogeneous, peak << 10)
+    """)
+    assert result.returncode == 0, result.stderr
+    dim, factored, homogeneous, peak = result.stdout.split()
+    assert (dim, factored, homogeneous) == ("4096", "True", "True")
+    assert int(peak) < hpo._MAX_DENSE_BYTES // 2
 
 
 # -- dense byte budget ---------------------------------------------------------

@@ -206,6 +206,20 @@ def test_require_helpers_raise_with_context():
         require_decomposition([P0, P1], dim=3)
 
 
+@pytest.mark.parametrize("members, check", [
+    ([np.zeros((2, 2)), I2], "zero member 0"),
+    ([P0, 0.5 * I2], "member 1 not a projector"),
+    ([P0, P0], "members 0 and 1 not orthogonal"),
+    ([P0, P_PLUS, P1], "members 0 and 1 not orthogonal"),
+    ([P0], "sum not the identity"),
+])
+def test_require_decomposition_names_the_failing_check(members, check):
+    with pytest.raises(ValueError) as info:
+        require_decomposition(members)
+    assert str(info.value) == ("projectors do not form a decomposition of the identity "
+                               f"within tol={DEFAULT_TOL}: {check}")
+
+
 def test_is_density_matrix():
     assert is_density_matrix(maximally_mixed(2))
     assert is_density_matrix(P0)

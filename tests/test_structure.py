@@ -225,6 +225,14 @@ def test_validate_reports_root_projector_and_zero():
     assert any(i.kind == "zero-projector" for i in report.issues)
 
 
+def test_extend_and_from_product_name_the_failing_check():
+    with pytest.raises(ValueError, match="within tol=1e-09: zero member 0$"):
+        new_family(2, 0.0).extend(0, [np.zeros((2, 2)), I2], [1.0, 1.0])
+    v = np.array([np.cos(0.3), np.sin(0.3)])
+    with pytest.raises(ValueError, match="within tol=1e-09: members 0 and 1 not orthogonal$"):
+        from_product(2, [0.0], [[P0, np.outer(v, v)]])
+
+
 def test_zero_projectors_never_mark_a_family_valid():
     # extend refuses a zero member, and a hand-built family with one does
     # not get past the checks of later computations.
