@@ -24,14 +24,21 @@ are a fixed point, so ``serialize(parse(serialize(f)))`` reproduces
 ``serialize(f)`` byte for byte.
 
 The node list is encoded and decoded in bulk, up to ``_SLICE_NUMBERS``
-(4096) numbers at a time, so that the Python floats and lists alive at
-once stay small.  Writing is one pass: the dynamics, the state and each
-slice of node records are printed by ``%`` templates from one array each,
-for the records a slice of the family's projector stack.
-Where a finiteness, kind or shape check fails, the same pass raises
-ValueError naming the first non-finite number in canonical order, or the
-first node the reader would refuse: a child without a projector, a root
-with one, or a projector that is not ``dim`` x ``dim``.
+(4096) numbers at a time, so that the temporary arrays, Python floats and
+lists alive at once stay small.  Writing checks the dynamics, the state
+and the nodes in canonical order, raising ValueError naming the first
+non-finite number, or the first matrix or node the reader would refuse:
+a matrix that is not ``dim`` x ``dim``, a child without a projector, or
+a root with one.  It then prints every matrix entry of the document, dynamics,
+state and projectors in that order, with one bulk printer
+(:func:`_print_numbers`), ``_SLICE_NUMBERS`` numbers at a time: the
+digits come from double-double arithmetic and lookup tables, each number
+becomes a fixed-width row of words, and dropping the zero bytes leaves
+the text.  An entry the arithmetic cannot decide, near a rounding tie or
+outside about 1e-280..1e290 in magnitude, is printed by ``format(x,
+".17g")``, so the bytes are those of per-entry formatting.  Ids, node
+times and breakpoints are printed one by one.  The text of the matrices
+is interleaved with the rest of the document as bytes, into one buffer.
 
 Documents are parsed by ``orjson``.  Where ``orjson`` or the schema
 refuses a document, ``json`` reads it again, only to name its error, so
@@ -67,10 +74,13 @@ reported before any matrix is allocated.
 from __future__ import annotations
 
 import functools
+import gc
+import io
 import itertools
 import json
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 import orjson
@@ -99,73 +109,342 @@ MAX_MATRIX_BYTES = 1 << 26
 
 # -- canonical JSON emission ----------------------------------------------
 
-def _finite(numbers) -> np.ndarray:
-    """``numbers`` as floats with -0.0 made 0.0 (so reparsing reproduces the bytes);
-    raises ValueError naming the first non-finite one in C order, the canonical order."""
-    out = np.asarray(numbers, dtype=float) + 0.0
-    finite = np.isfinite(out)
-    if not finite.all():
-        raise ValueError(f"cannot serialize non-finite number {float(out[~finite][0])}")
+# Numbers the codec handles at once: matrix entries are printed and
+# projectors read a slice at a time, so that only one slice's temporary
+# arrays, Python floats and lists are alive at once, not the whole family's.
+_SLICE_NUMBERS = 1 << 12
+
+# Ends each matrix's text in the printer's output, and stands for it in the
+# rest of the document; no number or punctuation holds it.
+_MARK = b"|"
+_MATRIX = "[[[" + _MARK.decode() + "]]]"
+
+# Decimal exponents the printer's tables cover.  A number it prints itself
+# lies in about [1e-280, 1e290), so its exponent is strictly inside; the ends
+# are where the exponents of all other numbers, and of zero, are clamped.
+_E_LO, _E_HI = -281, 290
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of ``a`` into two halves of at most 26 bits each."""
+    c = a * 134217729.0  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * b`` as the rounded product and its exact error (Dekker)."""
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    p = a * b
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+class _Tables(NamedTuple):
+    """Lookup tables of :func:`_print_numbers`; see :func:`_number_tables`."""
+
+    power: np.ndarray        # 10**(16 - e) by exponent row: rounded,
+    power_hi: np.ndarray     # its two Dekker halves,
+    power_lo: np.ndarray
+    power_rest: np.ndarray   # and the rest of the power beyond the rounded one
+    base: np.ndarray         # layout row base by exponent row
+    exponent: np.ndarray     # exponent text at bytes 3-7 by exponent row
+    ascii4: np.ndarray       # four-digit group -> ASCII in bytes 0-3
+    ascii3_up: np.ndarray    # three-digit group -> ASCII in bytes 4-6
+    ascii3: np.ndarray       # three-digit group -> ASCII in bytes 0-2
+    significant: tuple       # group -> digits up to its last nonzero one, by place
+    layout: np.ndarray       # (10, rows) words by layout row
+
+
+@functools.cache
+def _number_tables() -> _Tables:
+    """The tables of :func:`_print_numbers`, built on first use.
+
+    A number x != 0 of decimal exponent e is printed from its 17 digits,
+    Q = round(|x| * 10**(16 - e)) in [10**16, 10**17), held as three
+    words of ASCII digits: D0-D6, D7-D13 and D14-D16.  Its layout row,
+    2 + 2 * (17 * class + s - 1) + (x < 0), says how the row's words are
+    made from them: class 0 is exponent notation, classes 1-21 fixed
+    notation for e = -4 .. 16, and s is the count of digits up to the last
+    nonzero one.  Row 0 prints exact zero and row 1 nothing, for a number
+    left to ``format``.
+    """
+    # 10**(16 - e) for e = _E_LO .. _E_HI as a double-double (power, rest),
+    # each pair within 2**-102 of its power: 10**0 .. 10**297 as an exact
+    # 10**(23 j) times an exact float 10**r, and 10**-1 .. 10**-274 as the
+    # reciprocals of 10**1 .. 10**274.
+    k = np.arange(17 - _E_LO)
+    anchors = [10 ** (23 * j) for j in range(k[-1] // 23 + 1)]
+    anchor = np.array([float(a) for a in anchors])[k // 23]
+    anchor_rest = np.array([float(a - int(float(a))) for a in anchors])[k // 23]
+    small = np.array([float(10 ** r) for r in range(23)])[k % 23]
+    product, error = _product(anchor, small)
+    error += anchor_rest * small
+    high = product + error
+    rest = error - (high - product)
+    big, big_rest = high[1:_E_HI - 15], rest[1:_E_HI - 15]
+    inverse = 1 / big
+    product, error = _product(inverse, big)
+    inverse_rest = ((1 - product) - error - inverse * big_rest) * inverse
+    power = np.concatenate([high[::-1], inverse])
+    rest = np.concatenate([rest[::-1], inverse_rest])
+    power[[0, -1]] = rest[[0, -1]] = 0  # no number whose exponent is clamped passes
+    power_hi, power_lo = _split(power)
+
+    e = np.arange(_E_LO, _E_HI + 1)
+    fixed = (e >= -4) & (e <= 16)
+    base = 2 * 17 * np.where(fixed, e + 5, 0)
+    # "e", the sign and two or three digits, at bytes 3-7 of the last
+    # digit word, which holds only three digits in exponent notation.
+    size = np.abs(e)
+    wide = size >= 100
+    text = np.zeros((len(e), 8), dtype=np.uint8)
+    text[:, 3] = ord("e")
+    text[:, 4] = np.where(e < 0, ord("-"), ord("+"))
+    text[:, 5] = 48 + np.where(wide, size // 100, size // 10)
+    text[:, 6] = 48 + np.where(wide, size // 10 % 10, size % 10)
+    text[:, 7] = np.where(wide, 48 + size % 10, 0)
+    text[fixed] = 0
+    text[[0, -1]] = 0  # clamped exponents, zero's among them, print none
+
+    # Four-digit groups, the first digit most significant: ASCII text, and
+    # the count of digits up to the last nonzero one (0 for 0000).
+    d = np.arange(10)
+    place = [d.reshape((10,) + (1,) * (3 - i)) for i in range(4)]
+    ascii4 = functools.reduce(np.bitwise_or, [(48 + digit) << 8 * i
+                                              for i, digit in enumerate(place)])
+    ascii4 = ascii4.ravel().astype(np.uint64)
+    ascii3 = ascii4[:1000] >> np.uint64(8)
+    last4 = functools.reduce(np.maximum, [(digit != 0) * (i + 1)
+                                          for i, digit in enumerate(place)]).ravel()
+    last3 = np.maximum(last4[:1000] - 1, 0)
+
+    def at(last, offset):
+        return np.where(last > 0, last + offset, 0)
+
+    # Layout words of each (class, s): the literal word (prefix "0." and
+    # zeros of fixed notation below 1, the sign added below), and for
+    # each digit word the mask of its digits that stay where they are,
+    # the mask of those moved up one byte to make room for the dot, and
+    # the dot.  Fixed notation keeps every digit before the dot, 0 or not.
+    klass, s = np.repeat(np.arange(22), 17), np.tile(np.arange(1, 18), 22)
+    lead = np.where(klass == 0, 1, np.where(klass < 5, 0, klass - 4))[:, None]
+    keep = np.where(klass >= 5, np.maximum(s, lead[:, 0]), s)[:, None]
+    start = np.array([0, 7, 14])
+    one = np.uint64(1)
+    kept = (one << (8 * np.clip(keep - start, 0, [7, 7, 3])).astype(np.uint64)) - one
+    # The dot follows digit lead - 1, at byte lead - start of its word.
+    dotted = (keep > lead) & (lead > 0) & (start < lead) & (lead <= start + 7)
+    at_dot = (8 * np.where(dotted, lead - start, 0)).astype(np.uint64)
+    stay = np.where(dotted, (one << at_dot) - one, ~np.uint64(0))
+    prefix = np.array([0] + [int.from_bytes(b"0." + b"0" * (4 - c), "little") << 8
+                             for c in range(1, 5)] + [0] * 17, dtype=np.uint64)
+    layout = np.zeros((10, 2 + 2 * len(klass)), dtype=np.uint64)
+    layout[0, 0] = ord("0")
+    layout[:, 2::2] = layout[:, 3::2] = np.concatenate(
+        [prefix[klass][None], (kept & stay).T, (kept & ~stay).T,
+         np.where(dotted, np.uint64(ord(".")) << at_dot, 0).T.astype(np.uint64)])
+    layout[0, 3::2] |= np.uint64(ord("-"))
+    tables = _Tables(power, power_hi, power_lo, rest, base,
+                     text.view("<u8").ravel().astype(np.uint64), ascii4,
+                     ascii3 << np.uint64(32), ascii3,
+                     (last4, at(last3, 4), at(last4, 7), at(last3, 11), at(last3, 14)), layout)
+    for table in (*tables[:-2], *tables.significant, tables.layout):
+        table.flags.writeable = False
+    return tables
+
+
+_PUNCTUATION = np.array([int.from_bytes(text, "little") for text in (b",", b"],[", b"]],[[", _MARK)],
+                        dtype=np.uint64)
+
+
+@functools.lru_cache(maxsize=2)  # full slices and the last, where 2 * dim**2 divides a slice
+def _punctuation(dim: int, start: int, count: int) -> np.ndarray:
+    """The punctuation words after entries ``start .. start + count`` of a
+    stream of dim x dim matrices: "," after a real part, "],[" after an
+    imaginary part, "]],[[" at the end of a row, ``_MARK`` at the end of a matrix."""
+    k = np.arange(start, start + count) % (2 * dim * dim)
+    code = k & 1
+    code += k % (2 * dim) == 2 * dim - 1
+    code += k == 2 * dim * dim - 1
+    out = _PUNCTUATION[code]
+    out.flags.writeable = False
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _matrix_template(rows: int, cols: int) -> str:
-    # '%.17g' % x and format(x, '.17g') share one C routine, so a template
-    # prints the same bytes as formatting entry by entry.
-    row = "[" + ",".join(["[%.17g,%.17g]"] * cols) + "]"
-    return "[" + ",".join([row] * rows) + "]"
+def _scaled(ax: np.ndarray, tables: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exponent row, a mask of the numbers decided, and their 17 digits.
+
+    The digits are Q = round(|x| * 10**(16 - e)), e = floor(log10(|x|)),
+    computed as a double-double to within 1e-13 on a value below 1e17, so
+    they are the digits of x wherever that is farther than 2**-30 from a
+    rounding tie.  Left undecided are the numbers near a tie, those of
+    |x| outside about [1e-280, 1e290), whose tables or Dekker splits
+    would leave the float range, and those whose exponent ``log10`` put
+    one off; their Q is 10**16 + 1.
+    """
+    u64 = np.uint64
+    with np.errstate(all="ignore"):  # log10(0), overflows past 1e290, casts of the undecided
+        e = np.log10(ax)
+        np.floor(e, out=e)
+        np.maximum(e, _E_LO, out=e)
+        np.minimum(e, _E_HI, out=e)
+        e = e.astype(np.intp)
+        e -= _E_LO
+        ax_hi, ax_lo = _split(ax)
+        p = ax * tables.power[e]
+        power_hi, power_lo = tables.power_hi[e], tables.power_lo[e]
+        error = ax_hi * power_hi - p
+        error += ax_hi * power_lo
+        error += ax_lo * power_hi
+        error += ax_lo * power_lo
+        error += ax * tables.power_rest[e]
+        # |x| * 10**(16 - e) = p + error; p >= 1e16 > 2**53 is an integer.
+        step = np.rint(error)
+        ok = np.abs(error - step) < 0.5 - 2.0 ** -30
+        ok &= (p - 1e16) + error >= 0
+        ok &= (p - 1e17) + step < 0
+        q = p.astype(u64)
+        q += step.astype(np.int64).view(u64)  # adds a negative step modulo 2**64
+    return e, ok, np.where(ok, q, u64(10 ** 16 + 1))
 
 
-def _matrix_to_json(m) -> str:
-    """A matrix as rows of ``[re, im]`` pairs, formatted in one pass."""
-    a = np.ascontiguousarray(m, dtype=complex)
-    return _matrix_template(*a.shape) % tuple(_finite(a.view(np.float64)).ravel().tolist())
+def _digit_words(q: np.ndarray, tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 digits ``q`` as three words of ASCII digits, D0-D6, D7-D13
+    and D14-D16, and the count of digits up to the last nonzero one."""
+    u64 = np.uint64
+    # The digits as groups of 4, 3, 4, 3 and 3.
+    groups = np.empty((2, q.size), dtype=u64)
+    np.floor_divide(q, u64(10 ** 10), out=groups[0])
+    q = q - groups[0] * u64(10 ** 10)
+    np.floor_divide(q, u64(1000), out=groups[1])
+    q -= groups[1] * u64(1000)
+    fours = groups // u64(1000)
+    groups -= fours * u64(1000)
+    fours, threes, tail = fours.astype(np.intp), groups.astype(np.intp), q.astype(np.intp)
+    digits = np.empty((3, q.size), dtype=u64)
+    np.bitwise_or(tables.ascii4[fours], tables.ascii3_up[threes], out=digits[:2])
+    digits[2] = tables.ascii3[tail]
+    s = tables.significant[4][tail]
+    short = np.flatnonzero(s == 0)  # the last three digits are 000
+    if short.size:
+        s_short = tables.significant[0][fours[0, short]]
+        np.maximum(s_short, tables.significant[1][threes[0, short]], out=s_short)
+        np.maximum(s_short, tables.significant[2][fours[1, short]], out=s_short)
+        np.maximum(s_short, tables.significant[3][threes[1, short]], out=s_short)
+        s[short] = s_short
+    return digits, s
 
 
-def _dynamics_to_json(evolution: EvolutionProvider) -> str:
+def _print_numbers(x: np.ndarray, dim: int, offset: int) -> bytes:
+    """The finite numbers ``x`` as ``format(v, ".17g")`` each, followed by
+    its punctuation as entry ``offset`` onwards of a stream of dim x dim
+    matrices of ``[re, im]`` pairs.
+
+    Each number becomes a row of five words: the sign and the "0.000"
+    prefix, three words of digits with the dot moved in, the exponent in
+    the spare bytes of the last of them, and the punctuation; dropping
+    the zero bytes leaves the text.  ``format`` prints the numbers that
+    :func:`_scaled` leaves undecided.
+    """
+    tables = _number_tables()
+    ax = np.abs(x)
+    e, ok, q = _scaled(ax, tables)
+    digits, s = _digit_words(q, tables)
+    s *= 2
+    s += tables.base[e]
+    s += x < 0
+    row = np.where(ok, s, ax != 0)
+    layout = tables.layout.take(row, axis=1)
+    words = np.empty((5, x.size), dtype="<u8")
+    words[0] = layout[0]
+    np.bitwise_and(digits, layout[1:4], out=words[1:4])
+    digits &= layout[4:7]
+    digits <<= np.uint64(8)
+    words[1:4] |= digits
+    words[1:4] |= layout[7:10]
+    words[3] |= tables.exponent[e]
+    words[4] = _punctuation(dim, offset % (2 * dim * dim), x.size)
+    for i in np.flatnonzero(row == 1).tolist():
+        text = format(float(x[i]), ".17g").encode("ascii")
+        words[:4, i] = np.frombuffer(text.ljust(32, b"\0"), dtype="<u8")
+    return words.T.tobytes().translate(None, b"\0")
+
+
+def _print_matrices(matrices: list, dim: int):
+    """Yield the text of ``matrices``, flat arrays of the numbers of dim x
+    dim matrices, as :func:`_print_numbers` prints them, ``_SLICE_NUMBERS``
+    numbers at a time."""
+    pieces, filled, printed = [], 0, 0
+    for numbers in matrices:
+        start = 0
+        while start < numbers.size:
+            piece = numbers[start:start + _SLICE_NUMBERS - filled]
+            pieces.append(piece)
+            filled += piece.size
+            start += piece.size
+            if filled == _SLICE_NUMBERS:
+                x = np.concatenate(pieces)
+                x += 0.0  # -0.0 prints as 0, so reparsing reproduces the bytes
+                yield _print_numbers(x, dim, printed)
+                pieces, filled, printed = [], 0, printed + filled
+    if pieces:
+        x = np.concatenate(pieces)
+        x += 0.0
+        yield _print_numbers(x, dim, printed)
+
+
+def _numbers(m, dim: int, field: str) -> np.ndarray:
+    """The numbers of the dim x dim matrix ``m`` at ``field``, real before
+    imaginary, as a flat float array; raises ValueError naming another
+    shape or the first non-finite number."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValueError(f"cannot serialize {field}: shape {m.shape} is not ({dim}, {dim})")
+    numbers = m.view(np.float64).ravel()
+    finite = np.isfinite(numbers)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite number {float(numbers[~finite][0])}")
+    return numbers
+
+
+def _time_text(t) -> str:
+    """A time or breakpoint; raises ValueError if it is not finite."""
+    t = float(t) + 0.0
+    if not math.isfinite(t):
+        raise ValueError(f"cannot serialize non-finite number {t}")
+    return format(t, ".17g")
+
+
+def _dynamics_to_json(evolution: EvolutionProvider, dim: int, matrices: list) -> str:
+    """The dynamics object, with ``_MATRIX`` for each matrix, appended to ``matrices``."""
     if isinstance(evolution, TrivialEvolution):
         return '{"kind":"trivial"}'
     if isinstance(evolution, ConstantHamiltonian):
-        return '{"hamiltonian":%s,"kind":"hamiltonian"}' % _matrix_to_json(evolution.hamiltonian)
+        matrices.append(_numbers(evolution.hamiltonian, dim, "dynamics.hamiltonian"))
+        return '{"hamiltonian":%s,"kind":"hamiltonian"}' % _MATRIX
     if isinstance(evolution, PiecewiseUnitary):
-        breakpoints = ",".join(format(t, ".17g") for t in _finite(evolution.breakpoints).tolist())
-        unitaries = ",".join(map(_matrix_to_json, evolution.unitaries))
+        breakpoints = ",".join(map(_time_text, evolution.breakpoints))
+        matrices.extend(_numbers(u, dim, f"dynamics.unitaries[{i}]")
+                        for i, u in enumerate(evolution.unitaries))
         return ('{"breakpoints":[%s],"kind":"unitary_table","unitaries":[%s]}'
-                % (breakpoints, unitaries))
+                % (breakpoints, ",".join([_MATRIX] * len(evolution.unitaries))))
     raise ValueError(
         f"cannot serialize evolution provider of type {type(evolution).__name__}")
 
 
-# Numbers the codec handles at once: node lists are printed a slice of
-# nodes at a time and projectors read a slice of rows at a time (at least
-# one node or row per slice), so that only one slice's Python floats and
-# lists are alive at once, not the whole family's.
-_SLICE_NUMBERS = 1 << 12
-
-
-@functools.lru_cache(maxsize=16)
-def _record_template(dim: int, is_child: bool) -> str:
-    """The template of one node record, its keys in canonical order."""
-    return ('{"id":%d,' + ('"parent":%d,"projector":' + _matrix_template(dim, dim) + ","
-                           if is_child else "")
-            + '"time":%.17g}')
-
-
-def _records_to_json(family: BranchingFamily, rows: range) -> str:
-    """The records of ``family``'s nodes in ``rows`` printed by one ``%`` template.
+def _records_to_json(family: BranchingFamily, matrices: list) -> str:
+    """The node records, with ``_MATRIX`` for each projector, appended to ``matrices``.
 
     Raises ValueError naming the first node the reader would refuse or the
     first non-finite number, node by node in canonical order.
     """
-    nodes, dim, cut = family._nodes, family.dim, slice(rows.start, rows.stop)
-    parents = nodes.parent[cut].tolist()
-    numbers = nodes.projectors[cut][nodes.parent[cut] != -1].view(np.float64)
-    numbers += 0.0  # turns -0.0 into 0.0 in the copy the mask made
-    times = nodes.time[cut] + 0.0
-    if nodes.misfits or not (np.isfinite(numbers).all() and np.isfinite(times).all()):
-        checked = []  # hand-built projectors may also be nested lists or of another dtype
-        for m in family._views(rows):
+    nodes, dim = family._nodes, family.dim
+    children = nodes.parent != -1
+    kinds = children.tolist()
+    if nodes.misfits or not (np.isfinite(nodes.projectors).all()
+                             and np.isfinite(nodes.time).all()):
+        for m in family._views(range(len(kinds))):  # projectors may be nested lists
             if m.parent is None and m.projector is not None:
                 raise ValueError(f"cannot serialize node {m.id}: "
                                  "a node without a parent must not carry a projector")
@@ -180,40 +459,47 @@ def _records_to_json(family: BranchingFamily, rows: range) -> str:
                 if shape != (dim, dim):
                     raise ValueError(f"cannot serialize node {m.id}: projector shape "
                                      f"{shape} is not ({dim}, {dim})")
-                checked.append(_finite(np.ascontiguousarray(m.projector, dtype=complex)
-                                       .view(np.float64)))
-            _finite(m.time)
-        numbers = np.array(checked)
-    numbers = iter(numbers.reshape(-1, 2 * dim * dim).tolist())
+                matrices.append(_numbers(m.projector, dim, f"node {m.id}"))
+            _time_text(m.time)
+    else:  # each run of consecutive children is one block of the stack
+        stack = nodes.projectors.reshape(len(kinds), -1).view(np.float64)
+        cuts = [0, *(np.flatnonzero(children[1:] != children[:-1]) + 1).tolist(), len(kinds)]
+        matrices.extend(stack[a:b].ravel() for a, b in zip(cuts, cuts[1:]) if kinds[a])
     args = []
-    for r, p, time in zip(rows, parents, times.tolist()):
-        args.append(int(nodes.ids[r]))
+    for r, p, time in zip(range(len(kinds)), nodes.parent.tolist(), nodes.time.tolist()):
+        args.append(nodes.ids[r])
         if p != -1:
-            args.append(int(nodes.parent_id(r, p)))
-            args += next(numbers)
-        args.append(time)
-    template = ",".join([_record_template(dim, p != -1) for p in parents])
-    return template % tuple(args)
+            args.append(nodes.parent_id(r, p))
+        args.append(format(time + 0.0, ".17g"))
+    child = '{"id":%d,"parent":%d,"projector":' + _MATRIX + ',"time":%s}'
+    return ",".join([child if c else '{"id":%d,"time":%s}' for c in kinds]) % tuple(args)
 
 
 def serialize_family(family: BranchingFamily) -> bytes:
     """Canonical UTF-8 document for ``family``.
 
     Raises ValueError naming the first non-finite number in canonical
-    order, or the first node the reader would refuse: a child without a
-    projector, a root with one, or a projector that is not ``dim`` x ``dim``.
+    order, or the first matrix or node the reader would refuse: a state,
+    dynamics matrix or projector that is not ``dim`` x ``dim``, a child
+    without a projector, or a root with one.
     """
-    dim = family.dim
-    dynamics = _dynamics_to_json(family.evolution)
+    dim, matrices = family.dim, []
+    dynamics = _dynamics_to_json(family.evolution, dim, matrices)
     if np.array_equal(family.initial_state, np.eye(dim, dtype=complex) / dim):
         state = '"maximally_mixed"'
     else:
-        state = _matrix_to_json(family.initial_state)
-    step = max(1, _SLICE_NUMBERS // (2 * dim * dim + 3))
-    nodes = ",".join([_records_to_json(family, range(start, min(start + step, len(family))))
-                      for start in range(0, len(family), step)])
-    return ('{"dim":%d,"dynamics":%s,"initial_state":%s,"nodes":[%s]}'
-            % (dim, dynamics, state, nodes)).encode("utf-8")
+        matrices.append(_numbers(family.initial_state, dim, "initial_state"))
+        state = _MATRIX
+    nodes = _records_to_json(family, matrices)
+    gaps = iter(('{"dim":%d,"dynamics":%s,"initial_state":%s,"nodes":[%s]}'
+                 % (dim, dynamics, state, nodes)).encode("utf-8").split(_MARK))
+    out = io.BytesIO()
+    out.write(next(gaps))
+    for text in _print_matrices(matrices, dim):
+        *ended, rest = text.split(_MARK)
+        out.writelines(itertools.chain.from_iterable(zip(ended, gaps)))
+        out.write(rest)
+    return out.getvalue()
 
 
 # -- parsing ----------------------------------------------------------------
@@ -376,10 +662,17 @@ def load_document(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamil
     """
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     if isinstance(data, (bytes, bytearray)) and _nests_shallowly(data):
+        # The decoded tree holds no cycles and is dropped before return, so
+        # the cyclic collector would only walk its many small lists.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             return _family_from(orjson.loads(data), tol)
         except (orjson.JSONDecodeError, ParseError):
             pass  # read again by json, only to name the error
+        finally:
+            if collecting:
+                gc.enable()
     if isinstance(text, (bytes, bytearray)):
         try:
             text = bytes(text).decode("utf-8")

@@ -1,8 +1,12 @@
 """Document round trips, parse failures and Graphviz export."""
 
+import gc
 import itertools
 import json
 import math
+import struct
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -343,6 +347,21 @@ def test_codec_writes_projectors_of_another_type_and_refuses_another_shape():
         assert str(exc.value) == f"cannot serialize node {node}: projector shape {shape} is not (2, 2)"
 
 
+def test_codec_refuses_a_state_or_dynamics_matrix_of_another_dimension():
+    # One printer prints every matrix of a document at its dim, and the
+    # reader refuses such a document, so it is not written.
+    root = [Moment(0, None, 0.0, None)]
+    for state, provider, message in [
+        (np.eye(3) / 3, TrivialEvolution(2), "initial_state: shape (3, 3)"),
+        (np.eye(2) / 2, ConstantHamiltonian(np.eye(3)), "dynamics.hamiltonian: shape (3, 3)"),
+        (np.eye(2) / 2, PiecewiseUnitary([0.0, 1.0, 2.0], [np.eye(4), np.eye(4)]),
+         "dynamics.unitaries[0]: shape (4, 4)"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            serialize_family(BranchingFamily(2, root, state, provider))
+        assert str(exc.value) == f"cannot serialize {message} is not (2, 2)"
+
+
 @pytest.mark.parametrize("moments,message", [
     ([Moment(0, None, 0.0, P0), Moment(1, 0, 1.0, P0), Moment(2, 0, 1.0, P1)],
      "cannot serialize node 0: a node without a parent must not carry a projector"),
@@ -431,6 +450,177 @@ def test_all_non_finite_locations_at_once():
     for clean in ({}, {"unitary": None}):
         assert serialize_family(_non_finite_family(clean)) == _reference_serialize(
             _non_finite_family(clean))
+
+
+# -- the bulk number printer ---------------------------------------------------
+
+def _reference_text(numbers, dim: int) -> bytes:
+    """``numbers`` printed one by one as the printer prints a stream of
+    dim x dim matrices: each entry with ``format`` and its punctuation,
+    ``|`` after the last entry of each matrix."""
+    period = 2 * dim * dim
+    out = []
+    for k, v in enumerate(np.asarray(numbers, dtype=float).tolist()):
+        k %= period
+        out.append(format(v + 0.0, ".17g"))
+        out.append("|" if k == period - 1 else "]],[[" if k % (2 * dim) == 2 * dim - 1
+                   else "],[" if k % 2 else ",")
+    return "".join(out).encode()
+
+
+def _printed(numbers, dim: int) -> bytes:
+    return b"".join(fileio._print_matrices([np.asarray(numbers, dtype=float)], dim))
+
+
+def _ties() -> list[float]:
+    """Numbers exactly halfway between two 17-digit decimals, and their
+    neighbours: (D + 1/2) * 10**-m for a 17-digit D, which is w / 2**(m + 1)
+    with 2 D + 1 = w * 5**m, exact when w < 2**53."""
+    out = []
+    for m in range(2, 23):
+        low = -(-2 * 10 ** 16 // 5 ** m) | 1
+        for w in (low, low + 2 * 5 ** 7, (2 * 10 ** 17 // 5 ** m - 1) | 1):
+            if w * 5 ** m < 2 * 10 ** 17 and w < 2 ** 53:
+                tie = math.ldexp(w, -(m + 1))
+                assert Fraction(tie) * 10 ** m % 1 == Fraction(1, 2)
+                out += [tie, math.nextafter(tie, 0), math.nextafter(tie, math.inf)]
+    return out
+
+
+def _decade_round_ups() -> list[float]:
+    """Floats just below a power of ten whose 17 digits round up to it,
+    and their neighbours."""
+    out = []
+    for k in range(-307, 309):
+        v, power = float(f"1e{k}"), Fraction(10) ** k
+        if Fraction(v) < power and Fraction(format(v, ".17g")) == power:
+            out += [v, math.nextafter(v, 0), math.nextafter(v, math.inf)]
+    assert out
+    return out
+
+
+_POWERS = [v for k in range(-320, 309) for v in (
+    float(f"1e{k}"), math.nextafter(float(f"1e{k}"), 0), math.nextafter(float(f"1e{k}"), math.inf))]
+_HARD = _POWERS + _ties() + _decade_round_ups() + [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2]
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+_PRINTER_NUMBERS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_from_bits).filter(math.isfinite),
+    st.sampled_from(_HARD),
+    st.floats(1e290, 1.7976931348623157e308),
+    st.floats(0.0, 1e-280),
+    st.integers(-(2 ** 63), 2 ** 63).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(values=st.lists(_PRINTER_NUMBERS, min_size=1, max_size=48),
+       shape=st.sampled_from([(1, 1), (4095, 2), (4096, 3), (4097, 1), (2 * 64 * 64, 64)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_printer_matches_format_entry_by_entry(values, shape, seed):
+    # Slices of 4096 numbers: one short, one exact, one over, and a d = 64
+    # matrix wider than a slice; every drawn value appears at least once.
+    size, dim = shape
+    rng = np.random.default_rng(seed)
+    numbers = np.array(values)[rng.integers(0, len(values), size)]
+    numbers[rng.permutation(size)[:len(values)]] = values[:size]
+    assert _printed(numbers, dim) == _reference_text(numbers, dim)
+
+
+def test_printer_hard_numbers_in_every_column():
+    for dim in (1, 2, 3, 64):
+        assert _printed(_HARD, dim) == _reference_text(_HARD, dim)
+        assert _printed(_HARD[::-1], dim) == _reference_text(_HARD[::-1], dim)
+
+
+def _planted_family(values, kind: str) -> BranchingFamily:
+    """A dim-32 family whose state, dynamics matrices and projectors hold
+    ``values``, each matrix from another starting point in the list."""
+    dim, count = 32, 2 * 32 * 32
+    tiled = np.resize(np.asarray(values, dtype=float), len(values) + count)
+
+    def planted(shift):
+        start = shift * 97 % len(values)
+        return tiled[start:start + count].copy().view(complex).reshape(dim, dim)
+
+    if kind == "hamiltonian":
+        provider = ConstantHamiltonian(np.eye(dim))
+        provider.hamiltonian = planted(1)
+    else:
+        provider = PiecewiseUnitary([0.0, 1.0, 2.0], [np.eye(dim), np.eye(dim)])
+        provider.unitaries = (planted(1), planted(2))
+    moments = [Moment(0, None, 0.0, None)] + [
+        Moment(i, 0 if i < 3 else 1, float(i), planted(i + 2)) for i in range(1, 6)]
+    return BranchingFamily(dim, moments, planted(0), provider)
+
+
+@pytest.mark.parametrize("kind", ["hamiltonian", "unitary_table"])
+def test_planted_hard_numbers_serialize_as_the_reference(kind):
+    # The planted dynamics are not Hermitian or unitary, so the document
+    # does not load back; the bytes are the per-entry reference's.
+    family = _planted_family(_HARD, kind)
+    assert serialize_family(family) == _reference_serialize(family)
+
+
+def test_projector_stacks_seldom_reach_the_per_entry_fallback(monkeypatch):
+    # Entries of random dim-32 projectors, as the branching documents hold
+    # them.  A slide back to per-entry formatting would keep the bytes and
+    # lose the speed, so count the calls of the fallback, fileio's own format().
+    rng = np.random.default_rng(32)
+    stack = []
+    for rank in rng.integers(1, 32, size=13):
+        q, _ = np.linalg.qr(rng.normal(size=(32, rank)) + 1j * rng.normal(size=(32, rank)))
+        stack.append(q @ q.conj().T)
+    numbers = np.array(stack).view(np.float64).ravel()
+    calls = []
+
+    def counting_format(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(fileio, "format", counting_format, raising=False)
+    assert _printed(numbers, 32) == _reference_text(numbers, 32)
+    assert calls == []
+    numbers[5000] = _ties()[0]  # the counter does see the fallback
+    assert _printed(numbers, 32) == _reference_text(numbers, 32)
+    assert calls == [_ties()[0]]
+
+
+def test_writer_holds_little_beyond_the_document():
+    # A d = 1024 family of three dense matrices makes a document of about
+    # 85 MB; the writer may hold it once, with the growth of its buffer,
+    # but not a second copy, a str of it or a template per entry.
+    # Peak RSS is read as VmHWM, which starts afresh at exec.
+    pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    result = run_capped("""
+        import numpy as np
+        from qhistories import BranchingFamily, Moment, TrivialEvolution, serialize_family
+
+        def status(key):
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) << 10 for line in f if line.startswith(key))
+
+        d = 1024
+        v = np.random.default_rng(5).normal(size=d)
+        p = np.outer(v, v / (v @ v)).astype(complex)
+        family = BranchingFamily(d, [Moment(0, None, 0.0, None), Moment(1, 0, 1.0, p),
+                                     Moment(2, 0, 1.0, np.eye(d) - p)], p, TrivialEvolution(d))
+        before = status("VmRSS:")
+        blob = serialize_family(family)
+        print(len(blob), status("VmHWM:") - before)
+    """)
+    assert result.returncode == 0, result.stderr
+    size, growth = map(int, result.stdout.split())
+    assert size > 80_000_000
+    assert growth < 1.5 * size
 
 
 # -- syntax and schema failures ----------------------------------------------
@@ -689,6 +879,33 @@ _DIVERGENT = {
 def test_divergent_documents_fail_or_load_as_on_the_json_path(name):
     text = _DIVERGENT[name]
     _same_outcome(_parse_outcome(lambda: load_document(text)), _json_outcome(text))
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_load_document_pauses_the_collector_and_restores_the_callers_state(collecting):
+    # orjson's tree is parsed with the collector off; the json re-read that
+    # names an error runs with the caller's setting, which survives each outcome.
+    seen = []
+    family_from = fileio._family_from
+
+    def recording(doc, tol):
+        seen.append(gc.isenabled())
+        return family_from(doc, tol)
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        with mock.patch.object(fileio, "_family_from", recording):
+            load_document(serialize_family(fig2_family()))
+            assert (seen, gc.isenabled()) == ([False], collecting)
+            with pytest.raises(ParseError):
+                load_document(_doc(dim=0))  # refused by the schema, named by the json re-read
+            assert (seen[1:], gc.isenabled()) == ([False, collecting], collecting)
+            with pytest.raises(ParseError):
+                load_document(b'{"dim": 2,')  # refused by orjson itself
+            assert (seen[3:], gc.isenabled()) == ([], collecting)
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_documents_too_deep_for_orjson_are_refused_without_a_crash():
