@@ -94,17 +94,17 @@ def _cmd_validate(args) -> int:
 def _cmd_weights(args) -> int:
     family = _load_valid(args.file, args.tol)
     table = weight_table(family, args.tol)
-    leaves = family.leaves()
+    leaves = [family._nodes.ids[r] for r in family._tree.leaves.tolist()]
     total = sum(float(w) for w in table)
     if args.csv:
         print("index,leaf,weight")
         for i, (leaf, w) in enumerate(zip(leaves, table)):
-            print(f"{i},{leaf.id},{_fmt(w)}")
+            print(f"{i},{leaf},{_fmt(w)}")
         print(f"sum,,{_fmt(total)}")
     else:
         print("index  leaf  weight")
         for i, (leaf, w) in enumerate(zip(leaves, table)):
-            print(f"{i:<6d} {leaf.id:<5d} {_fmt(w)}")
+            print(f"{i:<6d} {leaf:<5d} {_fmt(w)}")
         print(f"sum = {_fmt(total)}")
     return EXIT_OK
 
@@ -260,7 +260,7 @@ def _cmd_coarse(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    parent = family.moment(leaf_a).parent
+    parent = family._nodes.ids[family._nodes.parent[family._row(leaf_a)]]
     print(f"sum of leaves {leaf_a} and {leaf_b} (parent {parent}):")
     for t, p in merged.steps:
         rank = int(round(float(np.trace(p).real)))

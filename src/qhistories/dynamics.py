@@ -185,19 +185,19 @@ class PiecewiseUnitary(EvolutionProvider):
 
     def covers(self, t: float) -> bool:
         """True iff ``t`` coincides with one of the stored breakpoints."""
-        return any(abs(t - b) <= TIME_ALIGN_TOL for b in self.breakpoints)
+        return self._index_of(t) is not None
 
-    def _index_of(self, t: float) -> int:
-        for i, b in enumerate(self.breakpoints):
-            if abs(t - b) <= TIME_ALIGN_TOL:
-                return i
-        raise ValueError(
-            f"time {t} does not align with any breakpoint of the unitary table"
-        )
+    def _index_of(self, t: float) -> int | None:
+        """The index of the breakpoint ``t`` coincides with, or None."""
+        return next((i for i, b in enumerate(self.breakpoints)
+                     if abs(t - b) <= TIME_ALIGN_TOL), None)
 
     def propagator(self, t_from: float, t_to: float) -> np.ndarray:
-        i = self._index_of(float(t_from))
-        j = self._index_of(float(t_to))
+        i, j = self._index_of(float(t_from)), self._index_of(float(t_to))
+        for t, index in ((t_from, i), (t_to, j)):
+            if index is None:
+                raise ValueError(
+                    f"time {float(t)} does not align with any breakpoint of the unitary table")
         u = self._memo.get((i, j))
         if u is not None:
             return u

@@ -466,13 +466,6 @@ def _product_slots(subfamilies: list, root: int) -> list[list[int]] | None:
     return slots if sub == 1 else None
 
 
-def _tree_bounds(stacks: np.ndarray) -> tuple[float, float]:
-    """Orthogonality and completeness bounds of the factored members ``stacks``,
-    shape (n, slots, d, d), from their tree (see :func:`_bounds`)."""
-    factors, ids = _factor_table(stacks)
-    return _bounds(factors, *_id_tree(ids))
-
-
 def _bounds(factors: np.ndarray, subfamilies: list, root: int) -> tuple[float, float]:
     """Orthogonality and completeness bounds of factored members, from their tree.
 

@@ -5,11 +5,21 @@ All functions work on plain ``numpy.ndarray`` values coerced to
 ``DEFAULT_TOL`` as the tolerance when none is given; a check passes iff
 its norm is at most the tolerance, so a NaN entry fails it.  Projectors
 and decompositions are checked in bulk, on (n, d, d) stacks.
+
+Exclusive from exhaustive: projectors Q_i summing to I are pairwise orthogonal,
+as Q_i + Q_j <= I and lambda_max(Q_i + Q_j) = 1 + ||Q_i Q_j||_2.  For a group
+of k computed d x d members P_i with max-entry sizes s_i, Hermiticity and
+idempotence defects h_i and a_i and residual c = max|sum P - I|, let
+e_i = d h_i / 2, alpha_i = d a_i + (2 d s_i + 1) e_i + e_i^2 < 1/4 and
+delta_i = e_i + 2 alpha_i: P_i is within delta_i of an exact projector, and
+max|P_i P_j| <= d c + sum delta + d s_j delta_i + delta_j.
+:func:`decomposition_defects` adds 4(d + k + 2) machine epsilons of slack for
+rounding and forms pair products only in the groups left above tol.
 """
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,15 +45,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
-# Bytes of pair products or summed rows per batch in decomposition_defects;
+# Bytes of pair products per batch in decomposition_defects;
 # 64 MiB batches validated a dim-32, 1057-node family half as fast.
 _CHUNK_BYTES = 4 << 20
-# is_decomposition checks a group whose k(k + 1)/2 pair products take at
-# most this many bytes with one batched product, at about half the cost of
-# decomposition_defects on small groups.  Past it the batched product was
-# slower in a fresh process (d = 32, k = 4: 160 KiB of products, 1.2-1.5x),
-# so larger groups go through decomposition_defects.
-_GROUP_BYTES = 96 << 10
 
 
 def as_operator(m) -> np.ndarray:
@@ -109,64 +113,49 @@ def is_decomposition(projectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
 
     Raises ``ValueError`` on an empty sequence or mixed dimensions.
     """
-    mats = [as_operator(p) for p in projectors]
-    if not mats:
-        raise ValueError("a decomposition needs at least one projector")
-    if any(p.shape != mats[0].shape for p in mats):
-        raise ValueError("decomposition members have mixed dimensions")
-    stack = np.stack(mats)
-    k, d = stack.shape[:2]
-    if k * (k + 1) * 8 * d * d > _GROUP_BYTES:  # k(k + 1)/2 products of 16 d^2 bytes
-        size, _, herm, idem = _projector_norms(stack)
-        clashes, complete = decomposition_defects(stack, [0, k], tol)
-        return bool(np.all((herm <= tol) & (idem <= tol) & ~(size <= tol))
-                    and not len(clashes) and complete[0])
-    i, j, same = _upper_pairs(k)
-    products = stack[i] @ stack[j]
-    products[same] -= stack  # P_i P_i - P_i; the pairs i < j are P_i P_j
-    total = stack.sum(axis=0)
-    total.flat[::d + 1] -= 1
-    return bool(max_abs(products) <= tol and max_abs(total) <= tol
-                and max_abs(stack - stack.conj().transpose(0, 2, 1)) <= tol
-                and not (np.abs(stack).max(axis=(1, 2)) <= tol).any())
-
-
-@cache
-def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows ``i`` and ``j`` of the pairs i <= j of k members, row by row,
-    and the positions of the pairs i == j among them; ``_GROUP_BYTES``
-    keeps k below 111."""
-    i, j = np.triu_indices(k)
-    return i, j, np.flatnonzero(i == j)
+    return _first_defect([as_operator(p) for p in projectors], tol) is None
 
 
 def _projector_norms(stack: np.ndarray) -> np.ndarray:
     """Max-entry norms of P, P @ P, P^dag - P and P @ P - P: shape (4, n) for (n, d, d)."""
+    n, d = stack.shape[:2]
     square = stack @ stack
-    return np.abs(np.stack([stack, square, stack.conj().transpose(0, 2, 1) - stack,
-                            square - stack])).max(axis=(2, 3))
+    return np.abs(np.concatenate([stack, square, stack.conj().transpose(0, 2, 1) - stack,
+                                  square - stack]).reshape(4, n, d * d)).max(axis=2)
 
 
-def decomposition_defects(stack: np.ndarray, bounds: Sequence[int],
+def decomposition_defects(stack: np.ndarray, norms: np.ndarray, bounds: Sequence[int],
                           tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Non-orthogonal pairs, and completeness, of groups of rows of a stack.
 
-    ``stack`` is an (n, d, d) array.  Group g is rows ``bounds[g]:bounds[g + 1]``,
-    not empty; rows from ``bounds[-1]`` on are in no group.  Returns the (k, 2) array
-    of pairs i < j in one group with max|P_i P_j| > tol, in lexicographic
-    order, and for each group whether max|sum - I| <= tol.  Products and
-    partial sums are formed at most ``_CHUNK_BYTES`` at a time.
+    ``stack`` is an (n, d, d) array and ``norms`` its :func:`_projector_norms`.
+    Group g is rows ``bounds[g]:bounds[g + 1]``, not empty; rows from
+    ``bounds[-1]`` on are in no group.  Returns the (k, 2) array of pairs
+    i < j in one group with max|P_i P_j| > tol, in lexicographic order, and
+    for each group whether max|sum - I| <= tol.  Only the groups that
+    :func:`_exclusive` leaves open form pair products, ``_CHUNK_BYTES`` at a time.
     """
     bounds = np.asarray(bounds, dtype=np.intp)
-    if bounds[-1] == 0:
+    n = int(bounds[-1])
+    if n == 0:
         return np.empty((0, 2), dtype=np.intp), np.ones(0, dtype=bool)
-    d = stack.shape[1]
-    chunk = max(1, _CHUNK_BYTES // (16 * d * d))
-    group = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    d, starts, sizes = stack.shape[1], bounds[:-1], bounds[1:] - bounds[:-1]
+    sums = np.add.reduceat(stack[:n], starts, axis=0)
+    sums.reshape(len(sizes), -1)[:, ::d + 1] -= 1
+    residual = np.abs(sums).max(axis=(1, 2))
+    stats, counts = [residual, *np.maximum.reduceat(norms[:, :n], starts, axis=1)], sizes
+    if len(sizes) == 1:  # a one-element array costs 15 times a float per operation
+        stats, counts = [x.item() for x in stats], n
+    with np.errstate(all="ignore"):  # overflows and inf * 0 leave a bound open
+        exclusive = np.asarray(_exclusive(d, counts, *stats, tol))
+    if exclusive.all():
+        return np.empty((0, 2), dtype=np.intp), residual <= tol
 
-    # Row i pairs with the later rows of its group: pairs first[i] onwards.
-    later = bounds[1:][group] - np.arange(len(group)) - 1
+    # Row i of an open group pairs with the later rows of its group: pairs first[i] onwards.
+    later = np.where(np.repeat(exclusive, sizes), 0,
+                     np.repeat(bounds[1:], sizes) - np.arange(n) - 1)
     first, pairs = np.cumsum(later) - later, int(later.sum())
+    chunk = max(1, _CHUNK_BYTES // (16 * d * d))
     clashes = [np.empty((0, 2), dtype=np.intp)]
     for k0 in range(0, pairs, chunk):
         k = np.arange(k0, min(k0 + chunk, pairs))
@@ -174,14 +163,22 @@ def decomposition_defects(stack: np.ndarray, bounds: Sequence[int],
         j = i + 1 + k - first[i]
         bad = np.abs(stack[i] @ stack[j]).max(axis=(1, 2)) > tol
         clashes.append(np.stack([i[bad], j[bad]], axis=1))
+    return np.concatenate(clashes), residual <= tol
 
-    sums = np.zeros((len(bounds) - 1, d, d), dtype=complex)
-    for r0 in range(0, len(group), chunk):
-        g = group[r0:r0 + chunk]
-        starts = np.flatnonzero(np.diff(g, prepend=-1))
-        sums[g[0]:g[-1] + 1] += np.add.reduceat(stack[r0:r0 + len(g)], starts, axis=0)
-    sums -= np.eye(d)
-    return np.concatenate(clashes), np.abs(sums).max(axis=(1, 2)) <= tol
+
+def _exclusive(d: int, k, c, s, _, h, a, tol: float):
+    """Whether the module docstring's bound puts every pair of a group within
+    ``tol`` of orthogonal, from its size k, residual c and its members' largest
+    norms s, h and a: floats for one group, arrays over groups."""
+    rho = (d + k + 2) * 2.0 ** -50  # four machine epsilons per term
+    s = s * (1 + rho)
+    c = c * (1 + rho) + rho * (k * s + 1)
+    a = a * (1 + rho) + rho * d * s * s
+    e = d * h * (1 + rho) / 2
+    alpha = d * a + (2 * d * s + 1) * e + e * e
+    delta = e + 2 * alpha
+    bound = (d * c + (k + d * s + 1) * delta + rho * d * s * s) * (1 + rho)
+    return (bound <= tol) & (alpha < 0.25)
 
 
 def require_projector(m, tol: float = DEFAULT_TOL, what: str = "projector") -> np.ndarray:
@@ -204,27 +201,31 @@ def require_decomposition(projectors: Sequence, dim: int | None = None,
         raise ValueError(
             f"decomposition dimension {mats[0].shape[0]} does not match expected {dim}"
         )
-    if not is_decomposition(mats, tol):
+    defect = _first_defect(mats, tol)
+    if defect is not None:
         raise ValueError(
-            "projectors do not form a decomposition of the identity "
-            f"within tol={tol}: {_first_defect(np.stack(mats), tol)}"
-        )
+            f"projectors do not form a decomposition of the identity within tol={tol}: {defect}")
     return mats
 
 
-def _first_defect(stack: np.ndarray, tol: float) -> str:
-    """The first check of :func:`is_decomposition` that the (n, d, d) ``stack`` fails."""
-    size, _, herm, idem = _projector_norms(stack)
-    zero = np.flatnonzero(size <= tol)
-    if len(zero):
-        return f"zero member {zero[0]}"
-    bad = np.flatnonzero(~((herm <= tol) & (idem <= tol)))
-    if len(bad):
-        return f"member {bad[0]} not a projector"
-    clashes, _ = decomposition_defects(stack, [0, len(stack)], tol)
+def _first_defect(mats: list[np.ndarray], tol: float) -> str | None:
+    """The first check of :func:`is_decomposition` that the matrices ``mats`` fail, or None."""
+    if not mats:
+        raise ValueError("a decomposition needs at least one projector")
+    if any(p.shape != mats[0].shape for p in mats):
+        raise ValueError("decomposition members have mixed dimensions")
+    stack = np.array(mats)
+    size, _, herm, idem = norms = _projector_norms(stack)
+    zero = size <= tol
+    if zero.any():
+        return f"zero member {zero.argmax()}"
+    projector = (herm <= tol) & (idem <= tol)
+    if not projector.all():
+        return f"member {projector.argmin()} not a projector"
+    clashes, complete = decomposition_defects(stack, norms, [0, len(stack)], tol)
     if len(clashes):
         return f"members {clashes[0, 0]} and {clashes[0, 1]} not orthogonal"
-    return "sum not the identity"
+    return None if complete[0] else "sum not the identity"
 
 
 def require_density_matrix(m, dim: int | None = None,

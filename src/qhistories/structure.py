@@ -394,13 +394,15 @@ class BranchingFamily:
                 "tree", tuple(ids[r] for r in unreachable),
                 "nodes are not reachable from the root"))
 
-        size, _, herm, idem = self._norms
-        is_proj, size = ((herm <= tol) & (idem <= tol)).tolist(), size.tolist()
-        for r, p in enumerate(parent.tolist()):
+        size, _, herm, idem = norms = self._norms
+        above = parent >= 0
+        flagged = (parent != -1) & ~((herm <= tol) & (idem <= tol) & ~(size <= tol))
+        flagged[above] |= ~(nodes.time[above] > nodes.time[parent[above]])
+        for r in sorted(set(np.flatnonzero(flagged).tolist()).union(misfits)):
+            p = int(parent[r])
             if p == -1:
-                if r in misfits:
-                    issues.append(ValidationIssue(
-                        "projector", (ids[r],), "root must not carry a projector"))
+                issues.append(ValidationIssue(
+                    "projector", (ids[r],), "root must not carry a projector"))
                 continue
             if r in misfits and misfits[r].projector is None:
                 issues.append(ValidationIssue(
@@ -409,7 +411,7 @@ class BranchingFamily:
                 issues.append(ValidationIssue(
                     "dimension", (ids[r],),
                     f"projector {misfits[r]._projector_kind()} does not match dim {self.dim}"))
-            elif not is_proj[r]:
+            elif not (herm[r] <= tol and idem[r] <= tol):
                 issues.append(ValidationIssue(
                     "projector", (ids[r],), "matrix is not a projector within tol"))
             elif size[r] <= tol:
@@ -427,7 +429,8 @@ class BranchingFamily:
         whole = np.bincount(group[misplaced], minlength=len(heads)) == 0
         grouped, heads = tree.kids[whole[group]], heads[whole]
         bounds = np.concatenate(([0], np.cumsum(tree.children[heads])))
-        clashes, complete = decomposition_defects(nodes.projectors[grouped], bounds, tol)
+        clashes, complete = decomposition_defects(nodes.projectors[grouped], norms[:, grouped],
+                                                  bounds, tol)
         cut = np.searchsorted(clashes[:, 0], bounds)  # group g: clashes[cut[g]:cut[g + 1]]
         for g in np.flatnonzero(~complete | (np.diff(cut) > 0)).tolist():
             for i, j in clashes[cut[g]:cut[g + 1]].tolist():
@@ -454,12 +457,12 @@ class BranchingFamily:
                 "dynamics", (),
                 f"evolution dimension {self.evolution.dim} does not match "
                 f"family dimension {self.dim}"))
-        for r in np.flatnonzero(tree.children).tolist():
-            if not self._can_branch_at(times[r]):
-                issues.append(ValidationIssue(
-                    "dynamics", (ids[r],),
-                    f"time {times[r]} does not align with any breakpoint "
-                    f"of the unitary table"))
+        branching = np.flatnonzero(tree.children)
+        uncovered = self._uncovered(nodes.time[branching].tolist())
+        for r in branching[np.isin(nodes.time[branching], uncovered)].tolist():
+            issues.append(ValidationIssue(
+                "dynamics", (ids[r],),
+                f"time {times[r]} does not align with any breakpoint of the unitary table"))
 
         report = ValidationReport(tuple(issues))
         if report.ok:
@@ -477,10 +480,12 @@ class BranchingFamily:
 
     # -- construction ----------------------------------------------------
 
-    def _can_branch_at(self, t: float) -> bool:
-        """A unitary table propagates only from its breakpoints."""
-        return (not isinstance(self.evolution, PiecewiseUnitary)
-                or self.evolution.covers(t))
+    def _uncovered(self, times: list[float]) -> list[float]:
+        """The distinct ``times`` the dynamics cannot branch at, each checked
+        once: a unitary table propagates only from its breakpoints."""
+        if not isinstance(self.evolution, PiecewiseUnitary):
+            return []
+        return [t for t in set(times) if not self.evolution.covers(t)]
 
     def _grown(self, leaves: Sequence[int], mats: Sequence[np.ndarray], times: Sequence[float],
                tol: float) -> "BranchingFamily":
@@ -502,8 +507,7 @@ class BranchingFamily:
             projectors=np.concatenate([nodes.projectors, *[stack] * len(leaves)]))
         fam = BranchingFamily._trusted(self.dim, grown, self.initial_state, self.evolution)
         fam._next_id = first + k
-        if tol == self._valid_tol and all(self._can_branch_at(t)
-                                          for t in nodes.time[leaves].tolist()):
+        if tol == self._valid_tol and not self._uncovered(nodes.time[leaves].tolist()):
             fam._valid_tol = tol
         return fam
 

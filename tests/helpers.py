@@ -36,8 +36,11 @@ from qhistories.errors import EmbeddingError
 from qhistories.hpo import (
     HistoryProjector,
     HPOFamily,
+    _bounds,
     _certified,
     _check_space,
+    _factor_table,
+    _id_tree,
     _slot_times,
 )
 from qhistories.linalg import DEFAULT_TOL, _projector_norms, as_operator, max_abs
@@ -493,6 +496,13 @@ def embed_family(family: BranchingFamily) -> tuple[HPOFamily, list[bool]]:
     grid = _slot_times(slots, grids.pop(), family.dim)
     return HPOFamily(tuple(HistoryProjector._factored(st, grid, ok)
                            for st, ok in zip(stacks, certified))), certified
+
+
+def tree_bounds(stacks: np.ndarray) -> tuple[float, float]:
+    """Orthogonality and completeness bounds of the factored members ``stacks``,
+    shape (n, slots, d, d), from their tree (see ``hpo._bounds``)."""
+    factors, ids = _factor_table(stacks)
+    return _bounds(factors, *_id_tree(ids))
 
 
 def export_dot(family: BranchingFamily, annotate_weights: bool = False) -> str:

@@ -17,6 +17,7 @@ from helpers import (
     random_decomposition,
     random_provider,
     run_capped,
+    tree_bounds,
 )
 from qhistories import (
     EmbeddingError,
@@ -46,7 +47,6 @@ from qhistories.hpo import (
     _factors_clash,
     _schmidt_rank_one,
     _telescoped,
-    _tree_bounds,
     _tree_verdict,
 )
 from qhistories.linalg import DEFAULT_TOL, is_projector, kron_all
@@ -349,7 +349,7 @@ def test_factored_members_match_dense_oracle(kind, dim, slots, monkeypatch):
         assert is_hpo_family(members) == (not clash and complete)
         # The tree's bounds certify the whole family and nothing the dense
         # check rejects.
-        clash_bound, bound = _tree_bounds(stacks)
+        clash_bound, bound = tree_bounds(stacks)
         assert (clash_bound <= DEFAULT_TOL) == (not clash)
         assert (bound <= DEFAULT_TOL) == (group is histories)
         assert _tree_verdict(HPOFamily(tuple(members)), DEFAULT_TOL) == (
@@ -360,7 +360,7 @@ def test_factored_members_match_dense_oracle(kind, dim, slots, monkeypatch):
         with monkeypatch.context() as m:  # one row of R, one factor pair at a time
             m.setattr(hpo, "_CHUNK_BYTES", 0)
             assert_allclose(_dense_sum(members, members[0].dim), total, atol=1e-12)
-            assert _tree_bounds(stacks) == (clash_bound, bound)
+            assert tree_bounds(stacks) == (clash_bound, bound)
 
 
 def test_isham_family_needs_the_dense_fallback(monkeypatch):
@@ -369,7 +369,7 @@ def test_isham_family_needs_the_dense_fallback(monkeypatch):
     # total decides.
     family, _ = isham_counterexample()
     stacks = np.stack([np.stack(m.factors) for m in family.members])
-    clash_bound, bound = _tree_bounds(stacks)
+    clash_bound, bound = tree_bounds(stacks)
     assert clash_bound > DEFAULT_TOL and bound >= 1.0
     assert not _factors_clash(stacks, DEFAULT_TOL)
     assert _tree_verdict(family, DEFAULT_TOL) == (True, bound)
@@ -453,7 +453,7 @@ def test_tree_verdict_matches_the_dense_verdict(seed, product, kind, mutations):
 def _assert_sound_bounds(members, dense):
     """The tree bounds are at least the dense norms they bound, up to the
     dense products' rounding."""
-    clash_bound, bound = _tree_bounds(np.stack([np.stack(m.factors) for m in members]))
+    clash_bound, bound = tree_bounds(np.stack([np.stack(m.factors) for m in members]))
     pairs = [np.abs(a @ b).max() for i, a in enumerate(dense) for b in dense[i + 1:]]
     assert clash_bound >= max(pairs, default=0.0) * (1 - 1e-12) - 1e-14
     excess = np.linalg.norm(sum(dense) - np.eye(len(dense[0])), 2)
@@ -671,7 +671,7 @@ def test_factor_identity_ignores_the_sign_of_zero():
     stacks = np.stack([np.stack(m.factors) for m in family.members])
     factors, ids = _factor_table(stacks)
     assert len(factors) == 2 and ids.tolist() == [[0, 0], [1, 0]]
-    assert _tree_bounds(stacks) == _tree_bounds(plain)
+    assert tree_bounds(stacks) == tree_bounds(plain)
     y = sum_hpo(family, [1, 1])
     assert y.factors is not None and np.array_equal(y.matrix, np.kron(I2, P0))
 

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import decomposition_defects as oracle_defects
-from helpers import hs_inner, random_decomposition
+from helpers import hs_inner, random_decomposition, random_hermitian
 from qhistories import (
     ConstantHamiltonian,
     adjoint,
@@ -22,6 +24,8 @@ from qhistories import (
 from qhistories import linalg
 from qhistories.linalg import (
     DEFAULT_TOL,
+    _exclusive,
+    _projector_norms,
     decomposition_defects,
     max_abs,
     require_decomposition,
@@ -138,8 +142,9 @@ def test_decomposition_defects_matches_the_pairwise_oracle(monkeypatch, pairs):
             expected_pairs += [[start + i, start + j] for i, j in clashes]
             expected_complete.append(complete)
         assert expected_pairs[:2] == [[0, 3], [1, 2]]
-        rows = [p for g in groups for p in g] + loose
-        clashes, complete = decomposition_defects(np.stack(rows), bounds, DEFAULT_TOL)
+        stack = np.stack([p for g in groups for p in g] + loose)
+        clashes, complete = decomposition_defects(stack, _projector_norms(stack), bounds,
+                                                  DEFAULT_TOL)
         assert clashes.tolist() == expected_pairs
         assert complete.tolist() == expected_complete
 
@@ -161,12 +166,7 @@ def _damaged_member(p: np.ndarray, rng) -> np.ndarray:
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("group_bytes", [0, None])
-def test_is_decomposition_matches_the_pairwise_oracle(monkeypatch, group_bytes):
-    # 0 sends every group through decomposition_defects; by default small
-    # groups take one batched product of their pairs i <= j.
-    if group_bytes is not None:
-        monkeypatch.setattr(linalg, "_GROUP_BYTES", group_bytes)
+def test_is_decomposition_matches_the_pairwise_oracle():
     rng = np.random.default_rng(23)
     verdicts = set()
     for d in (2, 3, 4, 8):
@@ -184,14 +184,91 @@ def test_is_decomposition_matches_the_pairwise_oracle(monkeypatch, group_bytes):
     assert verdicts == {False, True}
 
 
+def _tilted(group: list[np.ndarray], angle: float, rng) -> list[np.ndarray]:
+    """``group`` with one member turned by ``angle`` about a random axis: still
+    a projector, but off its siblings and the sum off the identity by about
+    ``angle``."""
+    w, v = np.linalg.eigh(random_hermitian(len(group[0]), rng))
+    turn = (v * np.exp(1j * angle * w / np.abs(w).max())) @ v.conj().T
+    k = int(rng.integers(len(group)))
+    return group[:k] + [turn @ group[k] @ turn.conj().T] + group[k + 1:]
+
+
+def _expected_defect(group: list[np.ndarray], tol: float) -> str | None:
+    """The first failing check, in the order of the ``require_decomposition`` table."""
+    zero = [i for i, p in enumerate(group) if max_abs(p) <= tol]
+    if zero:
+        return f"zero member {zero[0]}"
+    bad = [i for i, p in enumerate(group) if not is_projector(p, tol)]
+    if bad:
+        return f"member {bad[0]} not a projector"
+    clashes, complete = oracle_defects(group, tol)
+    if clashes:
+        return "members {} and {} not orthogonal".format(*clashes[0])
+    return None if complete else "sum not the identity"
+
+
+def _bound_stats(group: list[np.ndarray]) -> list[float]:
+    """The residual and the largest member norms :func:`_exclusive` reads."""
+    stack = np.array(group)
+    residual = max_abs(stack.sum(axis=0) - np.eye(len(stack[0])))
+    return [residual, *_projector_norms(stack).max(axis=1).tolist()]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 32), st.integers(2, 6),
+       st.floats(-12.0, -6.0), st.booleans())
+def test_sibling_checks_match_the_pairwise_oracle_around_tol(seed, d, k, log_angle, damaged):
+    # One member tilted by 1e-12 to 1e-6 puts its clashes on both sides of
+    # tol; a damaged member is no projector, or zero.
+    rng = np.random.default_rng(seed)
+    k = min(k, d)
+    group = _tilted(random_decomposition(d, k, rng), 10.0 ** log_angle, rng)
+    if damaged:
+        j = int(rng.integers(k))
+        group[j] = _damaged_member(group[j], rng)
+    other = random_decomposition(d, int(rng.integers(1, d + 1)), rng)
+    stack = np.array(group + other)
+    clashes, complete = decomposition_defects(stack, _projector_norms(stack),
+                                              [0, k, len(stack)], DEFAULT_TOL)
+    expected, expected_complete = oracle_defects(group, DEFAULT_TOL)
+    assert clashes.tolist() == [list(pair) for pair in expected]
+    assert complete.tolist() == [expected_complete, True]
+
+    defect = _expected_defect(group, DEFAULT_TOL)
+    assert is_decomposition(group) == (defect is None)
+    if defect is None:
+        require_decomposition(group)
+    else:
+        with pytest.raises(ValueError) as info:
+            require_decomposition(group)
+        assert str(info.value) == ("projectors do not form a decomposition of the identity "
+                                   f"within tol={DEFAULT_TOL}: {defect}")
+
+    # Whatever tolerance the bound certifies, no pair product exceeds it;
+    # one group's floats and arrays over groups give the same answers.
+    stats = _bound_stats(group)
+    worst = max(max_abs(group[i] @ group[j]) for i in range(k) for j in range(i + 1, k))
+    for tol in (DEFAULT_TOL, 1e-6, np.nextafter(worst, 0.0)):
+        if worst > tol:
+            assert not _exclusive(d, k, *stats, tol)
+    both = np.array([stats, _bound_stats(other)]).T
+    assert (_exclusive(d, np.array([k, len(other)]), *both, DEFAULT_TOL).tolist()
+            == [_exclusive(d, k, *stats, DEFAULT_TOL),
+                _exclusive(d, len(other), *_bound_stats(other), DEFAULT_TOL)])
+
+
 def test_decomposition_defects_reads_nan_as_incomplete_not_clashing():
     nan = P0.copy()
     nan[0, 0] = np.nan
-    clashes, complete = decomposition_defects(np.stack([nan, P1, I2]), [0, 2, 3],
+    stack = np.stack([nan, P1, I2])
+    clashes, complete = decomposition_defects(stack, _projector_norms(stack), [0, 2, 3],
                                               DEFAULT_TOL)
     assert clashes.shape == (0, 2)
     assert complete.tolist() == [False, True]
-    clashes, complete = decomposition_defects(np.zeros((0, 2, 2)), [0], DEFAULT_TOL)
+    clashes, complete = decomposition_defects(np.zeros((0, 2, 2)), np.zeros((4, 0)), [0],
+                                              DEFAULT_TOL)
     assert clashes.shape == (0, 2) and complete.shape == (0,)
 
 

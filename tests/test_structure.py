@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from helpers import (
     PROVIDER_KINDS,
+    haar_unitary,
     random_decomposition,
     random_density,
     random_family,
@@ -29,6 +30,7 @@ from qhistories import (
     HistorySequence,
     InvalidFamilyError,
     Moment,
+    PiecewiseUnitary,
     TrivialEvolution,
     embed_family,
     family_decoherence_matrix,
@@ -595,8 +597,9 @@ def test_is_product_shaped_over_product_families(seed):
 
 # -- randomized properties -----------------------------------------------------
 
-CORRUPTIONS = ("non-projector", "zero", "wrong-shape", "nan", "inf", "duplicate-sibling",
-               "drop-node", "bad-time", "missing-parent", "unreachable", "second-root")
+CORRUPTIONS = ("non-projector", "scaled", "zero", "wrong-shape", "nan", "inf",
+               "duplicate-sibling", "drop-node", "bad-time", "missing-parent", "unreachable",
+               "second-root")
 
 
 def _corrupt(fam, kinds, rng):
@@ -622,6 +625,8 @@ def _corrupt(fam, kinds, rng):
         if kind == "non-projector":
             noise = rng.normal(size=p.shape) * 10.0 ** -rng.integers(2, 9)
             moments[k] = dataclasses.replace(m, projector=p + noise)
+        elif kind == "scaled":  # Hermitian, but not idempotent
+            moments[k] = dataclasses.replace(m, projector=p * (1 + 10.0 ** -rng.integers(2, 8)))
         elif kind == "zero":
             moments[k] = dataclasses.replace(m, projector=np.zeros((dim, dim)))
         elif kind == "wrong-shape":
@@ -650,6 +655,43 @@ def test_validate_matches_the_node_by_node_oracle(seed, kinds):
     rng = np.random.default_rng(seed)
     fam = _corrupt(random_family(rng, max_depth=3), kinds, rng)
     assert str(fam.validate()) == str(oracle_validate(fam))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validate_flags_match_the_oracle_on_mutated_families():
+    # Each corruption under each provider, with a second one at random: the
+    # rows flagged in bulk must give the node-by-node issues in their order.
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for provider in PROVIDER_KINDS:
+        for corruption in CORRUPTIONS:
+            fam = random_family(rng, max_depth=3, kind=provider, stop_probability=0.0)
+            extra = CORRUPTIONS[int(rng.integers(len(CORRUPTIONS)))]
+            bad = _corrupt(fam, [corruption, extra], rng)
+            report = bad.validate()
+            assert str(report) == str(oracle_validate(bad))
+            kinds |= {issue.kind for issue in report.issues}
+    assert kinds == {"tree", "projector", "dimension", "zero-projector", "time-order",
+                     "orthogonality", "completeness", "dynamics"}
+
+
+def test_branch_times_are_checked_once_per_distinct_time(monkeypatch):
+    rng = np.random.default_rng(5)
+    grid = [float(t) for t in range(8)]
+    table = PiecewiseUnitary(grid, [haar_unitary(2, rng) for _ in grid[1:]])
+    checked = []
+    covers = PiecewiseUnitary.covers
+    monkeypatch.setattr(PiecewiseUnitary, "covers",
+                        lambda self, t: checked.append(t) or covers(self, t))
+    fam = from_product(2, grid[:6], [random_decomposition(2, 2, rng)] * 6, evolution=table)
+    assert checked == grid[:6]  # one check per level as the levels grow
+    checked.clear()
+    fam._valid_tol = None
+    assert fam.validate().ok and len(fam) == 127
+    assert sorted(checked) == grid[:6]  # 63 branching nodes at 6 times
+    checked.clear()
+    grown = fam.extend(fam._nodes.ids[-1], [P0, P1], [7.0, 7.0])
+    assert checked == [6.0] and grown._valid_tol == DEFAULT_TOL
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
