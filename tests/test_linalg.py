@@ -166,7 +166,11 @@ def _damaged_member(p: np.ndarray, rng) -> np.ndarray:
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_is_decomposition_matches_the_pairwise_oracle():
+@pytest.mark.parametrize("chunk_bytes", [0, None])
+def test_is_decomposition_matches_the_pairwise_oracle(monkeypatch, chunk_bytes):
+    # 0 forms the pair products the bound leaves open one pair at a time.
+    if chunk_bytes is not None:
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(23)
     verdicts = set()
     for d in (2, 3, 4, 8):
