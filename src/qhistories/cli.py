@@ -315,46 +315,46 @@ def _print_family_demo(name: str, family, header_lines: list[str],
         print(line)
 
 
+# The branching-family demos: factory, header lines and extra lines.
+_FAMILY_DEMOS = {
+    "fig2": (
+        fig2_family,
+        ["qutrit, two branches asking different questions at different times",
+         "times: root 0.0, branches 1.0 and 1.5; initial state: maximally"
+         " mixed; dynamics: trivial"],
+        []),
+    "branch-no-prod": (
+        branch_no_prod_family,
+        ["bases: step 1 {|0>,|1>}; step 2 after |0>: {|0>,|1>},"
+         " after |1>: {|+>,|->}",
+         "times: 0.0 and 1.0 (leaf time 2.0); initial state: maximally"
+         " mixed; dynamics: trivial"],
+        ["product-shaped: no"]),
+    "isham-reversed": (
+        isham_reversed_family,
+        ["bases: step 1 {|1>,|0>}; second step after |1>: {|+>,|->},"
+         " after |0>: {|0>,|1>}",
+         "times: 0.0 and 1.0 (leaf time 2.0); initial state: |0><0|;"
+         " dynamics: trivial"],
+        []),
+}
+
+
 def _cmd_demo(args) -> int:
-    name = args.name
-    if name == "fig2":
-        _print_family_demo(
-            "fig2", fig2_family(),
-            ["qutrit, two branches asking different questions at different times",
-             "times: root 0.0, branches 1.0 and 1.5; initial state: maximally"
-             " mixed; dynamics: trivial"],
-            [])
-    elif name == "branch-no-prod":
-        _print_family_demo(
-            "branch-no-prod", branch_no_prod_family(),
-            ["bases: step 1 {|0>,|1>}; step 2 after |0>: {|0>,|1>},"
-             " after |1>: {|+>,|->}",
-             "times: 0.0 and 1.0 (leaf time 2.0); initial state: maximally"
-             " mixed; dynamics: trivial"],
-            ["product-shaped: no"])
-    elif name == "isham-reversed":
-        family = isham_reversed_family()
-        _print_family_demo(
-            "isham-reversed", family,
-            ["bases: step 1 {|1>,|0>}; second step after |1>: {|+>,|->},"
-             " after |0>: {|0>,|1>}",
-             "times: 0.0 and 1.0 (leaf time 2.0); initial state: |0><0|;"
-             " dynamics: trivial"],
-            [])
-    elif name == "isham-hpo":
-        print("demo: isham-hpo")
-        print("basis: phi=|0>, psi=|1>, chi=(|0>+|1>)/sqrt(2),"
-              " chi'=(|0>-|1>)/sqrt(2)")
-        print("times: 0.0 and 1.0; initial state: |phi><phi|; dynamics: trivial")
-        print("histories: chi.psi chi'.psi phi.phi psi.phi")
-        family, weights = isham_counterexample()
-        print(f"hpo family: {'valid' if is_hpo_family(family) else 'INVALID'}")
-        print(f"weights: {_fmt_weights(weights)}")
-        total = sum(float(w) for w in weights)
-        print(f"sum = {_fmt(total)}; NOT a branching family")
-    else:  # unreachable behind argparse choices
-        print(f"unknown demo {name!r}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.name in _FAMILY_DEMOS:
+        make, header_lines, extra_lines = _FAMILY_DEMOS[args.name]
+        _print_family_demo(args.name, make(), header_lines, extra_lines)
+        return EXIT_OK
+    print("demo: isham-hpo")
+    print("basis: phi=|0>, psi=|1>, chi=(|0>+|1>)/sqrt(2),"
+          " chi'=(|0>-|1>)/sqrt(2)")
+    print("times: 0.0 and 1.0; initial state: |phi><phi|; dynamics: trivial")
+    print("histories: chi.psi chi'.psi phi.phi psi.phi")
+    family, weights = isham_counterexample()
+    print(f"hpo family: {'valid' if is_hpo_family(family) else 'INVALID'}")
+    print(f"weights: {_fmt_weights(weights)}")
+    total = sum(float(w) for w in weights)
+    print(f"sum = {_fmt(total)}; NOT a branching family")
     return EXIT_OK
 
 

@@ -32,7 +32,9 @@ a matrix that is not ``dim`` x ``dim``, a child without a projector, or
 a root with one.  It then prints every matrix entry of the document, dynamics,
 state and projectors in that order, with one bulk printer
 (:func:`_print_numbers`), ``_SLICE_NUMBERS`` numbers at a time: the
-digits come from double-double arithmetic and lookup tables, each number
+digits come from double-double arithmetic and lookup tables, built
+exactly once per process (the powers of ten from Python integers, the
+digit and exponent text from Python's formatter), each number
 becomes a fixed-width row of words, and dropping the zero bytes leaves
 the text.  An entry the arithmetic cannot decide, near a rounding tie or
 outside about 1e-280..1e290 in magnitude, is printed by ``format(x,
@@ -132,14 +134,6 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, a - high
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a * b`` as the rounded product and its exact error (Dekker)."""
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
-    p = a * b
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
 class _Tables(NamedTuple):
     """Lookup tables of :func:`_print_numbers`; see :func:`_number_tables`."""
 
@@ -169,25 +163,16 @@ def _number_tables() -> _Tables:
     nonzero one.  Row 0 prints exact zero and row 1 nothing, for a number
     left to ``format``.
     """
-    # 10**(16 - e) for e = _E_LO .. _E_HI as a double-double (power, rest),
-    # each pair within 2**-102 of its power: 10**0 .. 10**297 as an exact
-    # 10**(23 j) times an exact float 10**r, and 10**-1 .. 10**-274 as the
-    # reciprocals of 10**1 .. 10**274.
-    k = np.arange(17 - _E_LO)
-    anchors = [10 ** (23 * j) for j in range(k[-1] // 23 + 1)]
-    anchor = np.array([float(a) for a in anchors])[k // 23]
-    anchor_rest = np.array([float(a - int(float(a))) for a in anchors])[k // 23]
-    small = np.array([float(10 ** r) for r in range(23)])[k % 23]
-    product, error = _product(anchor, small)
-    error += anchor_rest * small
-    high = product + error
-    rest = error - (high - product)
-    big, big_rest = high[1:_E_HI - 15], rest[1:_E_HI - 15]
-    inverse = 1 / big
-    product, error = _product(inverse, big)
-    inverse_rest = ((1 - product) - error - inverse * big_rest) * inverse
-    power = np.concatenate([high[::-1], inverse])
-    rest = np.concatenate([rest[::-1], inverse_rest])
+    # 10**(16 - e) for e = _E_LO .. _E_HI as a double-double (power, rest):
+    # the power is a ratio of Python integers, correctly rounded, and the
+    # rest its remainder, rounded, so each pair is within 2**-106 of its power.
+    power, rest = [], []
+    for k in range(16 - _E_LO, 15 - _E_HI, -1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        power.append(num / den)
+        top, bottom = power[-1].as_integer_ratio()
+        rest.append((num * bottom - top * den) / (den * bottom))
+    power, rest = np.array(power), np.array(rest)
     power[[0, -1]] = rest[[0, -1]] = 0  # no number whose exponent is clamped passes
     power_hi, power_lo = _split(power)
 
@@ -196,27 +181,16 @@ def _number_tables() -> _Tables:
     base = 2 * 17 * np.where(fixed, e + 5, 0)
     # "e", the sign and two or three digits, at bytes 3-7 of the last
     # digit word, which holds only three digits in exponent notation.
-    size = np.abs(e)
-    wide = size >= 100
-    text = np.zeros((len(e), 8), dtype=np.uint8)
-    text[:, 3] = ord("e")
-    text[:, 4] = np.where(e < 0, ord("-"), ord("+"))
-    text[:, 5] = 48 + np.where(wide, size // 100, size // 10)
-    text[:, 6] = 48 + np.where(wide, size // 10 % 10, size % 10)
-    text[:, 7] = np.where(wide, 48 + size % 10, 0)
-    text[fixed] = 0
-    text[[0, -1]] = 0  # clamped exponents, zero's among them, print none
+    exponent = np.array([int.from_bytes(f"e{n:+03d}".encode(), "little") << 24
+                         for n in e.tolist()], dtype=np.uint64)
+    exponent[fixed] = exponent[[0, -1]] = 0  # clamped exponents, zero's among them, print none
 
-    # Four-digit groups, the first digit most significant: ASCII text, and
-    # the count of digits up to the last nonzero one (0 for 0000).
-    d = np.arange(10)
-    place = [d.reshape((10,) + (1,) * (3 - i)) for i in range(4)]
-    ascii4 = functools.reduce(np.bitwise_or, [(48 + digit) << 8 * i
-                                              for i, digit in enumerate(place)])
-    ascii4 = ascii4.ravel().astype(np.uint64)
+    # Four-digit groups, the first digit in byte 0: ASCII text, and the
+    # count of digits up to the last nonzero one (0 for 0000).
+    groups = [f"{i:04d}" for i in range(10 ** 4)]
+    ascii4 = np.frombuffer("".join(groups).encode(), dtype="<u4").astype(np.uint64)
     ascii3 = ascii4[:1000] >> np.uint64(8)
-    last4 = functools.reduce(np.maximum, [(digit != 0) * (i + 1)
-                                          for i, digit in enumerate(place)]).ravel()
+    last4 = np.array([len(g.rstrip("0")) for g in groups])
     last3 = np.maximum(last4[:1000] - 1, 0)
 
     def at(last, offset):
@@ -245,8 +219,7 @@ def _number_tables() -> _Tables:
         [prefix[klass][None], (kept & stay).T, (kept & ~stay).T,
          np.where(dotted, np.uint64(ord(".")) << at_dot, 0).T.astype(np.uint64)])
     layout[0, 3::2] |= np.uint64(ord("-"))
-    tables = _Tables(power, power_hi, power_lo, rest, base,
-                     text.view("<u8").ravel().astype(np.uint64), ascii4,
+    tables = _Tables(power, power_hi, power_lo, rest, base, exponent, ascii4,
                      ascii3 << np.uint64(32), ascii3,
                      (last4, at(last3, 4), at(last4, 7), at(last3, 11), at(last3, 14)), layout)
     for table in (*tables[:-2], *tables.significant, tables.layout):

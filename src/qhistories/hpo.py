@@ -18,8 +18,9 @@ For factored members
 - the projector check at construction bounds the max-entry hermiticity
   and idempotence defects of the Kronecker product from per-slot norms
   (a telescoped sum, exact in its use of max|A (x) B| = max|A| max|B|);
-  only when that bound exceeds the tolerance is the dense matrix built
-  and checked, so the verdict is always the dense check's.
+  only when that bound exceeds the tolerance (:func:`embed_family`'s
+  ``tol``, else ``DEFAULT_TOL``) is the dense matrix built and checked,
+  so the verdict is always the dense check's.
   :func:`embed_family` takes the norms once per tree node and the bound
   for all members at once;
 - :func:`is_homogeneous` is True without a test;
@@ -148,11 +149,6 @@ def _certified(norms: np.ndarray, tol: float) -> np.ndarray:
     return (_telescoped(norms[:2], norms[2:], norms[0]) <= tol).all(axis=0)
 
 
-def _factors_certified(stack: np.ndarray, tol: float) -> bool:
-    """True if the Kronecker product of ``stack`` is surely a projector within ``tol``."""
-    return bool(_certified(_projector_norms(stack)[:, None], tol)[0])
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class HistoryProjector:
     """A projector on the n-slot history space of a d-dimensional system.
@@ -186,15 +182,18 @@ class HistoryProjector:
 
     @classmethod
     def _factored(cls, stack: np.ndarray, times: tuple[float, ...],
-                  certified: bool) -> "HistoryProjector":
+                  certified: bool | None = None, tol: float = DEFAULT_TOL) -> "HistoryProjector":
         """The projector whose factors are the (slots, d, d) ``stack``, which it takes over.
 
         ``times`` must have passed :func:`_slot_times`.  Unless the factors'
-        bound is ``certified``, the dense matrix must pass the projector check.
+        bound is ``certified`` within ``tol`` (computed here when None), the
+        dense matrix must pass the projector check at ``tol``.
         """
+        if certified is None:
+            certified = bool(_certified(_projector_norms(stack)[:, None], tol)[0])
         self = cls.__new__(cls)
         self._init(None, stack, stack.shape[0], times, stack.shape[1])
-        if not (certified or is_projector(self.matrix, DEFAULT_TOL)):
+        if not (certified or is_projector(self.matrix, tol)):
             raise ValueError("matrix is not a projector on the history space")
         return self
 
@@ -263,7 +262,7 @@ def embed(seq: HistorySequence) -> HistoryProjector:
     _check_space(seq.dim, len(seq))
     stack = np.stack(seq.projectors)
     times = _slot_times(len(seq), seq.times, seq.dim)
-    return HistoryProjector._factored(stack, times, _factors_certified(stack, DEFAULT_TOL))
+    return HistoryProjector._factored(stack, times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,10 +350,10 @@ def embed_family(family: BranchingFamily, tol: float = DEFAULT_TOL) -> HPOFamily
         raise EmbeddingError(
             f"histories do not share one time grid: found {sorted(grids)}")
     _check_space(family.dim, slots)
-    certified = _certified(family._norms[:, index], DEFAULT_TOL).tolist()
+    certified = _certified(family._norms[:, index], tol).tolist()
     stacks = nodes.projectors[index]
     grid = _slot_times(slots, grids.pop(), family.dim)
-    return HPOFamily(tuple(HistoryProjector._factored(st, grid, ok)
+    return HPOFamily(tuple(HistoryProjector._factored(st, grid, ok, tol)
                            for st, ok in zip(stacks, certified)))
 
 
@@ -657,8 +656,7 @@ def sum_hpo(family: HPOFamily, selector: Sequence) -> HistoryProjector:
         slots = _product_slots(*tree)
         if slots is not None:
             stack = np.stack([factors[fs].sum(axis=0) for fs in slots])
-            return HistoryProjector._factored(stack, family.slot_times,
-                                              _factors_certified(stack, DEFAULT_TOL))
+            return HistoryProjector._factored(stack, family.slot_times)
         total = np.zeros((family.dim, family.dim), dtype=complex)
         _add_kron_sum(total, factors, *tree)
     return HistoryProjector(total, family.slots, family.slot_times, family.base_dim)

@@ -45,8 +45,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
-# Bytes of pair products per batch in decomposition_defects;
-# 64 MiB batches validated a dim-32, 1057-node family half as fast.
+# Bytes of matrices per batch in _projector_norms and of pair products per
+# batch in decomposition_defects; 64 MiB batches of pair products validated
+# a dim-32, 1057-node family half as fast.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -117,11 +118,25 @@ def is_decomposition(projectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _projector_norms(stack: np.ndarray) -> np.ndarray:
-    """Max-entry norms of P, P @ P, P^dag - P and P @ P - P: shape (4, n) for (n, d, d)."""
+    """Max-entry norms of P, P @ P, P^dag - P and P @ P - P: shape (4, n) for (n, d, d),
+    a block of at most ``_CHUNK_BYTES`` of rows (or one row) at a time, with about
+    three times the block's bytes alive besides it."""
     n, d = stack.shape[:2]
-    square = stack @ stack
-    return np.abs(np.concatenate([stack, square, stack.conj().transpose(0, 2, 1) - stack,
-                                  square - stack]).reshape(4, n, d * d)).max(axis=2)
+    norms = np.empty((4, n))
+    rows = max(1, _CHUNK_BYTES // (16 * max(d, 1) ** 2))
+    for start in range(0, n, rows):
+        p = stack[start:start + rows]
+        square = p @ p
+        worst = np.empty((4, *p.shape))
+        np.abs(p, out=worst[0])
+        np.abs(square, out=worst[1])
+        square -= p
+        np.abs(square, out=worst[3])
+        np.conjugate(p.transpose(0, 2, 1), out=square)
+        square -= p
+        np.abs(square, out=worst[2])
+        worst.reshape(4, len(p), d * d).max(axis=2, out=norms[:, start:start + rows])
+    return norms
 
 
 def decomposition_defects(stack: np.ndarray, norms: np.ndarray, bounds: Sequence[int],

@@ -354,6 +354,22 @@ def test_hpo_check_not_decided_over_the_dense_budget(tmp_path, capsys, monkeypat
     assert lines[2] == "homogeneous members: 16/16"
 
 
+def test_hpo_check_embeds_at_the_given_tol(tmp_path, capsys):
+    # (1 + 3e-8)|0><0| is a projector within 1e-6 but not within 1e-9.
+    a = (1 + 3e-8) * P0
+    fam = BranchingFamily(2, [Moment(0, None, 0.0, None), Moment(1, 0, 1.0, a),
+                              Moment(2, 0, 1.0, np.eye(2) - a)],
+                          maximally_mixed(2), TrivialEvolution(2))
+    path = _write(tmp_path, fam)
+    assert main(["hpo-check", path, "--tol", "1e-6"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "embeddable: yes (2 histories, 1 slots, base dim 2, history space dim 2)",
+        "hpo family: valid",
+        "homogeneous members: 2/2",
+    ]
+    assert main(["hpo-check", path]) == 1
+
+
 def test_hpo_check_mismatched_grid(tmp_path, capsys):
     path = _write(tmp_path, fig2_family())
     assert main(["hpo-check", path]) == 0

@@ -539,6 +539,36 @@ def test_printer_hard_numbers_in_every_column():
         assert _printed(_HARD[::-1], dim) == _reference_text(_HARD[::-1], dim)
 
 
+def test_printer_powers_of_ten_are_double_doubles_within_2_to_the_minus_104():
+    tables = fileio._number_tables()
+    for i, e in enumerate(range(fileio._E_LO, fileio._E_HI + 1)):
+        power, rest = float(tables.power[i]), float(tables.power_rest[i])
+        assert tables.power_hi[i] + tables.power_lo[i] == power
+        if e in (fileio._E_LO, fileio._E_HI):  # clamped: no number is printed from them
+            assert power == rest == 0
+            continue
+        exact = Fraction(10) ** (16 - e)
+        assert abs(Fraction(power) + Fraction(rest) - exact) <= exact / 2 ** 104, e
+
+
+def test_printer_exponent_words_are_the_suffixes_format_prints():
+    # At bytes 3-7 of the word; nothing in fixed notation.
+    tables = fileio._number_tables()
+    for i, e in enumerate(range(fileio._E_LO + 1, fileio._E_HI), start=1):
+        _, mark, exponent = format(1.5 * 10.0 ** e, ".17g").partition("e")
+        assert not mark or int(exponent) == e
+        word = int(tables.exponent[i]).to_bytes(8, "little")
+        assert word == bytes(3) + (mark + exponent).encode().ljust(5, b"\0"), e
+
+
+def test_printer_digit_groups_are_formatted_integers():
+    tables = fileio._number_tables()
+    groups = [f"{i:04d}" for i in range(10 ** 4)]
+    assert [int(w).to_bytes(8, "little") for w in tables.ascii4] == [
+        g.encode() + bytes(4) for g in groups]
+    assert tables.significant[0].tolist() == [len(g.rstrip("0")) for g in groups]
+
+
 def _planted_family(values, kind: str) -> BranchingFamily:
     """A dim-32 family whose state, dynamics matrices and projectors hold
     ``values``, each matrix from another starting point in the list."""

@@ -24,6 +24,7 @@ from qhistories import (
     HistoryProjector,
     HistorySequence,
     HPOFamily,
+    InvalidFamilyError,
     embed,
     embed_family,
     extended_weight,
@@ -41,18 +42,23 @@ from qhistories.dynamics import TrivialEvolution
 from qhistories import hpo
 from qhistories.hpo import (
     RANK1_CUTOFF,
+    _certified,
     _dense_sum,
     _factor_table,
-    _factors_certified,
     _factors_clash,
     _schmidt_rank_one,
     _telescoped,
     _tree_verdict,
 )
-from qhistories.linalg import DEFAULT_TOL, is_projector, kron_all
+from qhistories.linalg import DEFAULT_TOL, _projector_norms, is_projector, kron_all
 
 I2 = np.eye(2, dtype=complex)
 RHO0 = P0
+
+
+def _bound_certifies(stack):
+    """Whether the factors' bound alone makes the Kronecker product of ``stack`` a projector."""
+    return bool(_certified(_projector_norms(stack)[:, None], DEFAULT_TOL)[0])
 
 
 def _realigned_singular_values(matrix, d):
@@ -497,7 +503,7 @@ def test_failed_bound_falls_back_to_the_dense_check(name):
     first, second, accepted = FALLBACK_CASES[name]
     factors = [_near_projector(first), _near_projector(second)]
     assert all(is_projector(f) for f in factors)
-    assert not _factors_certified(np.stack(factors), DEFAULT_TOL)
+    assert not _bound_certifies(np.stack(factors))
     dense = kron_all(factors)
     assert is_projector(dense) == accepted
     seq = HistorySequence(((0.0, factors[0]), (1.0, factors[1])))
@@ -513,7 +519,7 @@ def test_failed_hermiticity_bound_falls_back_to_the_dense_check():
     # product of two is DELTA from Hermitian too, the bound 2 DELTA.
     factor = _near_projector([1.0, 0.0], corner=DELTA)
     assert is_projector(factor)
-    assert not _factors_certified(np.stack([factor, factor]), DEFAULT_TOL)
+    assert not _bound_certifies(np.stack([factor, factor]))
     assert is_projector(kron_all([factor, factor]))
     y = embed(HistorySequence(((0.0, factor), (1.0, factor))))
     assert is_homogeneous(y)
@@ -551,9 +557,25 @@ def test_embed_family_takes_the_dense_check_where_a_bound_fails(first):
         embed_family(fam)
 
 
+@pytest.mark.parametrize("bound", [True, False], ids=["bound", "dense"])
+def test_embed_family_checks_members_at_the_callers_tol(bound, monkeypatch):
+    # (1 + 3e-8)|0><0| is a projector within 1e-6 but not within 1e-9: the
+    # family validates at 1e-6, so it embeds at 1e-6, whether the factors'
+    # bound certifies its members or the dense check decides.
+    if not bound:
+        monkeypatch.setattr(hpo, "_certified", lambda norms, tol: np.zeros(norms.shape[1], bool))
+    a = (1 + 3e-8) * P0
+    fam = new_family(2, 0.0, tol=1e-6).extend(0, [a, I2 - a], [1.0, 1.0], tol=1e-6)
+    embedded = embed_family(fam, 1e-6)
+    assert [m._stack.tobytes() for m in embedded.members] == [a.tobytes(), (I2 - a).tobytes()]
+    assert is_hpo_family(embedded, 1e-6)
+    with pytest.raises(InvalidFamilyError):
+        embed_family(fam)
+
+
 def test_exact_factors_pass_the_bound():
     for h in isham_histories():
-        assert _factors_certified(np.stack(h.projectors), DEFAULT_TOL)
+        assert _bound_certifies(np.stack(h.projectors))
 
 
 def test_factors_are_read_only_and_the_matrix_is_not_kept():

@@ -1,5 +1,7 @@
 """Matrix primitive tests with hand-computed oracles."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import decomposition_defects as oracle_defects
-from helpers import hs_inner, random_decomposition, random_hermitian
+from helpers import hs_inner, random_decomposition, random_hermitian, run_capped
 from qhistories import (
     ConstantHamiltonian,
     adjoint,
@@ -274,6 +276,50 @@ def test_decomposition_defects_reads_nan_as_incomplete_not_clashing():
     clashes, complete = decomposition_defects(np.zeros((0, 2, 2)), np.zeros((4, 0)), [0],
                                               DEFAULT_TOL)
     assert clashes.shape == (0, 2) and complete.shape == (0,)
+
+
+@pytest.mark.parametrize("chunk_bytes", [0, 3 * 16 * 8 * 8, None])
+def test_projector_norms_in_blocks_are_the_plain_norms(monkeypatch, chunk_bytes):
+    # 0 takes one row at a time, 3 * 16 * 8 * 8 three rows, None one block.
+    if chunk_bytes is not None:
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(31)
+    stack = rng.normal(size=(10, 8, 8)) + 1j * rng.normal(size=(10, 8, 8))
+    stack[4, 2, 3] = np.nan
+    square = stack @ stack
+    expected = [np.abs(m).max(axis=(1, 2)) for m in
+                (stack, square, stack.conj().transpose(0, 2, 1) - stack, square - stack)]
+    assert _projector_norms(stack).tobytes() == np.array(expected).tobytes()
+
+
+def test_projector_norms_hold_little_beyond_their_input():
+    # Two 1024 x 1024 members take 32 MiB; checking them as a decomposition
+    # copies them into one stack and takes their norms, which may hold
+    # about three one-member blocks at once, not eight copies of the stack.
+    # Peak RSS is read as VmHWM, which starts afresh at exec.
+    pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    result = run_capped("""
+        import numpy as np
+        from qhistories import is_decomposition
+
+        def status(key):
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) << 10 for line in f if line.startswith(key))
+
+        d = 1024
+        v = np.random.default_rng(5).normal(size=d)
+        p = np.outer(v, v / (v @ v)).astype(complex)
+        members = [p, np.eye(d) - p]
+        assert is_decomposition([m[:4, :4] for m in members]) is False  # warms up BLAS
+        before = status("VmRSS:")
+        print(is_decomposition(members), status("VmHWM:") - before, 2 * p.nbytes)
+    """)
+    assert result.returncode == 0, result.stderr
+    verdict, growth, size = result.stdout.split()
+    assert verdict == "True"
+    assert int(growth) < 4 * int(size)
 
 
 def test_require_helpers_raise_with_context():

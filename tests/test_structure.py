@@ -727,9 +727,9 @@ def test_family_layout_matches_the_walk_oracles(seed, kind, stop_probability):
     flags = []
     factored = HistoryProjector._factored
 
-    def recording(stack, times, ok):
+    def recording(stack, times, ok, tol):
         flags.append(ok)
-        return factored(stack, times, ok)
+        return factored(stack, times, ok, tol)
 
     with mock.patch.object(HistoryProjector, "_factored", recording):
         embedded = embed_family(fam)
