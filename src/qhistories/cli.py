@@ -21,7 +21,7 @@ from .chain import family_decoherence_matrix, is_consistent, is_weakly_consisten
 from .coarse import _sibling_weights, intra_branch_sum
 from .demos import branch_no_prod_family, fig2_family, isham_reversed_family
 from .errors import EmbeddingError, InvalidFamilyError, ParseError, TransBranchError
-from .fileio import export_dot, load_document, serialize_family
+from .fileio import _print_numbers, export_dot, load_document, serialize_family
 from .hpo import _tree_verdict, embed_family, is_homogeneous, is_hpo_family, isham_counterexample
 from .linalg import DEFAULT_TOL
 
@@ -109,122 +109,27 @@ def _cmd_weights(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
-def _magnitude_tables():
-    """Lookup tables of :func:`_write_magnitudes`, built on first use.
-
-    A value x > 0 of decimal exponent e is printed from its six digits
-    q = rint(x * 10**(5 - e)), in [10**5, 10**6].  Layout rows are indexed
-    by 2 + (e + 100) * 6 + (significant digits - 1), after row 0 (exact
-    zero) and row 1 (left to ``format``); q = 10**6 gets the index of a
-    seventh digit, which is the one-digit row of exponent e + 1.  The rows
-    of exponents -100, 100 and 101 are left to ``format`` too: they need
-    three exponent digits.
-    """
-    exponents = np.arange(-100, 102)
-    scale = np.array([float(f"1e{5 - e}") for e in exponents])
-    # q as two ASCII triples, q // 1000 and q % 1000, in the low bytes of a
-    # little-endian word; q = 10**6 splits as (1000, 0).
-    v = np.append(np.arange(1000), 100)
-    triples = ((48 + v // 100) | (48 + v // 10 % 10) << 8 | (48 + v % 10) << 16).astype(np.uint64)
-    # Row offsets 2 + (significant digits - 1) by triple: the larger of the
-    # two is q's; a low triple of 000 has none of its own.
-    trailing = (v % 10 == 0).astype(np.intp) + (v % 100 == 0)
-    sig_lo = 7 - trailing[:1000]
-    sig_lo[0] = 0
-    sig_hi = 4 - trailing
-    sig_hi[1000] = 8
-
-    def mask(first, stop):
-        return (1 << (8 * stop)) - (1 << (8 * first))
-
-    # A row places digit masks a and b of the word w of six digits as two
-    # words, ((w & a) << shift_a | (w & b) << shift_b | lit0) and
-    # ((w & a) >> spill | lit1); zero bytes are dropped when printed.
-    sep = ord(" ") << 56
-    hard_row = (0, 0, 0, 0, 0, 0, sep)
-    # Exponent notation: d0 "." d1..d5 "e", then the exponent's sign and digits.
-    layout = np.tile(np.array([(mask(0, 1), 0, mask(1, s), 8, 56,
-                                (ord(".") << 8 if s > 1 else 0) | ord("e") << 56, sep)
-                               for s in range(1, 7)], dtype=np.uint64),
-                     (len(exponents), 1, 1))
-    size = np.abs(exponents)
-    exponent_text = np.where(exponents < 0, ord("-"), ord("+")) | (
-        (48 + size // 10) << 8) | ((48 + size % 10) << 16)
-    layout[:, :, 6] |= exponent_text.astype(np.uint64)[:, None]
-    # Fixed notation for -4 <= e < 6: the integer digits, then "." and the
-    # rest; or "0." and -e - 1 zeros, then the digits.
-    for e in range(-4, 6):
-        for s in range(1, 7):
-            if e < 0:
-                prefix = b"0." + b"0" * (-e - 1)
-                row = (mask(0, s), 8 * len(prefix), 0, 0, 64 - 8 * len(prefix),
-                       int.from_bytes(prefix, "little"), sep)
-            else:
-                shown = max(s, e + 1)
-                dot = ord(".") << (8 * (e + 1)) if shown > e + 1 else 0
-                row = (mask(0, e + 1), 0, mask(e + 1, shown), 8, 56, dot, sep)
-            layout[e + 100, s - 1] = row
-    hard = np.abs(exponents) >= 100
-    layout[hard] = hard_row
-    first = np.array([(0, 0, 0, 0, 0, ord("0"), sep), hard_row], dtype=np.uint64)
-    layout = np.concatenate([first, layout.reshape(-1, 7)])
-    hard_rows = np.concatenate([[False, True], np.repeat(hard, 6)])
-    return scale, triples, triples << np.uint64(24), sig_lo, sig_hi, layout, hard_rows
+@functools.lru_cache(maxsize=2)  # full blocks and the last
+def _separators(n: int, count: int) -> np.ndarray:
+    """The words after ``count`` entries of rows of n: " ", or "\\n" after a
+    row's last, in byte 7, where the six-digit printer leaves room."""
+    out = np.where(np.arange(count) % n == n - 1, ord("\n") << 56, ord(" ") << 56).astype(np.uint64)
+    out.flags.writeable = False
+    return out
 
 
 def _write_magnitudes(d) -> None:
     """Write |d| row by row, entries as ``format(v, ".6g")`` joined by spaces.
 
     Rows go out in blocks of about 4096 entries, one ``sys.stdout.write``
-    each, so the whole text is never held.  The digits come from array
-    operations; ``format`` itself runs only for the entries they cannot
-    decide: non-finite values, exponents of three digits, and values whose
-    scaled digits lie within 1e-7 of a rounding tie.
+    each, so the whole text is never held.  The entries are printed by the
+    document printer at six digits.
     """
-    scale, triples, triples_up, sig_lo, sig_hi, layout, hard_rows = _magnitude_tables()
-    n_rows, n = d.shape
+    n = d.shape[1]
     step = max(1, 4096 // n)
-    for start in range(0, n_rows, step):
+    for start in range(0, d.shape[0], step):
         x = np.abs(d[start:start + step]).ravel()
-        with np.errstate(all="ignore"):  # log10(0), and casts of inf and nan
-            e = np.log10(x)
-            np.floor(e, out=e)
-            e = e.astype(np.intp)
-            e += 100
-            np.clip(e, 0, len(scale) - 1, out=e)
-            m = x * scale.take(e)
-            q = np.rint(m)
-            # m is x * 10**(5 - e) to a few ulp, so q is x's six digits at
-            # exponent e where m is clear of a tie.  Whatever e log10 gave,
-            # m >= 99999.95 and q <= 10**6 leave those digits the rounding
-            # of x itself: q = 10**5 or 10**6 when x is that close to a
-            # power of ten.
-            ok = np.abs(m - q) <= 0.4999999
-            ok &= m >= 99999.9500001
-            ok &= q <= 1e6
-            hi, lo = np.divmod(q.astype(np.intp), 1000)
-        e *= 6
-        e += np.maximum(sig_lo.take(lo, mode="clip"), sig_hi.take(hi, mode="clip"))
-        row = np.where(ok, e, x != 0)
-        r = layout.take(row, axis=0, mode="clip")
-        digits = triples.take(hi, mode="clip")
-        digits |= triples_up.take(lo, mode="clip")
-        words = np.empty((x.size, 2), dtype="<u8")
-        part_a = digits & r[:, 0]
-        np.left_shift(part_a, r[:, 1], out=words[:, 0])
-        digits &= r[:, 2]
-        digits <<= r[:, 3]
-        words[:, 0] |= digits
-        words[:, 0] |= r[:, 5]
-        np.right_shift(part_a, r[:, 4], out=words[:, 1])
-        words[:, 1] |= r[:, 6]
-        chars = words.view(np.uint8).reshape(-1, 16)
-        chars.reshape(-1, n, 16)[:, -1, 15] = ord("\n")
-        for i in np.flatnonzero(hard_rows.take(row, mode="clip")):
-            text = format(float(x[i]), ".6g").encode("ascii")
-            chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-        sys.stdout.write(chars.tobytes().translate(None, b"\0").decode("ascii"))
+        sys.stdout.write(_print_numbers(x, 6, _separators(n, x.size)).decode("ascii"))
 
 
 def _cmd_consistency(args) -> int:

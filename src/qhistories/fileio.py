@@ -30,17 +30,21 @@ and the nodes in canonical order, raising ValueError naming the first
 non-finite number, or the first matrix or node the reader would refuse:
 a matrix that is not ``dim`` x ``dim``, a child without a projector, or
 a root with one.  It then prints every matrix entry of the document, dynamics,
-state and projectors in that order, with one bulk printer
-(:func:`_print_numbers`), ``_SLICE_NUMBERS`` numbers at a time: the
-digits come from double-double arithmetic and lookup tables, built
-exactly once per process (the powers of ten from Python integers, the
-digit and exponent text from Python's formatter), each number
-becomes a fixed-width row of words, and dropping the zero bytes leaves
-the text.  An entry the arithmetic cannot decide, near a rounding tie or
-outside about 1e-280..1e290 in magnitude, is printed by ``format(x,
-".17g")``, so the bytes are those of per-entry formatting.  Ids, node
-times and breakpoints are printed one by one.  The text of the matrices
-is interleaved with the rest of the document as bytes, into one buffer.
+state and projectors in that order, with the bulk printer
+(:func:`_print_numbers`), ``_SLICE_NUMBERS`` numbers at a time.  The
+printer serves both digit counts printed in bulk, 17 for documents and 6
+for the magnitudes ``qhistories consistency`` writes: the digits come from
+arithmetic (double-double at 17 digits) and lookup tables, built exactly
+once per process and digit count (the powers of ten from Python integers,
+the digit and exponent text from Python's formatter), each number becomes
+a fixed-width row of words by the word plan of its digit count, and
+dropping the zero bytes leaves the text.  An entry the arithmetic cannot
+decide, near a rounding tie, outside about 1e-280..1e290 in magnitude,
+NaN or inf, is printed by ``format``, so the bytes are those of per-entry
+formatting; three-digit ``%.6g`` exponents are decided by the arithmetic.
+Ids, node times and breakpoints are printed one by one.  The text of the
+matrices is interleaved with the rest of the document as bytes, into one
+buffer.
 
 Documents are parsed by ``orjson``.  Where ``orjson`` or the schema
 refuses a document, ``json`` reads it again, only to name its error, so
@@ -126,6 +130,14 @@ _MATRIX = "[[[" + _MARK.decode() + "]]]"
 # are where the exponents of all other numbers, and of zero, are clamped.
 _E_LO, _E_HI = -281, 290
 
+# Word plans by digit count: the sizes of a number's digit groups by digit
+# word, at most seven digits so that a dot fits, and the row word and byte
+# that take the exponent.  The last word of a row takes the separator.
+_PLANS = {
+    6: (((4, 2),), 2, 0),                # D0-D5; "e+123" at bytes 0-4, the separator at byte 7
+    17: (((4, 3), (4, 3), (3,)), 3, 3),  # D0-D6, D7-D13, D14-D16 and "e+123" at bytes 3-7
+}
+
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dekker's split of ``a`` into two halves of at most 26 bits each."""
@@ -137,37 +149,39 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Tables(NamedTuple):
     """Lookup tables of :func:`_print_numbers`; see :func:`_number_tables`."""
 
-    power: np.ndarray        # 10**(16 - e) by exponent row: rounded,
+    digits: int              # P, the significant digits printed
+    power: np.ndarray        # 10**(P - 1 - e) by exponent row: rounded,
     power_hi: np.ndarray     # its two Dekker halves,
     power_lo: np.ndarray
     power_rest: np.ndarray   # and the rest of the power beyond the rounded one
     base: np.ndarray         # layout row base by exponent row
-    exponent: np.ndarray     # exponent text at bytes 3-7 by exponent row
-    ascii4: np.ndarray       # four-digit group -> ASCII in bytes 0-3
-    ascii3_up: np.ndarray    # three-digit group -> ASCII in bytes 4-6
-    ascii3: np.ndarray       # three-digit group -> ASCII in bytes 0-2
-    significant: tuple       # group -> digits up to its last nonzero one, by place
-    layout: np.ndarray       # (10, rows) words by layout row
+    exponent: np.ndarray     # exponent text, placed in its word, by exponent row
+    exponent_word: int       # the row word that holds it
+    sizes: tuple             # the digit groups' sizes, by digit word
+    ascii: tuple             # group -> ASCII placed in its word, by group
+    significant: tuple       # group -> digits up to its last nonzero one, by group
+    layout: np.ndarray       # (1 + 3 * digit words, rows) words by layout row
 
 
 @functools.cache
-def _number_tables() -> _Tables:
-    """The tables of :func:`_print_numbers`, built on first use.
+def _number_tables(digits: int) -> _Tables:
+    """The tables of :func:`_print_numbers` at 6 or 17 digits, built on first use.
 
-    A number x != 0 of decimal exponent e is printed from its 17 digits,
-    Q = round(|x| * 10**(16 - e)) in [10**16, 10**17), held as three
-    words of ASCII digits: D0-D6, D7-D13 and D14-D16.  Its layout row,
-    2 + 2 * (17 * class + s - 1) + (x < 0), says how the row's words are
-    made from them: class 0 is exponent notation, classes 1-21 fixed
-    notation for e = -4 .. 16, and s is the count of digits up to the last
-    nonzero one.  Row 0 prints exact zero and row 1 nothing, for a number
-    left to ``format``.
+    A number x != 0 of decimal exponent e is printed from its P digits,
+    Q = round(|x| * 10**(P - 1 - e)) in [10**(P - 1), 10**P), held as
+    words of ASCII digits by the plan in ``_PLANS``.  Its layout row,
+    2 + 2 * (P * class + s - 1) + (x < 0), says how the row's words are
+    made from them: class 0 is exponent notation, classes 1 .. P + 4 fixed
+    notation for e = -4 .. P - 1, and s is the count of digits up to the
+    last nonzero one.  Row 0 prints exact zero and row 1 nothing, for a
+    number left to ``format``.
     """
-    # 10**(16 - e) for e = _E_LO .. _E_HI as a double-double (power, rest):
+    plan, exponent_word, exponent_byte = _PLANS[digits]
+    # 10**(P - 1 - e) for e = _E_LO .. _E_HI as a double-double (power, rest):
     # the power is a ratio of Python integers, correctly rounded, and the
     # rest its remainder, rounded, so each pair is within 2**-106 of its power.
     power, rest = [], []
-    for k in range(16 - _E_LO, 15 - _E_HI, -1):
+    for k in range(digits - 1 - _E_LO, digits - 2 - _E_HI, -1):
         num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
         power.append(num / den)
         top, bottom = power[-1].as_integer_ratio()
@@ -177,52 +191,58 @@ def _number_tables() -> _Tables:
     power_hi, power_lo = _split(power)
 
     e = np.arange(_E_LO, _E_HI + 1)
-    fixed = (e >= -4) & (e <= 16)
-    base = 2 * 17 * np.where(fixed, e + 5, 0)
-    # "e", the sign and two or three digits, at bytes 3-7 of the last
-    # digit word, which holds only three digits in exponent notation.
-    exponent = np.array([int.from_bytes(f"e{n:+03d}".encode(), "little") << 24
+    fixed = (e >= -4) & (e < digits)
+    base = 2 * digits * np.where(fixed, e + 5, 0)
+    # "e", the sign and two or three digits.  The top row prints the
+    # exponent of a number that rounds up to the next power of ten.
+    exponent = np.array([int.from_bytes(f"e{n:+03d}".encode(), "little") << 8 * exponent_byte
                          for n in e.tolist()], dtype=np.uint64)
-    exponent[fixed] = exponent[[0, -1]] = 0  # clamped exponents, zero's among them, print none
+    exponent[fixed] = exponent[0] = 0  # fixed notation and zero print none
 
-    # Four-digit groups, the first digit in byte 0: ASCII text, and the
-    # count of digits up to the last nonzero one (0 for 0000).
+    # Digit groups, the first digit in byte 0, from the four-digit ones: ASCII
+    # text, and the count of digits up to the last nonzero one (0 for zeros).
     groups = [f"{i:04d}" for i in range(10 ** 4)]
     ascii4 = np.frombuffer("".join(groups).encode(), dtype="<u4").astype(np.uint64)
-    ascii3 = ascii4[:1000] >> np.uint64(8)
     last4 = np.array([len(g.rstrip("0")) for g in groups])
-    last3 = np.maximum(last4[:1000] - 1, 0)
-
-    def at(last, offset):
-        return np.where(last > 0, last + offset, 0)
+    ascii, significant, place = [], [], 0
+    for sizes in plan:
+        offset = 0
+        for size in sizes:
+            text = ascii4[:10 ** size] >> np.uint64(8 * (4 - size))
+            ascii.append(text << np.uint64(8 * offset))
+            last = np.maximum(last4[:10 ** size] - (4 - size), 0)
+            significant.append(np.where(last > 0, last + place + offset, 0))
+            offset += size
+        place += offset
 
     # Layout words of each (class, s): the literal word (prefix "0." and
     # zeros of fixed notation below 1, the sign added below), and for
     # each digit word the mask of its digits that stay where they are,
     # the mask of those moved up one byte to make room for the dot, and
     # the dot.  Fixed notation keeps every digit before the dot, 0 or not.
-    klass, s = np.repeat(np.arange(22), 17), np.tile(np.arange(1, 18), 22)
+    klass = np.repeat(np.arange(digits + 5), digits)
+    s = np.tile(np.arange(1, digits + 1), digits + 5)
     lead = np.where(klass == 0, 1, np.where(klass < 5, 0, klass - 4))[:, None]
     keep = np.where(klass >= 5, np.maximum(s, lead[:, 0]), s)[:, None]
-    start = np.array([0, 7, 14])
+    width = np.array([sum(sizes) for sizes in plan])
+    start = np.cumsum(width) - width
     one = np.uint64(1)
-    kept = (one << (8 * np.clip(keep - start, 0, [7, 7, 3])).astype(np.uint64)) - one
+    kept = (one << (8 * np.clip(keep - start, 0, width)).astype(np.uint64)) - one
     # The dot follows digit lead - 1, at byte lead - start of its word.
-    dotted = (keep > lead) & (lead > 0) & (start < lead) & (lead <= start + 7)
+    dotted = (keep > lead) & (lead > 0) & (start < lead) & (lead <= start + width)
     at_dot = (8 * np.where(dotted, lead - start, 0)).astype(np.uint64)
     stay = np.where(dotted, (one << at_dot) - one, ~np.uint64(0))
     prefix = np.array([0] + [int.from_bytes(b"0." + b"0" * (4 - c), "little") << 8
-                             for c in range(1, 5)] + [0] * 17, dtype=np.uint64)
-    layout = np.zeros((10, 2 + 2 * len(klass)), dtype=np.uint64)
+                             for c in range(1, 5)] + [0] * digits, dtype=np.uint64)
+    layout = np.zeros((1 + 3 * len(plan), 2 + 2 * len(klass)), dtype=np.uint64)
     layout[0, 0] = ord("0")
     layout[:, 2::2] = layout[:, 3::2] = np.concatenate(
         [prefix[klass][None], (kept & stay).T, (kept & ~stay).T,
          np.where(dotted, np.uint64(ord(".")) << at_dot, 0).T.astype(np.uint64)])
     layout[0, 3::2] |= np.uint64(ord("-"))
-    tables = _Tables(power, power_hi, power_lo, rest, base, exponent, ascii4,
-                     ascii3 << np.uint64(32), ascii3,
-                     (last4, at(last3, 4), at(last4, 7), at(last3, 11), at(last3, 14)), layout)
-    for table in (*tables[:-2], *tables.significant, tables.layout):
+    tables = _Tables(digits, power, power_hi, power_lo, rest, base, exponent, exponent_word,
+                     plan, tuple(ascii), tuple(significant), layout)
+    for table in (*tables[1:7], *tables.ascii, *tables.significant, layout):
         table.flags.writeable = False
     return tables
 
@@ -246,102 +266,116 @@ def _punctuation(dim: int, start: int, count: int) -> np.ndarray:
 
 
 def _scaled(ax: np.ndarray, tables: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exponent row, a mask of the numbers decided, and their 17 digits.
+    """The exponent row, a mask of the numbers decided, and their P digits.
 
-    The digits are Q = round(|x| * 10**(16 - e)), e = floor(log10(|x|)),
-    computed as a double-double to within 1e-13 on a value below 1e17, so
-    they are the digits of x wherever that is farther than 2**-30 from a
-    rounding tie.  Left undecided are the numbers near a tie, those of
-    |x| outside about [1e-280, 1e290), whose tables or Dekker splits
-    would leave the float range, and those whose exponent ``log10`` put
-    one off; their Q is 10**16 + 1.
+    The digits are Q = round(|x| * 10**(P - 1 - e)), e = floor(log10(|x|)),
+    computed to within 1e-13 on a value below 1e17 (a double-double at 17
+    digits, one rounded product at 6), so they are the digits of x wherever
+    that is farther than 2**-30 from a rounding tie.  A Q of 10**P, x rounded
+    up to the next power of ten, becomes 10**(P - 1) at exponent e + 1.  Left
+    undecided are the numbers near a tie, NaN, inf, those of |x| outside
+    about [1e-280, 1e290), whose tables or Dekker splits would leave the
+    float range, and those whose exponent ``log10`` put one off farther than
+    the rounding; their Q is 10**(P - 1) + 1.  The exponent row is clipped
+    to the tables only where it is read.
     """
-    u64 = np.uint64
+    low, high = 10 ** (tables.digits - 1), 10 ** tables.digits
     with np.errstate(all="ignore"):  # log10(0), overflows past 1e290, casts of the undecided
         e = np.log10(ax)
-        np.floor(e, out=e)
-        np.maximum(e, _E_LO, out=e)
-        np.minimum(e, _E_HI, out=e)
-        e = e.astype(np.intp)
         e -= _E_LO
-        ax_hi, ax_lo = _split(ax)
-        p = ax * tables.power[e]
-        power_hi, power_lo = tables.power_hi[e], tables.power_lo[e]
-        error = ax_hi * power_hi - p
-        error += ax_hi * power_lo
-        error += ax_lo * power_hi
-        error += ax_lo * power_lo
-        error += ax * tables.power_rest[e]
-        # |x| * 10**(16 - e) = p + error; p >= 1e16 > 2**53 is an integer.
-        step = np.rint(error)
-        ok = np.abs(error - step) < 0.5 - 2.0 ** -30
-        ok &= (p - 1e16) + error >= 0
-        ok &= (p - 1e17) + step < 0
-        q = p.astype(u64)
-        q += step.astype(np.int64).view(u64)  # adds a negative step modulo 2**64
-    return e, ok, np.where(ok, q, u64(10 ** 16 + 1))
+        e = e.astype(np.intp)  # floor(log10(|x|)) - _E_LO where that is positive
+        # |x| * 10**(P - 1 - e) = r + t with r an integer.  Where log10 gave e
+        # one too high, r + t >= 10**(P - 1) - 0.04 rounds to the same digits
+        # at both exponents; where one too low, Q = 10**P does.
+        p = ax * tables.power.take(e, mode="clip")
+        r = np.rint(p)
+        t = p - r
+        q = r.astype(np.int64)
+        if tables.digits > 6:  # p is off by up to 10**P * 2**-53: correct t
+            ax_hi, ax_lo = _split(ax)
+            power_hi = tables.power_hi.take(e, mode="clip")
+            power_lo = tables.power_lo.take(e, mode="clip")
+            error = ax_hi * power_hi - p
+            error += ax_hi * power_lo
+            error += ax_lo * power_hi
+            error += ax_lo * power_lo
+            error += ax * tables.power_rest.take(e, mode="clip")
+            t += error
+            ok = (r - low) + t >= -0.04
+            ok &= (r - high) + t < 0.5
+            step = np.rint(t)
+            t -= step
+            q += step.astype(np.int64)
+        else:  # p itself is within 2.3e-10
+            ok = p >= low - 0.04
+            ok &= p < high + 0.5
+        ok &= np.abs(t) < 0.5 - 2.0 ** -30
+    q = np.where(ok, q, low + 1)
+    up = np.flatnonzero(q == high)
+    q[up] = low
+    e[up] += 1
+    return e, ok, q
 
 
 def _digit_words(q: np.ndarray, tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
-    """The 17 digits ``q`` as three words of ASCII digits, D0-D6, D7-D13
-    and D14-D16, and the count of digits up to the last nonzero one."""
-    u64 = np.uint64
-    # The digits as groups of 4, 3, 4, 3 and 3.
-    groups = np.empty((2, q.size), dtype=u64)
-    np.floor_divide(q, u64(10 ** 10), out=groups[0])
-    q = q - groups[0] * u64(10 ** 10)
-    np.floor_divide(q, u64(1000), out=groups[1])
-    q -= groups[1] * u64(1000)
-    fours = groups // u64(1000)
-    groups -= fours * u64(1000)
-    fours, threes, tail = fours.astype(np.intp), groups.astype(np.intp), q.astype(np.intp)
-    digits = np.empty((3, q.size), dtype=u64)
-    np.bitwise_or(tables.ascii4[fours], tables.ascii3_up[threes], out=digits[:2])
-    digits[2] = tables.ascii3[tail]
-    s = tables.significant[4][tail]
-    short = np.flatnonzero(s == 0)  # the last three digits are 000
+    """The P digits ``q`` as the plan's words of ASCII digits, and the count
+    of digits up to the last nonzero one."""
+    groups = [q]
+    for size in [*itertools.chain(*tables.sizes)][:0:-1]:  # split off groups from the right
+        high = groups[-1] // 10 ** size
+        groups[-1] -= high * 10 ** size
+        groups.append(high)
+    groups.reverse()
+    digits = np.empty((len(tables.sizes), q.size), dtype=np.uint64)
+    j = 0
+    for word, count in zip(digits, map(len, tables.sizes)):
+        tables.ascii[j].take(groups[j], out=word)
+        for k in range(j + 1, j + count):
+            word |= tables.ascii[k].take(groups[k])
+        j += count
+    s = tables.significant[-1][groups[-1]]
+    short = np.flatnonzero(s == 0)  # the last group is all zeros
     if short.size:
-        s_short = tables.significant[0][fours[0, short]]
-        np.maximum(s_short, tables.significant[1][threes[0, short]], out=s_short)
-        np.maximum(s_short, tables.significant[2][fours[1, short]], out=s_short)
-        np.maximum(s_short, tables.significant[3][threes[1, short]], out=s_short)
-        s[short] = s_short
+        s[short] = np.max([table[group[short]] for table, group
+                           in zip(tables.significant[:-1], groups[:-1])], axis=0)
     return digits, s
 
 
-def _print_numbers(x: np.ndarray, dim: int, offset: int) -> bytes:
-    """The finite numbers ``x`` as ``format(v, ".17g")`` each, followed by
-    its punctuation as entry ``offset`` onwards of a stream of dim x dim
-    matrices of ``[re, im]`` pairs.
+def _print_numbers(x: np.ndarray, digits: int, separators: np.ndarray) -> bytes:
+    """The numbers ``x`` as ``format(v, f".{digits}g")`` each, 6 or 17
+    digits, followed by its word of ``separators``.
 
-    Each number becomes a row of five words: the sign and the "0.000"
-    prefix, three words of digits with the dot moved in, the exponent in
-    the spare bytes of the last of them, and the punctuation; dropping
-    the zero bytes leaves the text.  ``format`` prints the numbers that
-    :func:`_scaled` leaves undecided.
+    Each number becomes a row of words: the sign and the "0.000" prefix,
+    the words of digits with the dot moved in, the exponent, and a last
+    word, into whose free bytes the separator is or'ed; dropping the zero
+    bytes leaves the text.  ``format`` prints the numbers that
+    :func:`_scaled` leaves undecided; their text ends before the separator.
     """
-    tables = _number_tables()
+    tables = _number_tables(digits)
     ax = np.abs(x)
     e, ok, q = _scaled(ax, tables)
-    digits, s = _digit_words(q, tables)
+    digit_words, s = _digit_words(q, tables)
     s *= 2
-    s += tables.base[e]
+    s += tables.base.take(e, mode="clip")
     s += x < 0
     row = np.where(ok, s, ax != 0)
     layout = tables.layout.take(row, axis=1)
-    words = np.empty((5, x.size), dtype="<u8")
+    k = len(digit_words)
+    rows = np.empty((x.size, k + 2), dtype="<u8")
+    words = rows.T
     words[0] = layout[0]
-    np.bitwise_and(digits, layout[1:4], out=words[1:4])
-    digits &= layout[4:7]
-    digits <<= np.uint64(8)
-    words[1:4] |= digits
-    words[1:4] |= layout[7:10]
-    words[3] |= tables.exponent[e]
-    words[4] = _punctuation(dim, offset % (2 * dim * dim), x.size)
+    kept = digit_words & layout[1:k + 1]
+    digit_words &= layout[k + 1:2 * k + 1]
+    digit_words <<= np.uint64(8)
+    kept |= digit_words
+    np.bitwise_or(kept, layout[2 * k + 1:], out=words[1:k + 1])
+    words[-1] = separators
+    words[tables.exponent_word] |= tables.exponent.take(e, mode="clip")
     for i in np.flatnonzero(row == 1).tolist():
-        text = format(float(x[i]), ".17g").encode("ascii")
-        words[:4, i] = np.frombuffer(text.ljust(32, b"\0"), dtype="<u8")
-    return words.T.tobytes().translate(None, b"\0")
+        text = format(float(x[i]), f".{digits}g").encode("ascii")
+        words[:, i] = np.frombuffer(text.ljust(8 * len(words), b"\0"), dtype="<u8")
+        words[-1, i] |= separators[i]
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _print_matrices(matrices: list, dim: int):
@@ -359,12 +393,12 @@ def _print_matrices(matrices: list, dim: int):
             if filled == _SLICE_NUMBERS:
                 x = np.concatenate(pieces)
                 x += 0.0  # -0.0 prints as 0, so reparsing reproduces the bytes
-                yield _print_numbers(x, dim, printed)
+                yield _print_numbers(x, 17, _punctuation(dim, printed % (2 * dim * dim), x.size))
                 pieces, filled, printed = [], 0, printed + filled
     if pieces:
         x = np.concatenate(pieces)
         x += 0.0
-        yield _print_numbers(x, dim, printed)
+        yield _print_numbers(x, 17, _punctuation(dim, printed % (2 * dim * dim), x.size))
 
 
 def _numbers(m, dim: int, field: str) -> np.ndarray:

@@ -20,7 +20,7 @@ from qhistories import (
     serialize_family,
     weight_table,
 )
-from qhistories import cli, hpo
+from qhistories import cli, fileio, hpo
 from qhistories.cli import main
 from qhistories.demos import (
     P0,
@@ -242,21 +242,21 @@ def test_magnitude_rows_match_per_entry_format(shape, kinds, seed, complex_input
 def test_typical_magnitudes_never_reach_the_per_entry_fallback(tmp_path, capsys, monkeypatch):
     # |D| as product families give it: 1e-19..1, with exact zeros.  A slide
     # back to per-entry formatting would keep the bytes and lose the speed,
-    # so count the calls of the fallback, cli's own format().
+    # so count the calls of the fallback, the printer module's own format().
     rng = np.random.default_rng(64)
     n = 64
     d = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * 10.0 ** rng.uniform(
         -19, 0, size=(n, n))
     d[rng.random((n, n)) < 0.2] = 0.0
+    path = _write(tmp_path, _inconsistent_family())  # its times are printed by format()
     calls = []
 
     def counting_format(value, spec):
         calls.append(value)
         return format(value, spec)
 
-    monkeypatch.setattr(cli, "format", counting_format, raising=False)
+    monkeypatch.setattr(fileio, "format", counting_format, raising=False)
     monkeypatch.setattr("qhistories.cli.family_decoherence_matrix", lambda fam, tol: d)
-    path = _write(tmp_path, _inconsistent_family())
     assert main(["consistency", path]) == 2
     assert capsys.readouterr().out.splitlines()[1:n + 1] == _per_entry_rows(d).splitlines()
     assert calls == []
@@ -264,6 +264,32 @@ def test_typical_magnitudes_never_reach_the_per_entry_fallback(tmp_path, capsys,
     assert main(["consistency", path]) == 2
     assert capsys.readouterr().out.splitlines()[1:n + 1] == _per_entry_rows(d).splitlines()
     assert len(calls) == 1 and np.isnan(calls[0])
+
+
+def test_three_digit_exponents_never_reach_the_per_entry_fallback(tmp_path, capsys, monkeypatch):
+    # |D| entries whose %.6g text has a three-digit exponent, one rounding
+    # up to the next power of ten, among exact zeros and typical entries,
+    # all inside the printer's tables, about 1e-280..1e290.
+    rng = np.random.default_rng(150)
+    n = 48
+    d = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-270, 280, size=(n, n))
+    d[rng.random((n, n)) < 0.2] = 0.0
+    d[0, :6] = [1e-150, 2.5e-120, 3e+150, 9.9999996e-101, 1e-100, 0.5]
+    path = _write(tmp_path, _inconsistent_family())  # its times are printed by format()
+    calls = []
+
+    def counting_format(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    for module in (cli, fileio):  # no per-entry format() on either side of the call
+        monkeypatch.setattr(module, "format", counting_format, raising=False)
+    monkeypatch.setattr("qhistories.cli.family_decoherence_matrix", lambda fam, tol: d)
+    assert main(["consistency", path]) == 2
+    rows = capsys.readouterr().out.splitlines()[1:n + 1]
+    assert rows[0].split()[:6] == ["1e-150", "2.5e-120", "3e+150", "1e-100", "1e-100", "0.5"]
+    assert rows == _per_entry_rows(d).splitlines()
+    assert calls == []
 
 
 # -- coarse -------------------------------------------------------------------
