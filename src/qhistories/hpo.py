@@ -11,18 +11,20 @@ Members built by :func:`embed` are *factored*: they keep their step
 projectors as ``factors`` and build the dense d^n x d^n ``matrix`` only
 when it is asked for, anew on each access.  A :func:`sum_hpo` of
 factored members that are exactly the rows of a product of per-slot
-factor sets F_s is factored too, as (x)_s sum_{f in F_s} P_f; other
-sums, and members built from a dense matrix, have ``factors = None``.
-For factored members
+factor sets F_s is factored too, as (x)_s sum_{f in F_s} P_f.  Any other
+sum of factored members is *summed*: it keeps the picked rows of its
+family's factor table as their tree (below) and builds its ``matrix`` on
+each access, from that tree.  Summed projectors, and those built from a
+dense matrix, have ``factors = None``.  For factored members
 
 - the projector check at construction bounds the max-entry hermiticity
   and idempotence defects of the Kronecker product from per-slot norms
   (a telescoped sum, exact in its use of max|A (x) B| = max|A| max|B|);
   only when that bound exceeds the tolerance (:func:`embed_family`'s
-  ``tol``, else ``DEFAULT_TOL``) is the dense matrix built and checked,
-  so the verdict is always the dense check's.
-  :func:`embed_family` takes the norms once per tree node and the bound
-  for all members at once;
+  ``tol``, which its :class:`HPOFamily` keeps, else ``DEFAULT_TOL``) is
+  the dense matrix built and checked, so the verdict is always the dense
+  check's.  :func:`embed_family` takes the norms once per tree node and
+  the bound for all members at once;
 - :func:`is_homogeneous` is True without a test;
 - :func:`is_hpo_family` works on the tree of shared leading factors.
   Members sharing their factors before slot s form a node; its children
@@ -54,10 +56,25 @@ child and max|X Y| <= ||X||_2 ||Y||_2 across siblings, where
 to the exact slot-by-slot product of :func:`_factors_clash`, from
 (x)P (x)Q = (x)(PQ).  An :class:`HPOFamily` of factored members finds
 its distinct factors once, on first use, and builds the tree over their
-ids; a :func:`sum_hpo` builds the picked members' tree from the same
-ids.  Dense totals (non-product sums and the fallback) are summed on
-the tree, each distinct subfamily once, with siblings over equal
-subfamilies merged into (sum_a P_a) (x) R.
+ids and its bounds; a :func:`sum_hpo` builds the picked members' tree
+from the same ids.  Dense totals (summed matrices and the fallbacks) are
+summed on the tree, each distinct subfamily once, with siblings over
+equal subfamilies merged into (sum_a P_a) (x) R.
+
+Sums are certified projectors by the same inequality: telescoped along
+the family's tree, ||S^dag - S||_2 and ||S S - S||_2 are bounded for the
+sum S of any subset of its members at once (:func:`_bounds`).  Where
+either bound exceeds the family's ``tol``, the dense total is built and
+checked, and the sum is kept dense.  A summed projector is decided by
+:func:`is_homogeneous` from Gram matrices: at the first cut of its tree
+with more than one distinct subfamily below it, the singular values of
+the realigned sum are those of a k x k problem built from the per-slot
+factor traces Tr(P_f^dag P_g) (the family's sibling traces, recursed
+over pairs of distinct subfamilies).  Where sigma_1/sigma_0 there
+exceeds the caller's ``tol`` by the rounding margin of :func:`_splits`,
+the answer is False with no dense matrix; otherwise the dense
+operator-Schmidt recursion decides, so the verdict is always the dense
+one and never True from the Gram matrices.
 
 Every dense d^n x d^n allocation is checked first against a budget of
 256 MiB (one 4096 x 4096 complex matrix); a larger one raises
@@ -70,7 +87,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import product
+from operator import mul
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,8 +176,10 @@ class HistoryProjector:
     ``n = slots``; ``slot_times`` records the physical time of each slot.
     A projector made by :func:`embed` is factored: ``factors`` holds its
     n read-only (d, d) step projectors and ``matrix`` is their Kronecker
-    product, built on every access and never kept.  One made from a
-    dense matrix has ``factors = None``.
+    product, built on every access and never kept.  A :func:`sum_hpo`
+    that is no product keeps its members as rows of their family's
+    factor table, and builds ``matrix`` on every access too.  Those and
+    projectors made from a dense matrix have ``factors = None``.
     """
 
     slots: int
@@ -166,6 +187,7 @@ class HistoryProjector:
     base_dim: int
     _matrix: np.ndarray | None
     _stack: np.ndarray | None
+    _summed: tuple[np.ndarray, list, int, dict] | None
 
     def __init__(self, matrix, slots: int, slot_times: Sequence[float], base_dim: int):
         times = _slot_times(slots, slot_times, base_dim)
@@ -176,9 +198,8 @@ class HistoryProjector:
             raise ValueError(
                 f"matrix shape {mat.shape} does not match "
                 f"base_dim^slots = {expected}")
-        if not is_projector(mat, DEFAULT_TOL):
-            raise ValueError("matrix is not a projector on the history space")
-        self._init(mat, None, slots, times, base_dim)
+        _require_projector(mat, DEFAULT_TOL)
+        self._init(slots, times, base_dim, matrix=mat)
 
     @classmethod
     def _factored(cls, stack: np.ndarray, times: tuple[float, ...],
@@ -191,15 +212,24 @@ class HistoryProjector:
         """
         if certified is None:
             certified = bool(_certified(_projector_norms(stack)[:, None], tol)[0])
-        self = cls.__new__(cls)
-        self._init(None, stack, stack.shape[0], times, stack.shape[1])
-        if not (certified or is_projector(self.matrix, tol)):
-            raise ValueError("matrix is not a projector on the history space")
+        self = cls._trusted(stack.shape[0], times, stack.shape[1], stack=stack)
+        if not certified:
+            _require_projector(self.matrix, tol)
         return self
 
-    def _init(self, matrix, stack, slots, times, base_dim) -> None:
-        for name, value in (("_matrix", matrix), ("_stack", stack), ("slots", slots),
-                            ("slot_times", times), ("base_dim", base_dim)):
+    @classmethod
+    def _trusted(cls, slots: int, times: tuple[float, ...], base_dim: int, *,
+                 matrix=None, stack=None, summed=None) -> "HistoryProjector":
+        """The projector held as one of a dense ``matrix``, a ``stack`` of factors or
+        a ``summed`` tree (factors, subfamilies and root of :func:`_id_tree`, and the
+        family's sibling traces of :func:`_bounds`), unchecked."""
+        self = cls.__new__(cls)
+        self._init(slots, times, base_dim, matrix=matrix, stack=stack, summed=summed)
+        return self
+
+    def _init(self, slots, times, base_dim, matrix=None, stack=None, summed=None) -> None:
+        for name, value in (("_matrix", matrix), ("_stack", stack), ("_summed", summed),
+                            ("slots", slots), ("slot_times", times), ("base_dim", base_dim)):
             object.__setattr__(self, name, value)
 
     @property
@@ -214,11 +244,15 @@ class HistoryProjector:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense (d^n, d^n) matrix; built anew for a factored projector."""
-        if self._stack is None:
+        """The dense (d^n, d^n) matrix; built anew unless the projector was given dense."""
+        if self._matrix is not None:
             return self._matrix
         _check_dense(self.dim)
-        return kron_all(self._stack)
+        if self._stack is not None:
+            return kron_all(self._stack)
+        total = np.zeros((self.dim, self.dim), dtype=complex)
+        _add_kron_sum(total, *self._summed[:3])
+        return total
 
     @property
     def dim(self) -> int:
@@ -228,6 +262,11 @@ class HistoryProjector:
     def __repr__(self) -> str:
         return (f"HistoryProjector(slots={self.slots}, base_dim={self.base_dim}, "
                 f"times={list(self.slot_times)})")
+
+
+def _require_projector(matrix: np.ndarray, tol: float) -> None:
+    if not is_projector(matrix, tol):
+        raise ValueError("matrix is not a projector on the history space")
 
 
 def _slot_times(slots: int, slot_times: Sequence[float], base_dim: int) -> tuple[float, ...]:
@@ -267,9 +306,15 @@ def embed(seq: HistorySequence) -> HistoryProjector:
 
 @dataclass(frozen=True, eq=False)
 class HPOFamily:
-    """A set of history projectors sharing slot count, times and base dimension."""
+    """A set of history projectors sharing slot count, times and base dimension.
+
+    ``tol`` is the tolerance of the family's checks: :func:`embed_family`
+    records the one it embedded at, and :func:`sum_hpo` and
+    :func:`is_hpo_family` check at it unless given another.
+    """
 
     members: tuple[HistoryProjector, ...]
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -310,11 +355,28 @@ class HPOFamily:
         return len(self.members)
 
     @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """:func:`_factor_table` of the members' factors, or None if a member is dense."""
+    def _tree(self) -> "_Tree | None":
+        """The members' factor table, tree and bounds, or None if a member is not factored."""
         if any(m._stack is None for m in self.members):
             return None
-        return _factor_table(np.array([m._stack for m in self.members]))
+        factors, ids = _factor_table(np.array([m._stack for m in self.members]))
+        subfamilies, root = _id_tree(ids)
+        return _Tree(factors, ids, subfamilies, root, *_bounds(factors, subfamilies, root))
+
+
+class _Tree(NamedTuple):
+    """An all-factored family: :func:`_factor_table`, :func:`_id_tree` over it
+    and the four bounds and sibling traces of :func:`_bounds` on that tree."""
+
+    factors: np.ndarray
+    ids: np.ndarray
+    subfamilies: list
+    root: int
+    clash: float
+    complete: float
+    herm: float
+    idem: float
+    traces: dict
 
 
 def embed_family(family: BranchingFamily, tol: float = DEFAULT_TOL) -> HPOFamily:
@@ -354,23 +416,27 @@ def embed_family(family: BranchingFamily, tol: float = DEFAULT_TOL) -> HPOFamily
     stacks = nodes.projectors[index]
     grid = _slot_times(slots, grids.pop(), family.dim)
     return HPOFamily(tuple(HistoryProjector._factored(st, grid, ok, tol)
-                           for st, ok in zip(stacks, certified)))
+                           for st, ok in zip(stacks, certified)), tol)
 
 
-def is_hpo_family(members, tol: float = DEFAULT_TOL) -> bool:
+def is_hpo_family(members, tol: float | None = None) -> bool:
     """True iff the projectors are pairwise orthogonal and sum to the identity.
 
     ``members`` may be an :class:`HPOFamily` or a plain sequence of
     :class:`HistoryProjector` values; mismatched slot structure is an
-    error rather than False.  Factored members are decided on the tree of
-    their shared leading factors (see the module docstring), with the
-    exact factor products or the dense total where a bound exceeds
-    ``tol``; a dense total over the byte budget raises ``ValueError``.  A
-    family with a dense member takes the dense total for completeness and
-    the dense products pair by pair for orthogonality.
+    error rather than False.  ``tol`` defaults to the family's, which for
+    a plain sequence is ``DEFAULT_TOL``.  Factored members are decided on
+    the tree of their shared leading factors (see the module docstring),
+    with the exact factor products or the dense total where a bound
+    exceeds ``tol``; a dense total over the byte budget raises
+    ``ValueError``.  A family with a member that is not factored takes the
+    dense total for completeness and the dense products pair by pair for
+    orthogonality.
     """
     if not isinstance(members, HPOFamily):
         members = HPOFamily(tuple(members))
+    if tol is None:
+        tol = members.tol
     ms = members.members
     if any(m._stack is None for m in ms):
         total = _dense_sum(ms, members.dim)
@@ -394,19 +460,17 @@ def _tree_verdict(family: HPOFamily, tol: float) -> tuple[bool | None, float]:
     The verdict is None when the bound exceeds ``tol`` and the dense total
     that would decide is over the byte budget.
     """
-    factors, ids = family._table
-    tree = _id_tree(ids)
-    clash_bound, bound = _bounds(factors, *tree)
-    if clash_bound > tol and _factors_clash(factors[ids], tol):
-        return False, bound
-    if bound <= tol:
-        return True, bound
+    tree = family._tree
+    if tree.clash > tol and _factors_clash(tree.factors[tree.ids], tol):
+        return False, tree.complete
+    if tree.complete <= tol:
+        return True, tree.complete
     if 16 * family.dim ** 2 > _MAX_DENSE_BYTES:
-        return None, bound
+        return None, tree.complete
     total = np.zeros((family.dim, family.dim), dtype=complex)
-    _add_kron_sum(total, factors, *tree)
+    _add_kron_sum(total, tree.factors, tree.subfamilies, tree.root)
     total.flat[::family.dim + 1] -= 1.0
-    return max_abs(total) <= tol, bound
+    return max_abs(total) <= tol, tree.complete
 
 
 def _factor_table(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -465,8 +529,9 @@ def _product_slots(subfamilies: list, root: int) -> list[list[int]] | None:
     return slots if sub == 1 else None
 
 
-def _bounds(factors: np.ndarray, subfamilies: list, root: int) -> tuple[float, float]:
-    """Orthogonality and completeness bounds of factored members, from their tree.
+def _bounds(factors: np.ndarray, subfamilies: list,
+            root: int) -> tuple[float, float, float, float, dict]:
+    """Bounds on factored members and on every sum S of some of them, from their tree.
 
     Bottom up, once per distinct subfamily of :func:`_id_tree` over the
     ``factors`` of :func:`_factor_table`, whose children a carry the
@@ -477,9 +542,26 @@ def _bounds(factors: np.ndarray, subfamilies: list, root: int) -> tuple[float, f
       where R_a bounds the spectral norm of child a's members;
     - ``complete``: a bound on the spectral norm of its members' sum less
       the identity, ||sum_a P_a - I||_2 + max_a complete_a * sqrt(G + X),
-      with G = ||sum_a P_a^dag P_a||_2 and X = sum_{a != b} ||P_a^dag P_b||_F.
+      with G = ||sum_a P_a^dag P_a||_2 and X = sum_{a != b} ||P_a^dag P_b||_F;
+    - ``herm`` and ``idem``: bounds on ||S^dag - S||_2 and ||S S - S||_2
+      for S the sum of any nonempty subset of its members,
 
-    Returns both bounds for the whole family.
+          herm = sum_a ||P_a^dag - P_a||_2 N_a + sqrt(G + X) max_a herm_a,
+          idem = sum_a ||P_a P_a - P_a||_2 N_a^2 + sqrt(G + X) max_a idem_a
+                 + sum_{a != b} ||P_a P_b||_F N_a N_b,
+
+      telescoped along the tree from S = sum_a P_a (x) S_a, where
+      S^dag - S = sum_a (P_a^dag - P_a) (x) S_a^dag + P_a (x) (S_a^dag - S_a),
+      S S - S = sum_a (P_a P_a - P_a) (x) S_a S_a + P_a (x) (S_a S_a - S_a)
+      + sum_{a != b} P_a P_b (x) S_a S_b, and the module docstring's
+      ||sum_a P_a (x) E_a||_2 <= max_a ||E_a||_2 sqrt(G + X); N = sqrt(G + X)
+      max_a N_a bounds ||S||_2.  A subset keeps some children and subsets
+      below them, and its G, X and sums over children are at most the whole
+      node's, so one bound serves every subset.  A count c at the leaves
+      gives herm 0, idem |c^2 - c| and N c, largest at the whole count.
+
+    Returns the four bounds for the whole tree, and the traces
+    Tr(P_f^dag P_g) of its pairs of sibling factors, by (f, g).
     """
     d = factors.shape[1]
 
@@ -489,31 +571,43 @@ def _bounds(factors: np.ndarray, subfamilies: list, root: int) -> tuple[float, f
     rows = [f for fs in nodes for f in fs]
     starts = np.cumsum([0] + [len(fs) for fs in nodes[:-1]])
     gram = factors.conj().transpose(0, 2, 1) @ factors
-    spec = _spectral_bounds(np.concatenate([
-        factors,
-        np.add.reduceat(factors[rows], starts, axis=0) - np.eye(d),
-        np.add.reduceat(gram[rows], starts, axis=0)]))
-    spec, excess, overlap = np.split(spec, [len(factors), len(factors) + len(nodes)])
-    pmax, hfro = _pair_norms(factors, sorted({(f, g) for fs in nodes for f in fs for g in fs}))
+    k = len(factors)
+    spec, herm_f, idem_f, excess, overlap = (part.tolist() for part in np.split(
+        _spectral_bounds(np.concatenate([
+            factors,
+            factors.conj().transpose(0, 2, 1) - factors,
+            factors @ factors - factors,
+            np.add.reduceat(factors[rows], starts, axis=0) - np.eye(d),
+            np.add.reduceat(gram[rows], starts, axis=0)])),
+        np.cumsum([k, k, k, len(nodes)])))
+    pairs = sorted({(f, g) for fs in nodes for f in fs for g in fs})
+    pmax, hfro, pfro, traces = _pair_norms(factors, pairs)
 
-    clash, complete, spread = [], [], []
+    clash, complete, spread, herm, idem, norm = [], [], [], [], [], []
     j = 0
     for sub in subfamilies:
         if not isinstance(sub, tuple):  # member count
             clash.append(1.0 if sub > 1 else 0.0)
             complete.append(abs(sub - 1.0))
             spread.append(1.0)
+            herm.append(0.0)
+            idem.append(float(sub * sub - sub))
+            norm.append(float(sub))
             continue
-        cross = [(pmax[f, g], spread[a], spread[b], hfro[f, g])
-                 for f, a in sub for g, b in sub if f != g]
+        cross = [(f, g, a, b) for f, a in sub for g, b in sub if f != g]
+        grow = math.sqrt(overlap[j] + sum(hfro[f, g] for f, g, _, _ in cross))
         clash.append(max([pmax[f, f] * clash[c] for f, c in sub]
-                         + [p * ra * rb for p, ra, rb, _ in cross]))
-        x = sum(h for *_, h in cross)
-        complete.append(float(excess[j])
-                        + max(complete[c] for _, c in sub) * math.sqrt(overlap[j] + x))
+                         + [pmax[f, g] * spread[a] * spread[b] for f, g, a, b in cross]))
+        complete.append(excess[j] + grow * max(complete[c] for _, c in sub))
         spread.append(max(spec[f] * spread[c] for f, c in sub))
+        herm.append(sum(herm_f[f] * norm[c] for f, c in sub)
+                    + grow * max(herm[c] for _, c in sub))
+        idem.append(sum(idem_f[f] * norm[c] * norm[c] for f, c in sub)
+                    + grow * max(idem[c] for _, c in sub)
+                    + sum(pfro[f, g] * norm[a] * norm[b] for f, g, a, b in cross))
+        norm.append(grow * max(norm[c] for _, c in sub))
         j += 1
-    return clash[root], complete[root]
+    return clash[root], complete[root], herm[root], idem[root], traces
 
 
 def _spectral_bounds(stack: np.ndarray) -> np.ndarray:
@@ -522,20 +616,25 @@ def _spectral_bounds(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(a.sum(axis=1).max(axis=1) * a.sum(axis=2).max(axis=1))
 
 
-def _pair_norms(factors: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[dict, dict]:
-    """max|P_f P_g| and ||P_f^dag P_g||_F, by (f, g), for the given pairs of factors."""
+def _pair_norms(factors: np.ndarray,
+                pairs: list[tuple[int, int]]) -> tuple[dict, dict, dict, dict]:
+    """max|P_f P_g|, ||P_f^dag P_g||_F, ||P_f P_g||_F and Tr(P_f^dag P_g), by (f, g),
+    for the given pairs."""
     d = factors.shape[1]
     chunk = max(1, _CHUNK_BYTES // (32 * d * d))
-    pmax, hfro = {}, {}
+    pmax, hfro, pfro, trace = {}, {}, {}, {}
     for k0 in range(0, len(pairs), chunk):
         part = pairs[k0:k0 + chunk]
         f, g = np.array(part).T
         left, right = factors[f], factors[g]
         left = np.concatenate([left, left.conj().transpose(0, 2, 1)])
         products = left @ np.concatenate([right, right])
+        frob = np.linalg.norm(products, axis=(1, 2)).tolist()
         pmax.update(zip(part, np.abs(products[:len(part)]).max(axis=(1, 2)).tolist()))
-        hfro.update(zip(part, np.linalg.norm(products[len(part):], axis=(1, 2)).tolist()))
-    return pmax, hfro
+        pfro.update(zip(part, frob[:len(part)]))
+        hfro.update(zip(part, frob[len(part):]))
+        trace.update(zip(part, np.trace(products[len(part):], axis1=1, axis2=2).tolist()))
+    return pmax, hfro, pfro, trace
 
 
 def _factors_clash(stacks: np.ndarray, tol: float) -> bool:
@@ -578,7 +677,7 @@ def _dense_sum(members: Sequence[HistoryProjector], dim: int) -> np.ndarray:
         _add_kron_sum(total, factors, *_id_tree(ids))
     for m in members:
         if m._stack is None:
-            total += m._matrix
+            total += m.matrix
     return total
 
 
@@ -635,31 +734,45 @@ def _selector_indices(selector: Sequence, size: int) -> list[int]:
 
 
 def sum_hpo(family: HPOFamily, selector: Sequence) -> HistoryProjector:
-    """Operator sum of the selected members.
+    """Operator sum of the selected members, a projector within the family's ``tol``.
 
     Orthogonality of the members makes the sum a projector again; the
     all-zeros selector gives the zero projector and the all-ones selector
-    the identity on the history space.  When the family's members are
-    factored and the selected ones are exactly the rows of a product of
-    per-slot factor sets F_s, the sum is the factored projector
-    (x)_s sum_{f in F_s} P_f; any other sum is dense.  A history space
-    whose dense matrix is over the byte budget is refused either way.
+    the identity on the history space.  For a family of factored members:
+
+    - when the selected ones are exactly the rows of a product of per-slot
+      factor sets F_s, the sum is the factored projector
+      (x)_s sum_{f in F_s} P_f, checked as :func:`embed` checks its members;
+    - any other sum keeps the picked rows of the family's factor table as
+      the tree of :func:`_id_tree`, and builds its dense matrix only when
+      ``matrix`` is read.  It is certified a projector by the family's
+      Hermiticity and idempotence bounds (:func:`_bounds`), which hold for
+      every sum of its members and are taken once per family; where one
+      exceeds ``tol``, the dense total is built and checked instead, and a
+      sum that passes is kept dense.
+
+    A family with a member given dense sums densely.  Every sum that is
+    not a projector within ``tol`` raises ``ValueError``, and a history
+    space whose dense matrix is over the byte budget is refused either way.
     """
     picked = _selector_indices(selector, len(family))
     _check_dense(family.dim)
-    table = family._table
-    if table is None or not picked:
+    tree, times = family._tree, family.slot_times
+    if tree is None or not picked:
         total = _dense_sum([family.members[i] for i in picked], family.dim)
     else:
-        factors, ids = table
-        tree = _id_tree(ids[picked])
-        slots = _product_slots(*tree)
+        subfamilies, root = _id_tree(tree.ids[picked])
+        slots = _product_slots(subfamilies, root)
         if slots is not None:
-            stack = np.stack([factors[fs].sum(axis=0) for fs in slots])
-            return HistoryProjector._factored(stack, family.slot_times)
+            stack = np.stack([tree.factors[fs].sum(axis=0) for fs in slots])
+            return HistoryProjector._factored(stack, times, tol=family.tol)
+        if tree.herm <= family.tol and tree.idem <= family.tol:
+            return HistoryProjector._trusted(family.slots, times, family.base_dim,
+                                             summed=(tree.factors, subfamilies, root, tree.traces))
         total = np.zeros((family.dim, family.dim), dtype=complex)
-        _add_kron_sum(total, factors, *tree)
-    return HistoryProjector(total, family.slots, family.slot_times, family.base_dim)
+        _add_kron_sum(total, tree.factors, subfamilies, root)
+    _require_projector(total, family.tol)
+    return HistoryProjector._trusted(family.slots, times, family.base_dim, matrix=total)
 
 
 def _schmidt_rank_one(matrix: np.ndarray, d: int, slots: int, cutoff: float) -> bool:
@@ -679,6 +792,97 @@ def _schmidt_rank_one(matrix: np.ndarray, d: int, slots: int, cutoff: float) -> 
     return _schmidt_rank_one(remainder, d, slots - 1, cutoff)
 
 
+def _splits(y: HistoryProjector, tol: float) -> bool:
+    """True iff the Gram matrices of a summed projector's tree show that the
+    dense Schmidt recursion of :func:`is_homogeneous` answers False at ``tol``.
+
+    Cuts at whose depth all nodes of the tree are one subfamily are rank
+    one by structure.  At the first cut with k > 1 distinct subfamilies
+    S_c below it, the sum is A (x) sum_c B_c (x) S_c, with B_c the sum of
+    the factors leading to S_c, and the squared singular values of that
+    cut are the eigenvalues of L^dag conj(G_S) L, where G_B = L L^dag and
+    G_S hold Tr(B_c^dag B_e) and Tr(S_c^dag S_e) (:func:`_cut_grams`).
+    Rounding moves them by at most slack = 2^-50 (d^2 slots + p + k)
+    tr(G_B) tr(G_S), four units of 2^-53 for each of the d^2 terms of a
+    trace at each slot, the p factor pairs traced and the k rows, so
+    sigma_1/sigma_0 is resolved only down to about sqrt(slack) / sigma_0,
+    1e-7 to 1e-6 on small trees.  The answer is True only when the
+    smallest sigma_1^2 and the largest sigma_0^2 within the slack put
+    sigma_1/sigma_0 above ``tol`` plus dim * slots units of 2^-50 for the
+    dense recursion's own rounding.  False means undecided, as do a tree
+    with no such cut, one needing more than eight pairs of subfamilies per
+    distinct subfamily, and a G_B that Cholesky or the eigensolver refuses.
+    """
+    factors, subfamilies, root, known = y._summed
+    sub = subfamilies[root]
+    while isinstance(sub, tuple) and len({c for _, c in sub}) == 1:
+        sub = subfamilies[sub[0][1]]
+    if not isinstance(sub, tuple):
+        return False
+    below: dict[int, list[int]] = {}
+    for f, c in sub:
+        below.setdefault(c, []).append(f)
+    grams = _cut_grams(factors, subfamilies, below, known)
+    if grams is None:
+        return False
+    gram_b, gram_s, traced = grams
+    try:
+        low = np.linalg.cholesky(gram_b)
+        sigma2 = np.linalg.eigvalsh(low.conj().T @ gram_s.conj() @ low)
+    except np.linalg.LinAlgError:
+        return False
+    slack = (2.0 ** -50 * (y.base_dim ** 2 * y.slots + traced + len(below))
+             * sum(gram_b.diagonal().real) * sum(gram_s.diagonal().real))
+    cut = tol + 2.0 ** -50 * y.dim * y.slots
+    return bool(sigma2[-2] - slack > cut * cut * (sigma2[-1] + slack))
+
+
+def _cut_grams(factors: np.ndarray, subfamilies: list, below: dict[int, list[int]],
+               known: dict) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The Gram matrices Tr(B_c^dag B_e) and Tr(S_c^dag S_e) of one cut.
+
+    ``below`` maps each subfamily c below the cut to the factors f whose
+    sum B_c leads to it.  With S_c = sum_{(f, a) in c} P_f (x) S_a, each
+    entry of the second is sum_{(f, a) in c, (g, b) in e} Tr(P_f^dag P_g)
+    Tr(S_a^dag S_b), taken once per ordered pair of distinct subfamilies
+    at each depth, and the product c e of member counts at the leaves.
+    Traces are read from ``known`` (the family's sibling pairs, which in a
+    product family are all pairs at one slot) or computed.  Returns both
+    matrices and the number of factor pairs traced, or None when that
+    would take more than eight pairs of subfamilies per distinct
+    subfamily of the tree.
+    """
+    # Per subfamily, its children's factors and subfamilies.
+    kids = [tuple(zip(*sub)) if isinstance(sub, tuple) else None for sub in subfamilies]
+    tops = list(below)
+    pairs = {fg for fs in below.values() for gs in below.values() for fg in product(fs, gs)}
+    levels = [set(product(tops, tops))]
+    count = 0
+    while kids[next(iter(levels[-1]))[0]] is not None:
+        count += len(levels[-1])
+        if count > 8 * len(subfamilies):
+            return None
+        level = set()
+        for c, e in levels[-1]:
+            pairs.update(product(kids[c][0], kids[e][0]))
+            level.update(product(kids[c][1], kids[e][1]))
+        levels.append(level)
+    traces = {fg: known.get(fg) for fg in pairs}
+    missing = [fg for fg, t in traces.items() if t is None]
+    if missing:
+        traces.update(_pair_norms(factors, missing)[3])
+
+    value = {(c, e): float(subfamilies[c] * subfamilies[e]) for c, e in levels.pop()}
+    for level in reversed(levels):
+        for c, e in level:
+            value[c, e] = sum(map(mul, map(traces.__getitem__, product(kids[c][0], kids[e][0])),
+                                  map(value.__getitem__, product(kids[c][1], kids[e][1]))))
+    gram_b = np.array([[sum(map(traces.__getitem__, product(below[c], below[e]))) for e in tops]
+                       for c in tops])
+    gram_s = np.array([[value[c, e] for e in tops] for c in tops], dtype=complex)
+    return gram_b, gram_s, len(traces)
+
+
 def is_homogeneous(y: HistoryProjector, tol: float = RANK1_CUTOFF) -> bool:
     """True iff ``y`` factors slot by slot into a product of projectors.
 
@@ -689,10 +893,17 @@ def is_homogeneous(y: HistoryProjector, tol: float = RANK1_CUTOFF) -> bool:
     Sums of distinct histories typically fail, but a sum can collapse
     back to a product (for instance when two summands differ in one slot
     by projectors that complete each other).  A factored projector is a
-    product by construction, and the answer is True without a test.
+    product by construction, and the answer is True without a test.  A
+    :func:`sum_hpo` kept as a tree is False without a dense matrix where
+    the Gram matrices of its factors put sigma_1/sigma_0 of its first cut
+    that is not rank one by structure clearly above ``tol`` (see
+    :func:`_splits` for the rounding margin); otherwise, and never True
+    from the Gram matrices, the dense recursion decides.
     """
     if y._stack is not None:
         return True
+    if y._summed is not None and _splits(y, tol):
+        return False
     return _schmidt_rank_one(y.matrix, y.base_dim, y.slots, tol)
 
 

@@ -114,7 +114,7 @@ def is_decomposition(projectors: Sequence, tol: float = DEFAULT_TOL) -> bool:
 
     Raises ``ValueError`` on an empty sequence or mixed dimensions.
     """
-    return _first_defect([as_operator(p) for p in projectors], tol) is None
+    return _first_defect(_stacked(projectors), tol) is None
 
 
 def _projector_norms(stack: np.ndarray) -> np.ndarray:
@@ -205,31 +205,44 @@ def require_projector(m, tol: float = DEFAULT_TOL, what: str = "projector") -> n
 
 
 def require_decomposition(projectors: Sequence, dim: int | None = None,
-                          tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Coerce and return a decomposition of the identity, raising on failure.
+                          tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Coerce and return a decomposition of the identity as one (k, d, d) stack,
+    raising on failure.
 
     The message names the first failing check: a zero member, a member
     that is no projector, a non-orthogonal pair, or an incomplete sum.
     """
-    mats = [as_operator(p) for p in projectors]
-    if mats and dim is not None and mats[0].shape[0] != dim:
+    stack = _stacked(projectors)
+    if dim is not None and stack.shape[1] != dim:
         raise ValueError(
-            f"decomposition dimension {mats[0].shape[0]} does not match expected {dim}"
+            f"decomposition dimension {stack.shape[1]} does not match expected {dim}"
         )
-    defect = _first_defect(mats, tol)
+    defect = _first_defect(stack, tol)
     if defect is not None:
         raise ValueError(
             f"projectors do not form a decomposition of the identity within tol={tol}: {defect}")
-    return mats
+    return stack
 
 
-def _first_defect(mats: list[np.ndarray], tol: float) -> str | None:
-    """The first check of :func:`is_decomposition` that the matrices ``mats`` fail, or None."""
+def _stacked(projectors) -> np.ndarray:
+    """The members of a decomposition as one (k, d, d) complex stack, not empty.
+
+    A complex (k, d, d) array is taken as it is, and any other input is
+    copied into a new stack once.
+    """
+    if (isinstance(projectors, np.ndarray) and projectors.ndim == 3 and len(projectors)
+            and projectors.shape[1] == projectors.shape[2]):
+        return np.asarray(projectors, dtype=complex)
+    mats = [as_operator(p) for p in projectors]
     if not mats:
         raise ValueError("a decomposition needs at least one projector")
     if any(p.shape != mats[0].shape for p in mats):
         raise ValueError("decomposition members have mixed dimensions")
-    stack = np.array(mats)
+    return np.array(mats)
+
+
+def _first_defect(stack: np.ndarray, tol: float) -> str | None:
+    """The first check of :func:`is_decomposition` that the (k, d, d) ``stack`` fails, or None."""
     size, _, herm, idem = norms = _projector_norms(stack)
     zero = size <= tol
     if zero.any():

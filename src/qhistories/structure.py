@@ -487,23 +487,22 @@ class BranchingFamily:
             return []
         return [t for t in set(times) if not self.evolution.covers(t)]
 
-    def _grown(self, leaves: Sequence[int], mats: Sequence[np.ndarray], times: Sequence[float],
+    def _grown(self, leaves: Sequence[int], stack: np.ndarray, times: Sequence[float],
                tol: float) -> "BranchingFamily":
-        """This family with the decomposition ``mats`` below each of ``leaves``,
-        the new nodes at ``times`` with ids from one above the largest.
+        """This family with the decomposition ``stack``, shape (k, d, d), below each
+        of ``leaves``, the new nodes at ``times`` with ids from one above the largest.
 
         The decomposition must have been checked at ``tol``.  The validity
         mark carries over only if this family is marked valid at that same
         ``tol`` and the dynamics can branch at every leaf's time.
         """
-        nodes, first, k = self._nodes, self._next_id, len(leaves) * len(mats)
+        nodes, first, k = self._nodes, self._next_id, len(leaves) * len(stack)
         ids = tuple(range(first, first + k))
         row = nodes.row.copy()
         row.update(zip(ids, range(len(nodes.ids), len(nodes.ids) + k)))
-        stack = np.asarray(mats)
         grown = nodes._replace(
             ids=nodes.ids + ids, row=row, time=np.concatenate([nodes.time, times]),
-            parent=np.concatenate([nodes.parent, np.repeat(leaves, len(mats))]),
+            parent=np.concatenate([nodes.parent, np.repeat(leaves, len(stack))]),
             projectors=np.concatenate([nodes.projectors, *[stack] * len(leaves)]))
         fam = BranchingFamily._trusted(self.dim, grown, self.initial_state, self.evolution)
         fam._next_id = first + k
@@ -529,18 +528,18 @@ class BranchingFamily:
         leaf = self._row(leaf_id)
         if not self.is_leaf(leaf_id):
             raise ValueError(f"node {leaf_id} is not a leaf")
-        mats = require_decomposition(projectors, dim=self.dim, tol=tol)
+        stack = require_decomposition(projectors, dim=self.dim, tol=tol)
         times = _finite_times(child_times, "child time")
-        if len(times) != len(mats):
+        if len(times) != len(stack):
             raise ValueError(
-                f"{len(mats)} projectors need {len(mats)} child times, "
+                f"{len(stack)} projectors need {len(stack)} child times, "
                 f"got {len(times)}")
         leaf_time = float(self._nodes.time[leaf])
         for t in times:
             if not (t > leaf_time):
                 raise ValueError(
                     f"child time {t} is not after the leaf time {leaf_time}")
-        return self._grown([leaf], mats, times, tol)
+        return self._grown([leaf], stack, times, tol)
 
     # -- histories -------------------------------------------------------
 
@@ -654,8 +653,8 @@ def from_product(dim: int, times: Sequence[float], decompositions: Sequence[Sequ
     # Each level grows below all of the last, whose rows end the store, so
     # ids run level by level, as leaf-by-leaf ``extend`` calls number them.
     width = 1
-    for mats, t_next in zip(levels, ts[1:] + [ts[-1] + 1.0]):
-        fam = fam._grown(range(len(fam) - width, len(fam)), mats,
-                         [t_next] * (width * len(mats)), tol)
-        width *= len(mats)
+    for stack, t_next in zip(levels, ts[1:] + [ts[-1] + 1.0]):
+        fam = fam._grown(range(len(fam) - width, len(fam)), stack,
+                         [t_next] * (width * len(stack)), tol)
+        width *= len(stack)
     return fam

@@ -502,7 +502,7 @@ def tree_bounds(stacks: np.ndarray) -> tuple[float, float]:
     """Orthogonality and completeness bounds of the factored members ``stacks``,
     shape (n, slots, d, d), from their tree (see ``hpo._bounds``)."""
     factors, ids = _factor_table(stacks)
-    return _bounds(factors, *_id_tree(ids))
+    return _bounds(factors, *_id_tree(ids))[:2]
 
 
 def export_dot(family: BranchingFamily, annotate_weights: bool = False) -> str:

@@ -698,6 +698,156 @@ def test_factor_identity_ignores_the_sign_of_zero():
     assert y.factors is not None and np.array_equal(y.matrix, np.kron(I2, P0))
 
 
+def _count_dense_tests(monkeypatch):
+    """A list that grows by one on each dense Schmidt recursion of ``is_homogeneous``."""
+    calls = []
+    dense = hpo._schmidt_rank_one
+
+    def counted(matrix, d, slots, cutoff):
+        calls.append(slots)
+        return dense(matrix, d, slots, cutoff)
+
+    monkeypatch.setattr(hpo, "_schmidt_rank_one", counted)
+    return calls
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.sampled_from(PROVIDER_KINDS))
+def test_summed_selections_match_the_dense_oracle(seed, product, kind):
+    # Product families and shared-grid families that branch into their own
+    # decomposition at every node: every sum that is no product stays a
+    # tree, its matrix is the oracle's and its verdict the dense one.
+    rng = np.random.default_rng(seed)
+    dim, slots = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    fam = _grid_family(rng, dim, slots, kind, product)
+    histories = fam.histories()
+    family = embed_family(fam)
+    n = len(family)
+    indices = _slot_indices(histories)
+    drop = int(rng.integers(n))
+    selections = [rng.integers(0, 2, size=n).tolist() for _ in range(3)]
+    selections.append([int(i != drop) for i in range(n)])
+    for sel in selections:
+        picked = [i for i, flag in enumerate(sel) if flag]
+        if not picked:
+            continue
+        y = sum_hpo(family, sel)
+        oracle = sum(kron_all(histories[i].projectors) for i in picked)
+        assert_allclose(y.matrix, oracle, rtol=0, atol=1e-12)
+        assert (y._summed is None) == _is_product([indices[i] for i in picked])
+        assert is_homogeneous(y) == _schmidt_rank_one(oracle, dim, slots, RANK1_CUTOFF)
+
+
+def test_equal_child_sums_with_different_factors_take_the_dense_test(monkeypatch):
+    # Below |0> the factors are |+>, |->, below |1> they are |0>, |1>: both
+    # children sum to I, so the whole family sums to I (x) I, a product,
+    # though its tree has two distinct subfamilies below the first slot.
+    fam = (new_family(2, 0.0).extend(0, [P0, P1], [1.0, 1.0])
+           .extend(1, [P_PLUS, P_MINUS], [2.0, 2.0]).extend(2, [P0, P1], [2.0, 2.0]))
+    family = embed_family(fam)
+    calls = _count_dense_tests(monkeypatch)
+    for sel, homogeneous in (([1, 1, 1, 1], True), ([1, 1, 1, 0], False)):
+        y = sum_hpo(family, sel)
+        assert y._summed is not None
+        assert is_homogeneous(y) is homogeneous
+    assert calls == [2, 1]  # one dense recursion; the Gram test decides the second sum
+    assert_allclose(sum_hpo(family, [1, 1, 1, 1]).matrix, np.eye(4), atol=1e-15)
+
+
+# (selector, is_homogeneous) of every sum of Isham's family; each sum is a
+# projector.  Its first-step factors overlap across siblings, so the family's
+# bound certifies no sum that is no product: those take the dense check and
+# the dense Schmidt test.
+ISHAM_SUMS = [
+    ((0, 0, 0, 0), True), ((0, 0, 0, 1), True), ((0, 0, 1, 0), True), ((0, 0, 1, 1), True),
+    ((0, 1, 0, 0), True), ((0, 1, 0, 1), False), ((0, 1, 1, 0), False), ((0, 1, 1, 1), False),
+    ((1, 0, 0, 0), True), ((1, 0, 0, 1), False), ((1, 0, 1, 0), False), ((1, 0, 1, 1), False),
+    ((1, 1, 0, 0), True), ((1, 1, 0, 1), False), ((1, 1, 1, 0), False), ((1, 1, 1, 1), True),
+]
+
+
+def test_every_sum_of_ishams_family_keeps_its_value():
+    family, _ = isham_counterexample()
+    histories = isham_histories()
+    for sel, homogeneous in ISHAM_SUMS:
+        y = sum_hpo(family, sel)
+        oracle = sum((kron_all(h.projectors) for h, flag in zip(histories, sel) if flag),
+                     np.zeros((4, 4), dtype=complex))
+        assert_allclose(y.matrix, oracle, rtol=0, atol=1e-15)
+        assert is_homogeneous(y) is homogeneous
+
+
+def test_the_gram_cut_answers_at_the_callers_tol(monkeypatch):
+    # I - |0><0| (x) |+><+| has sigma_1/sigma_0 = 0.382 at its one cut: the
+    # Gram matrices may answer False only below that, by more than their
+    # margin, and leave every other tol to the dense test.  The verdict is
+    # the dense one at every tol.
+    family = embed_family(from_product(2, [0.0, 1.0], [[P0, P1], [P_PLUS, P_MINUS]]))
+    y = sum_hpo(family, [1, 1, 1, 0])
+    assert y._summed is not None
+    s = _realigned_singular_values(y.matrix, 2)
+    ratio = s[1] / s[0]
+    assert ratio == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-12)
+    calls = _count_dense_tests(monkeypatch)
+    for tol in (1e-7, 0.1, ratio - 1e-4, ratio - 1e-12, ratio + 1e-12, 0.5, 1.0, 2.0, -1.0,
+                math.nan):
+        dense = len(calls)
+        verdict = is_homogeneous(y, tol)
+        assert verdict == _schmidt_rank_one(y.matrix, 2, 2, tol), tol
+        if 0 < tol <= ratio - 1e-4:
+            assert len(calls) == dense, tol
+        if not tol < ratio:
+            assert len(calls) > dense, tol
+
+
+def test_sum_hpo_checks_at_the_embedding_tol():
+    # (1 + 3e-8)|0><0| is a projector within 1e-6 but not within 1e-9: the
+    # family embeds at 1e-6, so its sums, factored or not, are checked there.
+    a = (1 + 3e-8) * P0
+    fam = new_family(2, 0.0, tol=1e-6).extend(0, [a, I2 - a], [1.0, 1.0], tol=1e-6)
+    embedded = embed_family(fam, 1e-6)
+    assert embedded.tol == 1e-6 and is_hpo_family(embedded)
+    for sel in ([1, 0], [0, 1], [1, 1]):
+        assert_allclose(sum_hpo(embedded, sel).matrix,
+                         sum(m.matrix for m, flag in zip(embedded.members, sel) if flag))
+    product = from_product(2, [0.0, 1.0], [[a, I2 - a], [P0, P1]], tol=1e-6)
+    family = embed_family(product, 1e-6)
+    y = sum_hpo(family, [1, 1, 1, 0])
+    assert y._summed is not None and not is_homogeneous(y)
+    assert_allclose(y.matrix, np.kron(I2, I2) - np.kron(I2 - a, P1), atol=1e-15)
+
+
+def test_an_all_but_one_sum_in_a_twelve_slot_space_takes_no_dense_matrix():
+    # 4095 of the 4096 members of a 12-slot qubit product family: the
+    # family's bound certifies the sum and the Gram matrices of its first
+    # cut refuse it as a product, with no 4096 x 4096 matrix and nothing
+    # per pair of members.
+    pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    result = run_capped("""
+        from qhistories import embed_family, from_product, is_homogeneous, is_hpo_family, sum_hpo
+        from qhistories.demos import P0, P1, P_MINUS, P_PLUS
+
+        def status(key):
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) << 10 for line in f if line.startswith(key))
+
+        decomps = [[P0, P1] if k % 2 else [P_PLUS, P_MINUS] for k in range(12)]
+        family = embed_family(from_product(2, [float(k) for k in range(12)], decomps))
+        selector = [1] * len(family)
+        selector[1234] = 0
+        before = status("VmRSS:")
+        y = sum_hpo(family, selector)
+        print(family.dim, y.factors is None, is_homogeneous(y), is_hpo_family(family),
+              status("VmHWM:") - before)
+    """)
+    assert result.returncode == 0, result.stderr
+    dim, no_product, homogeneous, valid, growth = result.stdout.split()
+    assert (dim, no_product, homogeneous, valid) == ("4096", "True", "False", "True")
+    assert int(growth) < 128 << 20
+
+
 def test_a_product_sum_in_a_twelve_slot_space_takes_no_dense_matrix():
     # The history space has 4096 dimensions, whose dense matrix takes the
     # whole 256 MiB budget.  A one-slot pair sums to a product: neither the

@@ -322,6 +322,44 @@ def test_projector_norms_hold_little_beyond_their_input():
     assert int(growth) < 4 * int(size)
 
 
+@pytest.mark.parametrize("call", ["is_decomposition", "extend"])
+def test_a_decomposition_stack_is_checked_and_stored_without_copies(call):
+    # Two 1024 x 1024 members given as one (2, d, d) stack take 32 MiB.
+    # The check reads that stack in place and ``extend`` builds the new
+    # store (48 MiB with the root's zero projector) from it: besides the
+    # store, only the norms' and one pair product's working blocks.
+    # Copying the stack for the check, and again for the store, went
+    # past twice the members' bytes.
+    pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    result = run_capped(f"""
+        import numpy as np
+        from qhistories import is_decomposition, new_family
+
+        def status(key):
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) << 10 for line in f if line.startswith(key))
+
+        d = 1024
+        p = np.diag((np.arange(d) < d // 2).astype(complex))
+        members = np.stack([p, np.eye(d) - p])
+        del p
+        family = new_family(d, 0.0)
+        members[0] @ members[1]  # warms up BLAS at full size
+        before = status("VmRSS:")
+        if {call!r} == "extend":
+            ok = family.extend(0, members, [1.0, 1.0]).moment(2).projector is not None
+        else:
+            ok = is_decomposition(members)
+        print(ok, status("VmHWM:") - before, members.nbytes)
+    """)
+    assert result.returncode == 0, result.stderr
+    ok, growth, size = result.stdout.split()
+    assert ok == "True"
+    assert int(growth) < 2 * int(size)
+
+
 def test_require_helpers_raise_with_context():
     with pytest.raises(ValueError, match="projector"):
         require_projector(0.5 * I2)
