@@ -50,22 +50,31 @@ factors).  Spectral norms are bounded above by sqrt(||A||_1 ||A||_inf)
 and ||A||_F.  A bound <= tol certifies; otherwise the dense total
 decides, and over the byte budget the check raises ``ValueError``.
 
-Orthogonality uses max|(P (x) X)(P (x) Y)| = max|P P| max|X Y| inside a
-child and max|X Y| <= ||X||_2 ||Y||_2 across siblings, where
-||(x)_s A_s||_2 = prod_s ||A_s||_2; a bound above tol hands the decision
-to the exact slot-by-slot product of :func:`_factors_clash`, from
-(x)P (x)Q = (x)(PQ).  An :class:`HPOFamily` of factored members finds
-its distinct factors once, on first use, and builds the tree over their
-ids and its bounds; a :func:`sum_hpo` builds the picked members' tree
-from the same ids.  Dense totals (summed matrices and the fallbacks) are
-summed on the tree, each distinct subfamily once, with siblings over
-equal subfamilies merged into (sum_a P_a) (x) R.
-
 Sums are certified projectors by the same inequality: telescoped along
-the family's tree, ||S^dag - S||_2 and ||S S - S||_2 are bounded for the
-sum S of any subset of its members at once (:func:`_bounds`).  Where
-either bound exceeds the family's ``tol``, the dense total is built and
-checked, and the sum is kept dense.  A summed projector is decided by
+the family's tree, ||S^dag - S||_2, ||S S - S||_2 <= a and ||S||_2 <= N
+are bounded for the sum S of any nonempty subset of its members at once
+(:func:`_bounds`).  Where a bound on a sum exceeds the family's ``tol``,
+the dense total is built and checked, and the sum is kept dense.
+
+Exclusivity follows from those bounds, as P + Q is a projector only if
+PQ = 0.  For members M_i and M_j (i != j), with A = M M - M and
+E = M_i M_j + M_j M_i, the pair sum S = M_i + M_j has
+S S - S = A_i + A_j + E, so ||E||_2 <= 3a, the singletons' bounds
+included.  With M_i M_i = M_i + A_i,
+
+    2 M_i M_j = E + M_i E - E M_i - A_i M_j + M_j A_i,
+
+so max|M_i M_j| <= ||M_i M_j||_2 <= a (3 + 8N) / 2.  Where that bound
+exceeds tol, the exact slot-by-slot product of :func:`_factors_clash`
+decides, from (x)P (x)Q = (x)(PQ).
+
+An :class:`HPOFamily` of factored members finds its distinct factors
+once, on first use, and builds the tree over their ids and its bounds;
+a :func:`sum_hpo` builds the picked members' tree from the same ids.
+Dense totals of factored members (summed matrices and the fallbacks)
+are built by :func:`_kron_sum` on the tree, each distinct subfamily
+once, with siblings over equal subfamilies merged into
+(sum_a P_a) (x) R.  A summed projector is decided by
 :func:`is_homogeneous` from Gram matrices: at the first cut of its tree
 with more than one distinct subfamily below it, the singular values of
 the realigned sum are those of a k x k problem built from the per-slot
@@ -247,12 +256,10 @@ class HistoryProjector:
         """The dense (d^n, d^n) matrix; built anew unless the projector was given dense."""
         if self._matrix is not None:
             return self._matrix
+        if self._stack is None:
+            return _kron_sum(*self._summed[:3], self.dim)
         _check_dense(self.dim)
-        if self._stack is not None:
-            return kron_all(self._stack)
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        _add_kron_sum(total, *self._summed[:3])
-        return total
+        return kron_all(self._stack)
 
     @property
     def dim(self) -> int:
@@ -457,8 +464,11 @@ def is_hpo_family(members, tol: float | None = None) -> bool:
 def _tree_verdict(family: HPOFamily, tol: float) -> tuple[bool | None, float]:
     """HPO verdict on an all-factored family, and its completeness bound.
 
-    The verdict is None when the bound exceeds ``tol`` and the dense total
-    that would decide is over the byte budget.
+    Orthogonality is certified by the family's bound a (3 + 8N) / 2 on
+    max|M_i M_j|, derived from its subset bounds (module docstring), and
+    decided by :func:`_factors_clash` where that exceeds ``tol``.  The
+    verdict is None when the completeness bound exceeds ``tol`` and the
+    dense total that would decide is over the byte budget.
     """
     tree = family._tree
     if tree.clash > tol and _factors_clash(tree.factors[tree.ids], tol):
@@ -467,8 +477,7 @@ def _tree_verdict(family: HPOFamily, tol: float) -> tuple[bool | None, float]:
         return True, tree.complete
     if 16 * family.dim ** 2 > _MAX_DENSE_BYTES:
         return None, tree.complete
-    total = np.zeros((family.dim, family.dim), dtype=complex)
-    _add_kron_sum(total, tree.factors, tree.subfamilies, tree.root)
+    total = _kron_sum(tree.factors, tree.subfamilies, tree.root, family.dim)
     total.flat[::family.dim + 1] -= 1.0
     return max_abs(total) <= tol, tree.complete
 
@@ -537,31 +546,32 @@ def _bounds(factors: np.ndarray, subfamilies: list,
     ``factors`` of :func:`_factor_table`, whose children a carry the
     factors P_a, this computes
 
-    - ``clash``: a bound on max|M_i M_j| over its pairs of members,
-      max(max_a max|P_a P_a| clash_a, max_{a != b} max|P_a P_b| R_a R_b),
-      where R_a bounds the spectral norm of child a's members;
     - ``complete``: a bound on the spectral norm of its members' sum less
       the identity, ||sum_a P_a - I||_2 + max_a complete_a * sqrt(G + X),
       with G = ||sum_a P_a^dag P_a||_2 and X = sum_{a != b} ||P_a^dag P_b||_F;
-    - ``herm`` and ``idem``: bounds on ||S^dag - S||_2 and ||S S - S||_2
-      for S the sum of any nonempty subset of its members,
+    - ``herm``, ``idem`` and ``norm``: bounds on ||S^dag - S||_2,
+      ||S S - S||_2 and ||S||_2 for S the sum of any nonempty subset of
+      its members,
 
           herm = sum_a ||P_a^dag - P_a||_2 N_a + sqrt(G + X) max_a herm_a,
           idem = sum_a ||P_a P_a - P_a||_2 N_a^2 + sqrt(G + X) max_a idem_a
                  + sum_{a != b} ||P_a P_b||_F N_a N_b,
+          N = sqrt(G + X) max_a N_a,
 
       telescoped along the tree from S = sum_a P_a (x) S_a, where
       S^dag - S = sum_a (P_a^dag - P_a) (x) S_a^dag + P_a (x) (S_a^dag - S_a),
       S S - S = sum_a (P_a P_a - P_a) (x) S_a S_a + P_a (x) (S_a S_a - S_a)
       + sum_{a != b} P_a P_b (x) S_a S_b, and the module docstring's
-      ||sum_a P_a (x) E_a||_2 <= max_a ||E_a||_2 sqrt(G + X); N = sqrt(G + X)
-      max_a N_a bounds ||S||_2.  A subset keeps some children and subsets
-      below them, and its G, X and sums over children are at most the whole
-      node's, so one bound serves every subset.  A count c at the leaves
-      gives herm 0, idem |c^2 - c| and N c, largest at the whole count.
+      ||sum_a P_a (x) E_a||_2 <= max_a ||E_a||_2 sqrt(G + X).  A subset
+      keeps some children and subsets below them, and its G, X and sums
+      over children are at most the whole node's, so one bound serves
+      every subset.  A count c at the leaves gives herm 0, idem |c^2 - c|
+      and N c, largest at the whole count.
 
-    Returns the four bounds for the whole tree, and the traces
-    Tr(P_f^dag P_g) of its pairs of sibling factors, by (f, g).
+    Returns, for the whole tree, the bound idem (3 + 8 N) / 2 on max|M_i M_j|
+    over its pairs of members (the module docstring's lemma), ``complete``,
+    ``herm`` and ``idem``, and the traces Tr(P_f^dag P_g) of its pairs of
+    sibling factors, by (f, g).
     """
     d = factors.shape[1]
 
@@ -572,34 +582,28 @@ def _bounds(factors: np.ndarray, subfamilies: list,
     starts = np.cumsum([0] + [len(fs) for fs in nodes[:-1]])
     gram = factors.conj().transpose(0, 2, 1) @ factors
     k = len(factors)
-    spec, herm_f, idem_f, excess, overlap = (part.tolist() for part in np.split(
+    herm_f, idem_f, excess, overlap = (part.tolist() for part in np.split(
         _spectral_bounds(np.concatenate([
-            factors,
             factors.conj().transpose(0, 2, 1) - factors,
             factors @ factors - factors,
             np.add.reduceat(factors[rows], starts, axis=0) - np.eye(d),
             np.add.reduceat(gram[rows], starts, axis=0)])),
-        np.cumsum([k, k, k, len(nodes)])))
+        np.cumsum([k, k, len(nodes)])))
     pairs = sorted({(f, g) for fs in nodes for f in fs for g in fs})
-    pmax, hfro, pfro, traces = _pair_norms(factors, pairs)
+    hfro, pfro, traces = _pair_norms(factors, pairs)
 
-    clash, complete, spread, herm, idem, norm = [], [], [], [], [], []
+    complete, herm, idem, norm = [], [], [], []
     j = 0
     for sub in subfamilies:
         if not isinstance(sub, tuple):  # member count
-            clash.append(1.0 if sub > 1 else 0.0)
             complete.append(abs(sub - 1.0))
-            spread.append(1.0)
             herm.append(0.0)
             idem.append(float(sub * sub - sub))
             norm.append(float(sub))
             continue
         cross = [(f, g, a, b) for f, a in sub for g, b in sub if f != g]
         grow = math.sqrt(overlap[j] + sum(hfro[f, g] for f, g, _, _ in cross))
-        clash.append(max([pmax[f, f] * clash[c] for f, c in sub]
-                         + [pmax[f, g] * spread[a] * spread[b] for f, g, a, b in cross]))
         complete.append(excess[j] + grow * max(complete[c] for _, c in sub))
-        spread.append(max(spec[f] * spread[c] for f, c in sub))
         herm.append(sum(herm_f[f] * norm[c] for f, c in sub)
                     + grow * max(herm[c] for _, c in sub))
         idem.append(sum(idem_f[f] * norm[c] * norm[c] for f, c in sub)
@@ -607,7 +611,7 @@ def _bounds(factors: np.ndarray, subfamilies: list,
                     + sum(pfro[f, g] * norm[a] * norm[b] for f, g, a, b in cross))
         norm.append(grow * max(norm[c] for _, c in sub))
         j += 1
-    return clash[root], complete[root], herm[root], idem[root], traces
+    return idem[root] * (3 + 8 * norm[root]) / 2, complete[root], herm[root], idem[root], traces
 
 
 def _spectral_bounds(stack: np.ndarray) -> np.ndarray:
@@ -616,13 +620,11 @@ def _spectral_bounds(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(a.sum(axis=1).max(axis=1) * a.sum(axis=2).max(axis=1))
 
 
-def _pair_norms(factors: np.ndarray,
-                pairs: list[tuple[int, int]]) -> tuple[dict, dict, dict, dict]:
-    """max|P_f P_g|, ||P_f^dag P_g||_F, ||P_f P_g||_F and Tr(P_f^dag P_g), by (f, g),
-    for the given pairs."""
+def _pair_norms(factors: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[dict, dict, dict]:
+    """||P_f^dag P_g||_F, ||P_f P_g||_F and Tr(P_f^dag P_g), by (f, g), for the given pairs."""
     d = factors.shape[1]
     chunk = max(1, _CHUNK_BYTES // (32 * d * d))
-    pmax, hfro, pfro, trace = {}, {}, {}, {}
+    hfro, pfro, trace = {}, {}, {}
     for k0 in range(0, len(pairs), chunk):
         part = pairs[k0:k0 + chunk]
         f, g = np.array(part).T
@@ -630,11 +632,10 @@ def _pair_norms(factors: np.ndarray,
         left = np.concatenate([left, left.conj().transpose(0, 2, 1)])
         products = left @ np.concatenate([right, right])
         frob = np.linalg.norm(products, axis=(1, 2)).tolist()
-        pmax.update(zip(part, np.abs(products[:len(part)]).max(axis=(1, 2)).tolist()))
         pfro.update(zip(part, frob[:len(part)]))
         hfro.update(zip(part, frob[len(part):]))
         trace.update(zip(part, np.trace(products[len(part):], axis1=1, axis2=2).tolist()))
-    return pmax, hfro, pfro, trace
+    return hfro, pfro, trace
 
 
 def _factors_clash(stacks: np.ndarray, tol: float) -> bool:
@@ -665,50 +666,43 @@ def _factors_clash(stacks: np.ndarray, tol: float) -> bool:
 
 
 def _dense_sum(members: Sequence[HistoryProjector], dim: int) -> np.ndarray:
-    """Sum of the members' dense matrices, accumulated in one budget-checked total.
-
-    No factored member's dense matrix is formed on its own.
-    """
+    """Sum of the members' dense matrices, accumulated in one budget-checked total."""
     _check_dense(dim)
     total = np.zeros((dim, dim), dtype=complex)
-    stacks = [m._stack for m in members if m._stack is not None]
-    if stacks:
-        factors, ids = _factor_table(np.stack(stacks))
-        _add_kron_sum(total, factors, *_id_tree(ids))
     for m in members:
-        if m._stack is None:
-            total += m.matrix
+        total += m.matrix
     return total
 
 
-def _add_kron_sum(out: np.ndarray, factors: np.ndarray, subfamilies: list, root: int) -> None:
-    """Add the Kronecker products of factored members to ``out``, from their tree.
+def _kron_sum(factors: np.ndarray, subfamilies: list, root: int, dim: int) -> np.ndarray:
+    """The dense ``dim`` x ``dim`` sum of factored members' Kronecker products, from their tree.
 
     ``factors`` and the tree are those of :func:`_factor_table` and
-    :func:`_id_tree`.  A node of the tree adds P (x) R for
-    each child, R the sum over the child's remaining factors; children
-    with the same subfamily add (sum of their P) (x) R together, so a
-    product family's total takes one dense product per level of its tree.
-    A subfamily's R is computed once; one that several nodes need is kept.
+    :func:`_id_tree`; a total over the byte budget is refused before any
+    allocation.  A node of the tree sums P (x) R over its children, R the
+    sum over the child's remaining factors; children with the same
+    subfamily add (sum of their P) (x) R together, so a product family's
+    total takes one dense product per level of its tree.  A subfamily's
+    R is computed once; one that several nodes need is kept.
     """
+    _check_dense(dim)
     uses = Counter(c for sub in subfamilies if isinstance(sub, tuple) for c in {c for _, c in sub})
     kept: dict[int, np.ndarray] = {}
     d = factors.shape[1]
 
-    def add(out: np.ndarray, node: tuple[tuple[int, int], ...]) -> None:
+    def total(node: tuple[tuple[int, int], ...], size: int) -> np.ndarray:
         firsts: dict[int, np.ndarray] = {}
         for f, c in node:
             firsts[c] = firsts.get(c, 0) + factors[f]
-        e = len(out) // d
+        e = size // d
         if e == 1:  # children are member counts
-            out += sum(subfamilies[c] * first for c, first in firsts.items())
-            return
+            return sum(subfamilies[c] * first for c, first in firsts.items())
+        out = np.zeros((size, size), dtype=complex)
         blocks = out.reshape(d, e, d, e)
         for c, first in firsts.items():
             rest = kept.get(c)
             if rest is None:
-                rest = np.zeros((e, e), dtype=complex)
-                add(rest, subfamilies[c])
+                rest = total(subfamilies[c], e)
                 if uses[c] > 1:
                     kept[c] = rest
             # A slice of R's rows at a time, so that no temporary is much
@@ -716,8 +710,9 @@ def _add_kron_sum(out: np.ndarray, factors: np.ndarray, subfamilies: list, root:
             step = max(1, _CHUNK_BYTES // (16 * d * d * e))
             for x in range(0, e, step):
                 blocks[:, x:x + step] += first[:, None, :, None] * rest[None, x:x + step, None, :]
+        return out
 
-    add(out, subfamilies[root])
+    return total(subfamilies[root], dim)
 
 
 def _selector_indices(selector: Sequence, size: int) -> list[int]:
@@ -769,8 +764,7 @@ def sum_hpo(family: HPOFamily, selector: Sequence) -> HistoryProjector:
         if tree.herm <= family.tol and tree.idem <= family.tol:
             return HistoryProjector._trusted(family.slots, times, family.base_dim,
                                              summed=(tree.factors, subfamilies, root, tree.traces))
-        total = np.zeros((family.dim, family.dim), dtype=complex)
-        _add_kron_sum(total, tree.factors, subfamilies, root)
+        total = _kron_sum(tree.factors, subfamilies, root, family.dim)
     _require_projector(total, family.tol)
     return HistoryProjector._trusted(family.slots, times, family.base_dim, matrix=total)
 
@@ -870,7 +864,7 @@ def _cut_grams(factors: np.ndarray, subfamilies: list, below: dict[int, list[int
     traces = {fg: known.get(fg) for fg in pairs}
     missing = [fg for fg, t in traces.items() if t is None]
     if missing:
-        traces.update(_pair_norms(factors, missing)[3])
+        traces.update(_pair_norms(factors, missing)[2])
 
     value = {(c, e): float(subfamilies[c] * subfamilies[e]) for c, e in levels.pop()}
     for level in reversed(levels):

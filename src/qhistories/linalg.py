@@ -176,7 +176,10 @@ def decomposition_defects(stack: np.ndarray, norms: np.ndarray, bounds: Sequence
         k = np.arange(k0, min(k0 + chunk, pairs))
         i = np.searchsorted(first, k, side="right") - 1
         j = i + 1 + k - first[i]
-        bad = np.abs(stack[i] @ stack[j]).max(axis=(1, 2)) > tol
+        # One pair multiplies slices, views of the stack, not gathered copies.
+        left, right = ((stack[i], stack[j]) if chunk > 1 else
+                       (stack[i[0]:i[0] + 1], stack[j[0]:j[0] + 1]))
+        bad = np.abs(left @ right).max(axis=(1, 2)) > tol
         clashes.append(np.stack([i[bad], j[bad]], axis=1))
     return np.concatenate(clashes), residual <= tol
 

@@ -19,9 +19,11 @@ from helpers import (
     random_hermitian,
 )
 from qhistories import (
+    BranchingFamily,
     ConstantHamiltonian,
     EvolutionProvider,
     HistorySequence,
+    Moment,
     PiecewiseUnitary,
     TrivialEvolution,
     chain_operator,
@@ -346,6 +348,29 @@ def test_weight_invariant_under_global_conjugation():
     seq_c = HistorySequence(((0.0, conj(P0)), (1.0, conj(P_PLUS))))
     w_c = weight(seq_c, ConstantHamiltonian(conj(h)), conj(rho))
     assert w_c == pytest.approx(w, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(PROVIDER_KINDS), data=st.data())
+def test_weights_are_invariant_under_relabelling_of_node_ids(seed, kind, data):
+    # Node ids only name nodes: any injective relabelling (a shuffle of the
+    # old ids, or new ones that are negative or past 2^63) rebuilt in the
+    # same insertion order gives the same weights and decoherence matrix.
+    fam = random_family(np.random.default_rng(seed), kind=kind)
+    old = [m.id for m in fam.moments]
+    new = data.draw(st.one_of(
+        st.permutations(old),
+        st.lists(st.integers(-(2 ** 65), 2 ** 65), min_size=len(old), max_size=len(old),
+                 unique=True)))
+    relabel = dict(zip(old, new))
+    moved = BranchingFamily(
+        fam.dim, [Moment(relabel[m.id], None if m.parent is None else relabel[m.parent],
+                         m.time, m.projector) for m in fam.moments],
+        fam.initial_state, fam.evolution)
+    assert moved.validate().ok
+    assert weight_table(moved).tobytes() == weight_table(fam).tobytes()
+    assert (family_decoherence_matrix(moved).tobytes()
+            == family_decoherence_matrix(fam).tobytes())
 
 
 def test_is_dynamically_impossible():

@@ -43,9 +43,10 @@ from qhistories import hpo
 from qhistories.hpo import (
     RANK1_CUTOFF,
     _certified,
-    _dense_sum,
     _factor_table,
     _factors_clash,
+    _id_tree,
+    _kron_sum,
     _schmidt_rank_one,
     _telescoped,
     _tree_verdict,
@@ -311,11 +312,17 @@ def _product_histories(rng, dim, slots, kind):
     return parts, from_product(dim, times, decomps, evolution=provider).histories()
 
 
+def _tree_total(members, picked=slice(None)):
+    """The dense total of the picked factored members, built on their tree."""
+    tree = HPOFamily(tuple(members))._tree
+    return _kron_sum(tree.factors, *_id_tree(tree.ids[picked]), members[0].dim)
+
+
 def _check_sums(rng, members, histories):
     """The tree sum of random selections equals the sum of dense matrices."""
     for _ in range(3):
         picked = [i for i in range(len(members)) if rng.random() < 0.5] or [0]
-        assert_allclose(_dense_sum([members[i] for i in picked], members[0].dim),
+        assert_allclose(_tree_total(members, picked),
                         sum(kron_all(histories[i].projectors) for i in picked), atol=1e-12)
 
 
@@ -361,11 +368,11 @@ def test_factored_members_match_dense_oracle(kind, dim, slots, monkeypatch):
         assert _tree_verdict(HPOFamily(tuple(members)), DEFAULT_TOL) == (
             not clash and complete, bound)
         total = sum(kron_all(h.projectors) for h in group)
-        assert_allclose(_dense_sum(members, members[0].dim), total, atol=1e-12)
+        assert_allclose(_tree_total(members), total, atol=1e-12)
         _check_sums(rng, members, group)
         with monkeypatch.context() as m:  # one row of R, one factor pair at a time
             m.setattr(hpo, "_CHUNK_BYTES", 0)
-            assert_allclose(_dense_sum(members, members[0].dim), total, atol=1e-12)
+            assert_allclose(_tree_total(members), total, atol=1e-12)
             assert tree_bounds(stacks) == (clash_bound, bound)
 
 
@@ -452,13 +459,13 @@ def test_tree_verdict_matches_the_dense_verdict(seed, product, kind, mutations):
     clash, complete = _dense_defects(histories)
     assert is_hpo_family(members) == (not clash and complete)
     dense = [kron_all(h.projectors) for h in histories]
-    assert_allclose(_dense_sum(members, members[0].dim), sum(dense), atol=1e-12)
+    assert_allclose(_tree_total(members), sum(dense), atol=1e-12)
     _assert_sound_bounds(members, dense)
 
 
 def _assert_sound_bounds(members, dense):
-    """The tree bounds are at least the dense norms they bound, up to the
-    dense products' rounding."""
+    """The tree bounds, orthogonality's derived from the subset bounds, are at
+    least the dense norms they bound, up to the dense products' rounding."""
     clash_bound, bound = tree_bounds(np.stack([np.stack(m.factors) for m in members]))
     pairs = [np.abs(a @ b).max() for i, a in enumerate(dense) for b in dense[i + 1:]]
     assert clash_bound >= max(pairs, default=0.0) * (1 - 1e-12) - 1e-14
@@ -478,6 +485,43 @@ def test_tree_bounds_hold_for_overlapping_and_repeated_members():
         members = [embed(HistorySequence(((0.0, a), (1.0, b)))) for a, b in rows]
         for k in range(2, len(rows) + 1):
             _assert_sound_bounds(members[:k], [np.kron(a, b) for a, b in rows[:k]])
+
+
+def _counting_clashes(monkeypatch):
+    """Count the calls of ``hpo._factors_clash`` into the returned list."""
+    calls, exact = [], hpo._factors_clash
+    monkeypatch.setattr(hpo, "_factors_clash",
+                        lambda *args: calls.append(args) or exact(*args))
+    return calls
+
+
+def test_a_near_basis_family_takes_the_exact_factor_products(monkeypatch):
+    # Each slot's {|0><0|, |v><v|} is 0.6e-9 from orthogonal, within tol,
+    # but the family's idempotence bound carries every sibling overlap, so
+    # the orthogonality bound derived from it exceeds tol and the exact
+    # slot-by-slot products decide, as the dense check does.
+    v = np.array([0.6e-9, 1.0]) / np.hypot(0.6e-9, 1.0)
+    basis = [P0, np.outer(v, v).astype(complex)]
+    fam = from_product(2, [0.0, 1.0, 2.0, 3.0], [basis] * 4)
+    family = embed_family(fam)
+    stacks = np.stack([np.stack(m.factors) for m in family.members])
+    clash_bound, bound = tree_bounds(stacks)
+    assert clash_bound > DEFAULT_TOL
+    clash, complete = _dense_defects(fam.histories())
+    calls = _counting_clashes(monkeypatch)
+    assert _tree_verdict(family, DEFAULT_TOL) == (not clash and complete, bound)
+    assert len(calls) == 1 and not clash and complete
+
+
+def test_a_twelve_slot_product_family_needs_no_exact_factor_products(monkeypatch):
+    # 4096 members: the derived orthogonality bound stays far below tol.
+    rng = np.random.default_rng(12)
+    fam = from_product(2, list(map(float, range(12))),
+                       [random_decomposition(2, 2, rng) for _ in range(12)])
+    family = embed_family(fam)
+    calls = _counting_clashes(monkeypatch)
+    assert len(family) == 4096 and is_hpo_family(family)
+    assert calls == [] and family._tree.clash < 1e-12
 
 
 def _near_projector(diagonal, corner=0.0):

@@ -360,6 +360,27 @@ def test_a_decomposition_stack_is_checked_and_stored_without_copies(call):
     assert int(growth) < 2 * int(size)
 
 
+def test_one_open_pair_is_multiplied_without_gathered_copies():
+    # At d = 1024 a chunk holds one pair and the bound never certifies (its
+    # rounding slack alone is about 2e-3), so the pair product is formed.
+    # Besides the 16 MiB group sum, that takes the 16 MiB product and its
+    # 8 MiB magnitude: 40 MiB traced.  Gathering both operands by index
+    # copied them too, 64 MiB.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    d = 1024
+    p = np.diag((np.arange(d) < d // 2).astype(complex))
+    stack = np.stack([p, np.eye(d) - p])
+    norms = _projector_norms(stack)
+    tracemalloc.start()
+    try:
+        clashes, complete = decomposition_defects(stack, norms, [0, 2], DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clashes.tolist() == [] and complete.tolist() == [True]
+    assert peak < 48 << 20
+
+
 def test_require_helpers_raise_with_context():
     with pytest.raises(ValueError, match="projector"):
         require_projector(0.5 * I2)
