@@ -24,7 +24,7 @@ dense matrix, have ``factors = None``.  For factored members
   ``tol``, which its :class:`HPOFamily` keeps, else ``DEFAULT_TOL``) is
   the dense matrix built and checked, so the verdict is always the dense
   check's.  :func:`embed_family` takes the norms once per tree node and
-  the bound for all members at once;
+  the bound for all members at once, and builds the members in bulk;
 - :func:`is_homogeneous` is True without a test;
 - :func:`is_hpo_family` works on the tree of shared leading factors.
   Members sharing their factors before slot s form a node; its children
@@ -69,8 +69,10 @@ exceeds tol, the exact slot-by-slot product of :func:`_factors_clash`
 decides, from (x)P (x)Q = (x)(PQ).
 
 An :class:`HPOFamily` of factored members finds its distinct factors
-once, on first use, and builds the tree over their ids and its bounds;
-a :func:`sum_hpo` builds the picked members' tree from the same ids.
+once, on first use (from the member stack :func:`embed_family` gathered,
+where it did), and builds the tree over their ids and its bounds, whose
+norms and sibling traces :func:`_bounds` takes in one batched pass; a
+:func:`sum_hpo` builds the picked members' tree from the same ids.
 Dense totals of factored members (summed matrices and the fallbacks)
 are built by :func:`_kron_sum` on the tree, each distinct subfamily
 once, with siblings over equal subfamilies merged into
@@ -96,7 +98,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -142,12 +144,16 @@ _MAX_DENSE_BYTES = 256 << 20
 RANK1_CUTOFF = 1e-7
 
 
+def _fits_dense(dim: int) -> bool:
+    """Whether a dense ``dim`` x ``dim`` complex matrix is within the byte budget."""
+    return 16 * dim * dim <= _MAX_DENSE_BYTES
+
+
 def _check_dense(dim: int) -> None:
     """Refuse a dense ``dim`` x ``dim`` complex matrix over the byte budget."""
-    nbytes = 16 * dim * dim
-    if nbytes > _MAX_DENSE_BYTES:
+    if not _fits_dense(dim):
         raise ValueError(
-            f"a dense {dim} x {dim} history-space matrix needs {nbytes} bytes, "
+            f"a dense {dim} x {dim} history-space matrix needs {16 * dim * dim} bytes, "
             f"over the {_MAX_DENSE_BYTES}-byte budget")
 
 
@@ -171,9 +177,17 @@ def _certified(norms: np.ndarray, tol: float) -> np.ndarray:
 
     ``norms`` is :func:`linalg._projector_norms` of each product's factors,
     shape (4, n, slots): the hermiticity defect is bounded with x = y = max|P|,
-    the idempotence defect with x = max|P P| and y = max|P|.  False only
-    means a bound exceeds ``tol``; the dense check decides.
+    the idempotence defect with x = max|P P| and y = max|P|.  Each bound has
+    ``slots`` terms, at most the largest defect times the largest norm to
+    the power slots - 1; where that is within half of ``tol``, leaving room
+    for rounding, every product is certified at once.  False only means a
+    bound exceeds ``tol``; the dense check decides.
     """
+    n, slots = norms.shape[1:]
+    # The largest of max|P| and max|P P|, and of the two defects; a NaN stays NaN.
+    norm, defect = np.maximum.reduce(norms.reshape(2, -1), axis=1).tolist()
+    if slots * defect * norm ** (slots - 1) <= tol / 2:
+        return np.ones(n, dtype=bool)
     return (_telescoped(norms[:2], norms[2:], norms[0]) <= tol).all(axis=0)
 
 
@@ -233,13 +247,17 @@ class HistoryProjector:
         a ``summed`` tree (factors, subfamilies and root of :func:`_id_tree`, and the
         family's sibling traces of :func:`_bounds`), unchecked."""
         self = cls.__new__(cls)
-        self._init(slots, times, base_dim, matrix=matrix, stack=stack, summed=summed)
+        self._init(slots, times, base_dim, matrix, stack, summed)
         return self
 
     def _init(self, slots, times, base_dim, matrix=None, stack=None, summed=None) -> None:
-        for name, value in (("_matrix", matrix), ("_stack", stack), ("_summed", summed),
-                            ("slots", slots), ("slot_times", times), ("base_dim", base_dim)):
-            object.__setattr__(self, name, value)
+        put = object.__setattr__
+        put(self, "_matrix", matrix)
+        put(self, "_stack", stack)
+        put(self, "_summed", summed)
+        put(self, "slots", slots)
+        put(self, "slot_times", times)
+        put(self, "base_dim", base_dim)
 
     @property
     def factors(self) -> tuple[np.ndarray, ...] | None:
@@ -322,6 +340,8 @@ class HPOFamily:
 
     members: tuple[HistoryProjector, ...]
     tol: float = DEFAULT_TOL
+    # The members' factors, shape (n, slots, d, d), when embed_family gathered them.
+    _stacks = None
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -341,6 +361,22 @@ class HPOFamily:
                     f"member {k} has slot times {m.slot_times}, "
                     f"expected {first.slot_times}")
         object.__setattr__(self, "members", members)
+
+    @classmethod
+    def _embedded(cls, stacks: np.ndarray, times: tuple[float, ...], tol: float) -> "HPOFamily":
+        """The family of factored members whose factors are the (slots, d, d) rows of
+        ``stacks``, each a view of its row, built in bulk and unchecked."""
+        slots, base_dim = stacks.shape[1:3]
+        new, init = HistoryProjector.__new__, HistoryProjector._init
+        members = []
+        for stack in stacks:
+            member = new(HistoryProjector)
+            init(member, slots, times, base_dim, None, stack)
+            members.append(member)
+        self = cls.__new__(cls)
+        for name, value in (("members", tuple(members)), ("tol", tol), ("_stacks", stacks)):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def slots(self) -> int:
@@ -364,9 +400,12 @@ class HPOFamily:
     @cached_property
     def _tree(self) -> "_Tree | None":
         """The members' factor table, tree and bounds, or None if a member is not factored."""
-        if any(m._stack is None for m in self.members):
-            return None
-        factors, ids = _factor_table(np.array([m._stack for m in self.members]))
+        stacks = self._stacks
+        if stacks is None:
+            if any(m._stack is None for m in self.members):
+                return None
+            stacks = np.array([m._stack for m in self.members])
+        factors, ids = _factor_table(stacks)
         subfamilies, root = _id_tree(ids)
         return _Tree(factors, ids, subfamilies, root, *_bounds(factors, subfamilies, root))
 
@@ -379,11 +418,17 @@ class _Tree(NamedTuple):
     ids: np.ndarray
     subfamilies: list
     root: int
-    clash: float
     complete: float
     herm: float
     idem: float
+    norm: float
     traces: dict
+
+    @property
+    def clash(self) -> float:
+        """The bound idem (3 + 8 norm) / 2 on max|M_i M_j| over pairs of members
+        (the module docstring's lemma)."""
+        return self.idem * (3 + 8 * self.norm) / 2
 
 
 def embed_family(family: BranchingFamily, tol: float = DEFAULT_TOL) -> HPOFamily:
@@ -396,7 +441,8 @@ def embed_family(family: BranchingFamily, tol: float = DEFAULT_TOL) -> HPOFamily
     Each member's factors are gathered by row from the family's projector
     stack, whose norms are taken once per node, and the projector bound is
     evaluated for all members at once; a member whose bound fails takes
-    the dense check.
+    the dense check.  The members are views of the gathered stack, which
+    the returned family keeps for its tree.
     """
     family.ensure_valid(tol)
     nodes, tree = family._nodes, family._tree
@@ -413,17 +459,18 @@ def embed_family(family: BranchingFamily, tol: float = DEFAULT_TOL) -> HPOFamily
     index[:, -1] = leaves
     for s in range(slots - 1, 0, -1):
         index[:, s - 1] = up[index[:, s]]
-    grids = {tuple(g[slots - k:]) for g, k in
-             zip(nodes.time[up[index]].tolist(), depths.tolist())}
-    if len(grids) > 1:
+    # Rows are equal only if no path is padded: a padded row repeats the root's time.
+    times = nodes.time[up[index]].tolist()
+    if times.count(times[0]) < len(times):
+        grids = {tuple(g[slots - k:]) for g, k in zip(times, depths.tolist())}
         raise EmbeddingError(
             f"histories do not share one time grid: found {sorted(grids)}")
     _check_space(family.dim, slots)
-    certified = _certified(family._norms[:, index], tol).tolist()
-    stacks = nodes.projectors[index]
-    grid = _slot_times(slots, grids.pop(), family.dim)
-    return HPOFamily(tuple(HistoryProjector._factored(st, grid, ok, tol)
-                           for st, ok in zip(stacks, certified)), tol)
+    grid = _slot_times(slots, times[0], family.dim)
+    embedded = HPOFamily._embedded(nodes.projectors[index], grid, tol)
+    for i in np.flatnonzero(~_certified(family._norms[:, index], tol)).tolist():
+        _require_projector(embedded.members[i].matrix, tol)
+    return embedded
 
 
 def is_hpo_family(members, tol: float | None = None) -> bool:
@@ -437,8 +484,9 @@ def is_hpo_family(members, tol: float | None = None) -> bool:
     with the exact factor products or the dense total where a bound
     exceeds ``tol``; a dense total over the byte budget raises
     ``ValueError``.  A family with a member that is not factored takes the
-    dense total for completeness and the dense products pair by pair for
-    orthogonality.
+    dense total for completeness, the exact factor products for the pairs
+    of factored members and dense products for the other pairs (see
+    :func:`_mixed_verdict`).
     """
     if not isinstance(members, HPOFamily):
         members = HPOFamily(tuple(members))
@@ -446,19 +494,40 @@ def is_hpo_family(members, tol: float | None = None) -> bool:
         tol = members.tol
     ms = members.members
     if any(m._stack is None for m in ms):
-        total = _dense_sum(ms, members.dim)
-        total.flat[::members.dim + 1] -= 1.0
-        if not max_abs(total) <= tol:
-            return False
-        for i, m in enumerate(ms[:-1]):
-            left = m.matrix
-            if any(max_abs(left @ other.matrix) > tol for other in ms[i + 1:]):
-                return False
-        return True
+        return _mixed_verdict(ms, members.dim, tol)
     verdict, _ = _tree_verdict(members, tol)
     if verdict is None:
         _check_dense(members.dim)  # raises: the total is over budget
     return verdict
+
+
+def _mixed_verdict(members: Sequence[HistoryProjector], dim: int, tol: float) -> bool:
+    """HPO verdict on members of which some are not factored.
+
+    Pairs of factored members are decided by :func:`_factors_clash`.  The
+    dense total and the pairs with a member that is not factored take
+    dense products, in one pass that builds each factored member's matrix
+    once; a pair i < j is multiplied as M_i M_j, as the dense check takes it.
+    """
+    _check_dense(dim)
+    stacks = [m._stack for m in members if m._stack is not None]
+    if len(stacks) > 1 and _factors_clash(np.array(stacks), tol):
+        return False
+    dense = [(j, m) for j, m in enumerate(members) if m._stack is None]
+    total = np.zeros((dim, dim), dtype=complex)
+    for i, m in enumerate(members):
+        mat = m.matrix
+        total += mat
+        if m._stack is not None and any(
+                max_abs(mat @ other.matrix if i < j else other.matrix @ mat) > tol
+                for j, other in dense):
+            return False
+    for k, (_, m) in enumerate(dense):
+        left = m.matrix
+        if any(max_abs(left @ other.matrix) > tol for _, other in dense[k + 1:]):
+            return False
+    total.flat[::dim + 1] -= 1.0
+    return max_abs(total) <= tol
 
 
 def _tree_verdict(family: HPOFamily, tol: float) -> tuple[bool | None, float]:
@@ -475,7 +544,7 @@ def _tree_verdict(family: HPOFamily, tol: float) -> tuple[bool | None, float]:
         return False, tree.complete
     if tree.complete <= tol:
         return True, tree.complete
-    if 16 * family.dim ** 2 > _MAX_DENSE_BYTES:
+    if not _fits_dense(family.dim):
         return None, tree.complete
     total = _kron_sum(tree.factors, tree.subfamilies, tree.root, family.dim)
     total.flat[::family.dim + 1] -= 1.0
@@ -491,11 +560,10 @@ def _factor_table(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first appearance, and the (n, slots) array of their ids.
     """
     n, slots, d, _ = stacks.shape
-    raw, size = (stacks + 0.0).tobytes(), 16 * d * d
-    table: dict[bytes, int] = {}
-    ids = [table.setdefault(raw[k:k + size], len(table)) for k in range(0, len(raw), size)]
-    factors = np.frombuffer(b"".join(table), dtype=complex).reshape(-1, d, d)
-    return factors, np.array(ids, dtype=np.intp).reshape(n, slots)
+    raw = (stacks + 0.0).reshape(n * slots, -1).view(f"V{16 * d * d}").ravel().tolist()
+    table = {key: i for i, key in enumerate(dict.fromkeys(raw))}
+    ids = np.array(list(map(table.__getitem__, raw)), dtype=np.intp).reshape(n, slots)
+    return np.frombuffer(b"".join(table), dtype=complex).reshape(-1, d, d), ids
 
 
 def _id_tree(ids: np.ndarray) -> tuple[list, int]:
@@ -512,8 +580,12 @@ def _id_tree(ids: np.ndarray) -> tuple[list, int]:
     """
     memo: dict = {}
     # Each prefix of factor ids at the current depth, and its subfamily.
-    level = {row: memo.setdefault(c, len(memo))
-             for row, c in Counter(map(tuple, ids.tolist())).items()}
+    rows = list(map(tuple, ids.tolist()))
+    level = dict.fromkeys(rows, 0)
+    if len(level) == len(rows):  # every row once
+        memo[1] = 0
+    else:
+        level = {row: memo.setdefault(c, len(memo)) for row, c in Counter(rows).items()}
     for s in reversed(range(ids.shape[1])):
         kids: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for prefix, sub in level.items():
@@ -568,32 +640,43 @@ def _bounds(factors: np.ndarray, subfamilies: list,
       every subset.  A count c at the leaves gives herm 0, idem |c^2 - c|
       and N c, largest at the whole count.
 
-    Returns, for the whole tree, the bound idem (3 + 8 N) / 2 on max|M_i M_j|
-    over its pairs of members (the module docstring's lemma), ``complete``,
-    ``herm`` and ``idem``, and the traces Tr(P_f^dag P_g) of its pairs of
-    sibling factors, by (f, g).
+    Returns, for the whole tree, ``complete``, ``herm``, ``idem`` and
+    ``norm``, and the traces Tr(P_f^dag P_g) of its pairs of sibling
+    factors, by (f, g).  The norms come from one batched pass: each
+    factor's P^dag P over P P as one product, the node sums gathered from
+    those, and the ordered pairs of distinct siblings by
+    :func:`_pair_products`, node by node.
     """
-    d = factors.shape[1]
+    k, d = factors.shape[:2]
+    nodes = [sub for sub in subfamilies if isinstance(sub, tuple)]
+    rows = [f for sub in nodes for f, _ in sub]
+    starts = list(accumulate([len(sub) for sub in nodes[:-1]], initial=0))
+    left = [f for sub in nodes for f, _ in sub for g, _ in sub if g != f]
+    right = [g for sub in nodes for f, _ in sub for g, _ in sub if g != f]
 
-    # The norms the bounds take: per factor, per pair of sibling factors
-    # and per distinct node.
-    nodes = [[f for f, _ in sub] for sub in subfamilies if isinstance(sub, tuple)]
-    rows = [f for fs in nodes for f in fs]
-    starts = np.cumsum([0] + [len(fs) for fs in nodes[:-1]])
-    gram = factors.conj().transpose(0, 2, 1) @ factors
-    k = len(factors)
-    herm_f, idem_f, excess, overlap = (part.tolist() for part in np.split(
-        _spectral_bounds(np.concatenate([
-            factors.conj().transpose(0, 2, 1) - factors,
-            factors @ factors - factors,
-            np.add.reduceat(factors[rows], starts, axis=0) - np.eye(d),
-            np.add.reduceat(gram[rows], starts, axis=0)])),
-        np.cumsum([k, k, len(nodes)])))
-    pairs = sorted({(f, g) for fs in nodes for f in fs for g in fs})
-    hfro, pfro, traces = _pair_norms(factors, pairs)
+    # P^dag over P for each factor, and times P: P^dag P over P P.
+    stacked = np.concatenate([factors.conj().transpose(0, 2, 1), factors], axis=1)
+    own = stacked @ factors
+    # Per factor P^dag - P and P P - P; per node sum_a P_a - I and sum_a P_a^dag P_a.
+    defects = np.concatenate([stacked[:, :d], own[:, d:]], axis=1).reshape(k, 2, d, d)
+    sums = np.add.reduceat(np.concatenate([factors, own[:, :d]], axis=1)[rows], starts)
+    sums.reshape(len(nodes), -1)[:, :d * d:d + 1] -= 1.0
+    spectral = _spectral_bounds(np.concatenate([
+        (defects - factors[:, None]).reshape(-1, d, d), sums.reshape(-1, d, d)])).tolist()
+    herm_f, idem_f = spectral[:2 * k:2], spectral[1:2 * k:2]
+    excess, overlap = spectral[2 * k::2], spectral[2 * k + 1::2]
+    traces = _traces(own)
+    hfro, pfro = [], []
+    for products in _pair_products(stacked, factors, left, right):
+        # ||.||_F of P_f^dag P_g and P_f P_g, as np.linalg.norm takes it.
+        fro = np.sqrt(np.add.reduce((products.conj() * products).real
+                                    .reshape(-1, 2, d * d), axis=2)).tolist()
+        hfro += [h for h, _ in fro]
+        pfro += [p for _, p in fro]
+        traces += _traces(products)
 
     complete, herm, idem, norm = [], [], [], []
-    j = 0
+    j = p0 = 0
     for sub in subfamilies:
         if not isinstance(sub, tuple):  # member count
             complete.append(abs(sub - 1.0))
@@ -601,17 +684,21 @@ def _bounds(factors: np.ndarray, subfamilies: list,
             idem.append(float(sub * sub - sub))
             norm.append(float(sub))
             continue
-        cross = [(f, g, a, b) for f, a in sub for g, b in sub if f != g]
-        grow = math.sqrt(overlap[j] + sum(hfro[f, g] for f, g, _, _ in cross))
-        complete.append(excess[j] + grow * max(complete[c] for _, c in sub))
-        herm.append(sum(herm_f[f] * norm[c] for f, c in sub)
-                    + grow * max(herm[c] for _, c in sub))
-        idem.append(sum(idem_f[f] * norm[c] * norm[c] for f, c in sub)
-                    + grow * max(idem[c] for _, c in sub)
-                    + sum(pfro[f, g] * norm[a] * norm[b] for f, g, a, b in cross))
-        norm.append(grow * max(norm[c] for _, c in sub))
-        j += 1
-    return idem[root] * (3 + 8 * norm[root]) / 2, complete[root], herm[root], idem[root], traces
+        fs, kids = zip(*sub)
+        ns = [norm[c] for c in kids]
+        p1 = p0 + len(sub) * (len(sub) - 1)
+        grow = math.sqrt(overlap[j] + sum(hfro[p0:p1]))
+        cross = [(x, y) for a, x in enumerate(ns) for b, y in enumerate(ns) if a != b]
+        complete.append(excess[j] + grow * max([complete[c] for c in kids]))
+        herm.append(sum([herm_f[f] * n for f, n in zip(fs, ns)])
+                    + grow * max([herm[c] for c in kids]))
+        idem.append(sum([idem_f[f] * n * n for f, n in zip(fs, ns)])
+                    + grow * max([idem[c] for c in kids])
+                    + sum([p * x * y for p, (x, y) in zip(pfro[p0:p1], cross)]))
+        norm.append(grow * max(ns))
+        j, p0 = j + 1, p1
+    pairs = zip([*range(k), *left], [*range(k), *right])
+    return complete[root], herm[root], idem[root], norm[root], dict(zip(pairs, traces))
 
 
 def _spectral_bounds(stack: np.ndarray) -> np.ndarray:
@@ -620,22 +707,23 @@ def _spectral_bounds(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(a.sum(axis=1).max(axis=1) * a.sum(axis=2).max(axis=1))
 
 
-def _pair_norms(factors: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[dict, dict, dict]:
-    """||P_f^dag P_g||_F, ||P_f P_g||_F and Tr(P_f^dag P_g), by (f, g), for the given pairs."""
+def _traces(products: np.ndarray) -> list:
+    """Traces of the leading (d, d) blocks of an (n, m d, d) stack, summed as ``np.trace`` does."""
+    n, _, d = products.shape
+    return np.add.reduce(products.reshape(n, -1)[:, :d * d:d + 1], axis=1).tolist()
+
+
+def _pair_products(stacked: np.ndarray, factors: np.ndarray, left: list[int], right: list[int]):
+    """``stacked[f] @ factors[g]`` for each pair f, g of ``left`` and ``right``, in
+    chunks of about ``_CHUNK_BYTES`` of products of two (d, d) blocks each.
+
+    With ``stacked`` each factor's P^dag over P, a product is P_f^dag P_g
+    over P_f P_g; with P^dag alone, P_f^dag P_g.
+    """
     d = factors.shape[1]
-    chunk = max(1, _CHUNK_BYTES // (32 * d * d))
-    hfro, pfro, trace = {}, {}, {}
-    for k0 in range(0, len(pairs), chunk):
-        part = pairs[k0:k0 + chunk]
-        f, g = np.array(part).T
-        left, right = factors[f], factors[g]
-        left = np.concatenate([left, left.conj().transpose(0, 2, 1)])
-        products = left @ np.concatenate([right, right])
-        frob = np.linalg.norm(products, axis=(1, 2)).tolist()
-        pfro.update(zip(part, frob[:len(part)]))
-        hfro.update(zip(part, frob[len(part):]))
-        trace.update(zip(part, np.trace(products[len(part):], axis1=1, axis2=2).tolist()))
-    return hfro, pfro, trace
+    step = max(1, _CHUNK_BYTES // (32 * d * d))
+    for i in range(0, len(left), step):
+        yield stacked[left[i:i + step]] @ factors[right[i:i + step]]
 
 
 def _factors_clash(stacks: np.ndarray, tol: float) -> bool:
@@ -663,15 +751,6 @@ def _factors_clash(stacks: np.ndarray, tol: float) -> bool:
         if np.triu(norms > tol, a0 + 1).any():
             return True
     return False
-
-
-def _dense_sum(members: Sequence[HistoryProjector], dim: int) -> np.ndarray:
-    """Sum of the members' dense matrices, accumulated in one budget-checked total."""
-    _check_dense(dim)
-    total = np.zeros((dim, dim), dtype=complex)
-    for m in members:
-        total += m.matrix
-    return total
 
 
 def _kron_sum(factors: np.ndarray, subfamilies: list, root: int, dim: int) -> np.ndarray:
@@ -719,13 +798,10 @@ def _selector_indices(selector: Sequence, size: int) -> list[int]:
     sel = list(selector)
     if len(sel) != size:
         raise ValueError(f"selector length {len(sel)} does not match {size} members")
-    picked = []
-    for i, flag in enumerate(sel):
-        if flag not in (0, 1, False, True):
-            raise ValueError(f"selector entries must be 0 or 1, got {sel[i]!r}")
-        if flag:
-            picked.append(i)
-    return picked
+    if sel.count(0) + sel.count(1) < size:
+        bad = next(flag for flag in sel if flag not in (0, 1))
+        raise ValueError(f"selector entries must be 0 or 1, got {bad!r}")
+    return [i for i, flag in enumerate(sel) if flag]
 
 
 def sum_hpo(family: HPOFamily, selector: Sequence) -> HistoryProjector:
@@ -737,7 +813,9 @@ def sum_hpo(family: HPOFamily, selector: Sequence) -> HistoryProjector:
 
     - when the selected ones are exactly the rows of a product of per-slot
       factor sets F_s, the sum is the factored projector
-      (x)_s sum_{f in F_s} P_f, checked as :func:`embed` checks its members;
+      (x)_s sum_{f in F_s} P_f.  It is certified by the family's bounds
+      below where they certify every sum, and otherwise checked as
+      :func:`embed` checks its members;
     - any other sum keeps the picked rows of the family's factor table as
       the tree of :func:`_id_tree`, and builds its dense matrix only when
       ``matrix`` is read.  It is certified a projector by the family's
@@ -754,14 +832,18 @@ def sum_hpo(family: HPOFamily, selector: Sequence) -> HistoryProjector:
     _check_dense(family.dim)
     tree, times = family._tree, family.slot_times
     if tree is None or not picked:
-        total = _dense_sum([family.members[i] for i in picked], family.dim)
+        total = np.zeros((family.dim, family.dim), dtype=complex)
+        for i in picked:
+            total += family.members[i].matrix
     else:
         subfamilies, root = _id_tree(tree.ids[picked])
         slots = _product_slots(subfamilies, root)
+        certified = tree.herm <= family.tol and tree.idem <= family.tol
         if slots is not None:
-            stack = np.stack([tree.factors[fs].sum(axis=0) for fs in slots])
-            return HistoryProjector._factored(stack, times, tol=family.tol)
-        if tree.herm <= family.tol and tree.idem <= family.tol:
+            starts = list(accumulate([len(fs) for fs in slots[:-1]], initial=0))
+            stack = np.add.reduceat(tree.factors[[f for fs in slots for f in fs]], starts)
+            return HistoryProjector._factored(stack, times, certified or None, family.tol)
+        if certified:
             return HistoryProjector._trusted(family.slots, times, family.base_dim,
                                              summed=(tree.factors, subfamilies, root, tree.traces))
         total = _kron_sum(tree.factors, subfamilies, root, family.dim)
@@ -826,7 +908,7 @@ def _splits(y: HistoryProjector, tol: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     slack = (2.0 ** -50 * (y.base_dim ** 2 * y.slots + traced + len(below))
-             * sum(gram_b.diagonal().real) * sum(gram_s.diagonal().real))
+             * sum(gram_b.diagonal().real.tolist()) * sum(gram_s.diagonal().real.tolist()))
     cut = tol + 2.0 ** -50 * y.dim * y.slots
     return bool(sigma2[-2] - slack > cut * cut * (sigma2[-1] + slack))
 
@@ -846,31 +928,34 @@ def _cut_grams(factors: np.ndarray, subfamilies: list, below: dict[int, list[int
     would take more than eight pairs of subfamilies per distinct
     subfamily of the tree.
     """
-    # Per subfamily, its children's factors and subfamilies.
-    kids = [tuple(zip(*sub)) if isinstance(sub, tuple) else None for sub in subfamilies]
-    tops = list(below)
-    pairs = {fg for fs in below.values() for gs in below.values() for fg in product(fs, gs)}
-    levels = [set(product(tops, tops))]
+    # The distinct subfamilies at each depth below the cut, whose pairs are
+    # every pair the recursion takes there, and the factors leading to them.
+    levels, leading = [list(below)], [[f for fs in below.values() for f in fs]]
     count = 0
-    while kids[next(iter(levels[-1]))[0]] is not None:
-        count += len(levels[-1])
+    while isinstance(subfamilies[levels[-1][0]], tuple):
+        count += len(levels[-1]) ** 2
         if count > 8 * len(subfamilies):
             return None
-        level = set()
-        for c, e in levels[-1]:
-            pairs.update(product(kids[c][0], kids[e][0]))
-            level.update(product(kids[c][1], kids[e][1]))
-        levels.append(level)
+        children = [fc for c in levels[-1] for fc in subfamilies[c]]
+        leading.append(list(dict.fromkeys(f for f, _ in children)))
+        levels.append(list(dict.fromkeys(c for _, c in children)))
+    pairs = {fg for fs in leading for fg in product(fs, fs)}
     traces = {fg: known.get(fg) for fg in pairs}
     missing = [fg for fg, t in traces.items() if t is None]
     if missing:
-        traces.update(_pair_norms(factors, missing)[2])
+        left, right = (list(side) for side in zip(*missing))
+        adjoint = factors.conj().transpose(0, 2, 1)
+        traces.update(zip(missing, (t for products in _pair_products(adjoint, factors, left, right)
+                                    for t in _traces(products))))
 
-    value = {(c, e): float(subfamilies[c] * subfamilies[e]) for c, e in levels.pop()}
-    for level in reversed(levels):
-        for c, e in level:
+    kids = {c: tuple(zip(*subfamilies[c])) for level in levels[:-1] for c in level}
+    value = {(c, e): float(subfamilies[c] * subfamilies[e])
+             for c, e in product(levels[-1], levels[-1])}
+    for level in reversed(levels[:-1]):
+        for c, e in product(level, level):
             value[c, e] = sum(map(mul, map(traces.__getitem__, product(kids[c][0], kids[e][0])),
                                   map(value.__getitem__, product(kids[c][1], kids[e][1]))))
+    tops = levels[0]
     gram_b = np.array([[sum(map(traces.__getitem__, product(below[c], below[e]))) for e in tops]
                        for c in tops])
     gram_s = np.array([[value[c, e] for e in tops] for c in tops], dtype=complex)

@@ -12,6 +12,9 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
+from itertools import product
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +45,9 @@ from qhistories.hpo import (
     _factor_table,
     _id_tree,
     _slot_times,
+    _Tree,
 )
-from qhistories.linalg import DEFAULT_TOL, _projector_norms, as_operator, max_abs
+from qhistories.linalg import _CHUNK_BYTES, DEFAULT_TOL, _projector_norms, as_operator, max_abs
 from qhistories.structure import HistorySequence, ValidationIssue, ValidationReport
 
 PROVIDER_KINDS = ("trivial", "hamiltonian", "unitary_table")
@@ -502,7 +506,132 @@ def tree_bounds(stacks: np.ndarray) -> tuple[float, float]:
     """Orthogonality and completeness bounds of the factored members ``stacks``,
     shape (n, slots, d, d), from their tree (see ``hpo._bounds``)."""
     factors, ids = _factor_table(stacks)
-    return _bounds(factors, *_id_tree(ids))[:2]
+    subfamilies, root = _id_tree(ids)
+    tree = _Tree(factors, ids, subfamilies, root, *_bounds(factors, subfamilies, root))
+    return tree.clash, tree.complete
+
+
+# -- the tree of factored members, unbatched --------------------------------------
+#
+# The reference for ``hpo``'s factor table, tree, bounds and cut Gram
+# matrices: the same arithmetic in the same order, with the sibling-pair
+# norms and traces taken into per-pair dicts rather than one batched pass.
+# ``reference_bounds`` also returns the root's norm bound.
+
+def reference_factor_table(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n, slots, d, _ = stacks.shape
+    raw, size = (stacks + 0.0).tobytes(), 16 * d * d
+    table: dict[bytes, int] = {}
+    ids = [table.setdefault(raw[k:k + size], len(table)) for k in range(0, len(raw), size)]
+    factors = np.frombuffer(b"".join(table), dtype=complex).reshape(-1, d, d)
+    return factors, np.array(ids, dtype=np.intp).reshape(n, slots)
+
+
+def reference_id_tree(ids: np.ndarray) -> tuple[list, int]:
+    memo: dict = {}
+    level = {row: memo.setdefault(c, len(memo))
+             for row, c in Counter(map(tuple, ids.tolist())).items()}
+    for s in reversed(range(ids.shape[1])):
+        kids: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for prefix, sub in level.items():
+            kids.setdefault(prefix[:s], []).append((prefix[s], sub))
+        level = {prefix: memo.setdefault(tuple(ch), len(memo)) for prefix, ch in kids.items()}
+    return list(memo), level[()]
+
+
+def reference_bounds(factors: np.ndarray, subfamilies: list, root: int):
+    """(clash, complete, herm, idem, norm, traces) of the tree."""
+    d = factors.shape[1]
+    nodes = [[f for f, _ in sub] for sub in subfamilies if isinstance(sub, tuple)]
+    rows = [f for fs in nodes for f in fs]
+    starts = np.cumsum([0] + [len(fs) for fs in nodes[:-1]])
+    gram = factors.conj().transpose(0, 2, 1) @ factors
+    k = len(factors)
+    herm_f, idem_f, excess, overlap = (part.tolist() for part in np.split(
+        _reference_spectral_bounds(np.concatenate([
+            factors.conj().transpose(0, 2, 1) - factors,
+            factors @ factors - factors,
+            np.add.reduceat(factors[rows], starts, axis=0) - np.eye(d),
+            np.add.reduceat(gram[rows], starts, axis=0)])),
+        np.cumsum([k, k, len(nodes)])))
+    pairs = sorted({(f, g) for fs in nodes for f in fs for g in fs})
+    hfro, pfro, traces = reference_pair_norms(factors, pairs)
+
+    complete, herm, idem, norm = [], [], [], []
+    j = 0
+    for sub in subfamilies:
+        if not isinstance(sub, tuple):  # member count
+            complete.append(abs(sub - 1.0))
+            herm.append(0.0)
+            idem.append(float(sub * sub - sub))
+            norm.append(float(sub))
+            continue
+        cross = [(f, g, a, b) for f, a in sub for g, b in sub if f != g]
+        grow = math.sqrt(overlap[j] + sum(hfro[f, g] for f, g, _, _ in cross))
+        complete.append(excess[j] + grow * max(complete[c] for _, c in sub))
+        herm.append(sum(herm_f[f] * norm[c] for f, c in sub)
+                    + grow * max(herm[c] for _, c in sub))
+        idem.append(sum(idem_f[f] * norm[c] * norm[c] for f, c in sub)
+                    + grow * max(idem[c] for _, c in sub)
+                    + sum(pfro[f, g] * norm[a] * norm[b] for f, g, a, b in cross))
+        norm.append(grow * max(norm[c] for _, c in sub))
+        j += 1
+    return (idem[root] * (3 + 8 * norm[root]) / 2, complete[root], herm[root], idem[root],
+            norm[root], traces)
+
+
+def _reference_spectral_bounds(stack: np.ndarray) -> np.ndarray:
+    a = np.abs(stack)
+    return np.sqrt(a.sum(axis=1).max(axis=1) * a.sum(axis=2).max(axis=1))
+
+
+def reference_pair_norms(factors: np.ndarray, pairs: list) -> tuple[dict, dict, dict]:
+    """||P_f^dag P_g||_F, ||P_f P_g||_F and Tr(P_f^dag P_g), by (f, g), for the given pairs."""
+    d = factors.shape[1]
+    chunk = max(1, _CHUNK_BYTES // (32 * d * d))
+    hfro, pfro, trace = {}, {}, {}
+    for k0 in range(0, len(pairs), chunk):
+        part = pairs[k0:k0 + chunk]
+        f, g = np.array(part).T
+        left, right = factors[f], factors[g]
+        left = np.concatenate([left, left.conj().transpose(0, 2, 1)])
+        products = left @ np.concatenate([right, right])
+        frob = np.linalg.norm(products, axis=(1, 2)).tolist()
+        pfro.update(zip(part, frob[:len(part)]))
+        hfro.update(zip(part, frob[len(part):]))
+        trace.update(zip(part, np.trace(products[len(part):], axis1=1, axis2=2).tolist()))
+    return hfro, pfro, trace
+
+
+def reference_cut_grams(factors: np.ndarray, subfamilies: list, below: dict, known: dict):
+    kids = [tuple(zip(*sub)) if isinstance(sub, tuple) else None for sub in subfamilies]
+    tops = list(below)
+    pairs = {fg for fs in below.values() for gs in below.values() for fg in product(fs, gs)}
+    levels = [set(product(tops, tops))]
+    count = 0
+    while kids[next(iter(levels[-1]))[0]] is not None:
+        count += len(levels[-1])
+        if count > 8 * len(subfamilies):
+            return None
+        level = set()
+        for c, e in levels[-1]:
+            pairs.update(product(kids[c][0], kids[e][0]))
+            level.update(product(kids[c][1], kids[e][1]))
+        levels.append(level)
+    traces = {fg: known.get(fg) for fg in pairs}
+    missing = [fg for fg, t in traces.items() if t is None]
+    if missing:
+        traces.update(reference_pair_norms(factors, missing)[2])
+
+    value = {(c, e): float(subfamilies[c] * subfamilies[e]) for c, e in levels.pop()}
+    for level in reversed(levels):
+        for c, e in level:
+            value[c, e] = sum(map(mul, map(traces.__getitem__, product(kids[c][0], kids[e][0])),
+                                  map(value.__getitem__, product(kids[c][1], kids[e][1]))))
+    gram_b = np.array([[sum(map(traces.__getitem__, product(below[c], below[e]))) for e in tops]
+                       for c in tops])
+    gram_s = np.array([[value[c, e] for e in tops] for c in tops], dtype=complex)
+    return gram_b, gram_s, len(traces)
 
 
 def export_dot(family: BranchingFamily, annotate_weights: bool = False) -> str:

@@ -4,6 +4,7 @@ import math
 import pickle
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from helpers import (
     PROVIDER_KINDS,
     decomposition_defects,
     random_decomposition,
+    random_family,
     random_provider,
+    reference_bounds,
+    reference_cut_grams,
+    reference_factor_table,
+    reference_id_tree,
     run_capped,
     tree_bounds,
 )
@@ -42,13 +48,18 @@ from qhistories.dynamics import TrivialEvolution
 from qhistories import hpo
 from qhistories.hpo import (
     RANK1_CUTOFF,
+    _bounds,
     _certified,
+    _cut_grams,
     _factor_table,
     _factors_clash,
     _id_tree,
     _kron_sum,
+    _product_slots,
     _schmidt_rank_one,
+    _splits,
     _telescoped,
+    _Tree,
     _tree_verdict,
 )
 from qhistories.linalg import DEFAULT_TOL, _projector_norms, is_projector, kron_all
@@ -581,6 +592,24 @@ def test_telescoped_bound_matches_its_definition():
         assert_allclose(_telescoped(x, e, y), expected, rtol=1e-14)
 
 
+def test_certified_answers_as_the_telescoped_bound_does():
+    # The shortcut over all products at once never certifies a product
+    # whose own bound exceeds tol, and a NaN or inf norm leaves it to the
+    # per-product bound.
+    rng = np.random.default_rng(12)
+    for slots in (1, 2, 5):
+        for scale in (1e-18, 1e-13, 1e-10, 1e-9, 1e-6):
+            norms = rng.random((4, 6, slots))
+            norms[:2] = 1.0 - 0.3 * norms[:2]
+            norms[2:] *= scale
+            for bad in (None, np.nan, np.inf):
+                if bad is not None:
+                    norms[int(rng.integers(4)), 2, slots - 1] = bad
+                with np.errstate(invalid="ignore"):
+                    exact = (_telescoped(norms[:2], norms[2:], norms[0]) <= DEFAULT_TOL).all(axis=0)
+                    assert _certified(norms, DEFAULT_TOL).tolist() == exact.tolist()
+
+
 @pytest.mark.parametrize("first", [True, False])
 def test_embed_family_takes_the_dense_check_where_a_bound_fails(first):
     # Two slots of {diag(1 + DELTA, 0), |1><1|}: only the history through
@@ -725,6 +754,120 @@ def test_repeats_dense_members_and_empty_selections_sum_densely():
     assert is_homogeneous(y)
     zero = sum_hpo(family, [0, 0, 0, 0])
     assert zero.factors is None and not zero.matrix.any()
+
+
+# -- the batched tree norms against the reference ------------------------------
+
+def _padded_stacks(histories, dim):
+    """Each history's projectors, padded in front with the identity to the longest."""
+    slots = max(len(h) for h in histories)
+    eye = np.eye(dim, dtype=complex)
+    return np.array([[eye] * (slots - len(h)) + list(h.projectors) for h in histories])
+
+
+def _bits(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+def _assert_tree_matches_the_reference(stacks, rng):
+    """Factor table, tree, bounds, traces, cut Gram matrices and Gram verdicts of
+    ``stacks`` and of random selections of its rows equal the reference's, bit for
+    bit: the batched pass keeps the reference's arithmetic order."""
+    factors, ids = _factor_table(stacks)
+    ref_factors, ref_ids = reference_factor_table(stacks)
+    assert factors.tobytes() == ref_factors.tobytes() and ids.tolist() == ref_ids.tolist()
+    subfamilies, root = _id_tree(ids)
+    assert (subfamilies, root) == reference_id_tree(ids)
+    tree = _Tree(factors, ids, subfamilies, root, *_bounds(factors, subfamilies, root))
+    *bounds, traces = reference_bounds(factors, subfamilies, root)
+    assert _bits([tree.clash, tree.complete, tree.herm, tree.idem, tree.norm]) == _bits(bounds)
+    assert tree.traces.keys() == traces.keys()
+    assert _bits([tree.traces[k] for k in traces]) == _bits(list(traces.values()))
+    n, slots, d = stacks.shape[:3]
+    for _ in range(4):
+        picked = [i for i in range(n) if rng.random() < 0.7] or [0]
+        sub_tree = _id_tree(ids[picked])
+        assert sub_tree == reference_id_tree(ids[picked])
+        sub = sub_tree[0][sub_tree[1]]
+        while isinstance(sub, tuple) and len({c for _, c in sub}) == 1:
+            sub = sub_tree[0][sub[0][1]]
+        if _product_slots(*sub_tree) is not None or not isinstance(sub, tuple):
+            continue
+        below = {}
+        for f, c in sub:
+            below.setdefault(c, []).append(f)
+        grams = _cut_grams(factors, sub_tree[0], below, tree.traces)
+        ref = reference_cut_grams(factors, sub_tree[0], below, traces)
+        assert (grams is None) == (ref is None)
+        if grams is not None:
+            assert grams[2] == ref[2]
+            assert grams[0].tobytes() == ref[0].tobytes() and grams[1].tobytes() == ref[1].tobytes()
+        y = HistoryProjector._trusted(slots, tuple(map(float, range(slots))), d,
+                                      summed=(factors, *sub_tree, tree.traces))
+        for tol in (RANK1_CUTOFF, 0.1, 0.5):
+            with mock.patch.object(hpo, "_cut_grams", reference_cut_grams):
+                expected = _splits(y, tol)
+            assert _splits(y, tol) == expected
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["random", "product", "branching"]),
+       st.sampled_from(PROVIDER_KINDS))
+def test_tree_norms_match_the_reference(seed, source, kind):
+    # Random families (their histories padded in front with the identity
+    # to one length) and shared-grid families, product-shaped or branching
+    # into their own decomposition at every node.
+    rng = np.random.default_rng(seed)
+    if source == "random":
+        fam = random_family(rng, kind=kind)
+        histories = fam.histories()
+        if max(len(h) for h in histories) == 0:
+            return
+        stacks = _padded_stacks(histories, fam.dim)
+    else:
+        dim, slots = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+        family = embed_family(_grid_family(rng, dim, slots, kind, source == "product"))
+        stacks = np.array([m._stack for m in family.members])
+        assert family._tree.ids.tolist() == reference_factor_table(stacks)[1].tolist()
+    _assert_tree_matches_the_reference(stacks, rng)
+
+
+def test_ishams_tree_norms_match_the_reference():
+    family, _ = isham_counterexample()
+    stacks = np.array([m._stack for m in family.members])
+    for rows in (stacks, stacks[:, ::-1]):
+        _assert_tree_matches_the_reference(np.ascontiguousarray(rows), np.random.default_rng(3))
+
+
+def _mixed_family(rng, dense_row):
+    """A 16-member 4-slot qubit product family with one member given as its matrix."""
+    fam = from_product(2, [0.0, 1.0, 2.0, 3.0], [random_decomposition(2, 2, rng) for _ in range(4)])
+    members = list(embed_family(fam).members)
+    m = members[dense_row]
+    members[dense_row] = HistoryProjector(m.matrix, m.slots, m.slot_times, m.base_dim)
+    return fam, members
+
+
+def test_a_mixed_family_multiplies_densely_only_the_pairs_with_a_dense_member(monkeypatch):
+    rng = np.random.default_rng(24)
+    builds, products = [], []
+    kron, norm = hpo.kron_all, hpo.max_abs
+    for dense_row in (0, 5, 15):
+        fam, members = _mixed_family(rng, dense_row)
+        dense = [m.matrix for m in members]
+        clashes, complete = decomposition_defects(dense, DEFAULT_TOL)
+        monkeypatch.setattr(hpo, "kron_all", lambda s: builds.append(1) or kron(s))
+        monkeypatch.setattr(hpo, "max_abs", lambda a: products.append(1) or norm(a))
+        builds.clear(), products.clear()
+        assert is_hpo_family(members) is (not clashes and complete) is True
+        # Each factored matrix built once; 15 pair products and the total.
+        assert (len(builds), len(products)) == (15, 16)
+        monkeypatch.undo()
+        # A member repeated clashes with itself; one dense member and the
+        # others overlapping it clash too; a missing member is incomplete.
+        for broken in (members + [members[3]], members + [members[dense_row]], members[1:]):
+            clashes, complete = decomposition_defects([m.matrix for m in broken], DEFAULT_TOL)
+            assert is_hpo_family(broken) is (not clashes and complete) is False
 
 
 def test_factor_identity_ignores_the_sign_of_zero():

@@ -26,7 +26,6 @@ from helpers import validate as oracle_validate
 from qhistories import (
     BranchingFamily,
     EmbeddingError,
-    HistoryProjector,
     HistorySequence,
     InvalidFamilyError,
     Moment,
@@ -41,6 +40,7 @@ from qhistories import (
     serialize_family,
     weight_table,
 )
+from qhistories import hpo
 from qhistories.chain import _gram, _leaf_chains, _weights
 from qhistories.demos import P0, P1, P_MINUS, P_PLUS, branch_no_prod_family, fig2_family
 from qhistories.linalg import DEFAULT_TOL
@@ -725,13 +725,14 @@ def test_family_layout_matches_the_walk_oracles(seed, kind, stop_probability):
         assert str(raised.value) == str(exc)
         return
     flags = []
-    factored = HistoryProjector._factored
+    certified_by = hpo._certified
 
-    def recording(stack, times, ok, tol):
-        flags.append(ok)
-        return factored(stack, times, ok, tol)
+    def recording(norms, tol):
+        ok = certified_by(norms, tol)
+        flags.extend(ok.tolist())
+        return ok
 
-    with mock.patch.object(HistoryProjector, "_factored", recording):
+    with mock.patch.object(hpo, "_certified", recording):
         embedded = embed_family(fam)
     assert flags == certified
     assert len(embedded) == len(members)
