@@ -21,7 +21,7 @@ from .chain import family_decoherence_matrix, is_consistent, is_weakly_consisten
 from .coarse import _sibling_weights, intra_branch_sum
 from .demos import branch_no_prod_family, fig2_family, isham_reversed_family
 from .errors import EmbeddingError, InvalidFamilyError, ParseError, TransBranchError
-from .fileio import _print_numbers, export_dot, load_document, serialize_family
+from .fileio import _SLICE_NUMBERS, _print_numbers, export_dot, load_document, serialize_family
 from .hpo import _tree_verdict, embed_family, is_homogeneous, is_hpo_family, isham_counterexample
 from .linalg import DEFAULT_TOL
 
@@ -121,12 +121,12 @@ def _separators(n: int, count: int) -> np.ndarray:
 def _write_magnitudes(d) -> None:
     """Write |d| row by row, entries as ``format(v, ".6g")`` joined by spaces.
 
-    Rows go out in blocks of about 4096 entries, one ``sys.stdout.write``
-    each, so the whole text is never held.  The entries are printed by the
-    document printer at six digits.
+    Rows go out in blocks of about ``fileio._SLICE_NUMBERS`` entries, one
+    ``sys.stdout.write`` each, so the whole text is never held.  The entries
+    are printed by the document printer at six digits.
     """
     n = d.shape[1]
-    step = max(1, 4096 // n)
+    step = max(1, _SLICE_NUMBERS // n)
     for start in range(0, d.shape[0], step):
         x = np.abs(d[start:start + step]).ravel()
         sys.stdout.write(_print_numbers(x, 6, _separators(n, x.size)).decode("ascii"))

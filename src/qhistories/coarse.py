@@ -19,6 +19,7 @@ sibling merge's history from the family's node store at the caller's ``tol``.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,17 +42,26 @@ __all__ = [
 def event_probability(weights: Sequence[float], subset: Iterable[int]) -> float:
     """Probability of an event, i.e. the summed weights of a subset of histories.
 
-    ``subset`` holds indices into ``weights`` (duplicates collapse); the
+    ``subset`` holds integer indices into ``weights`` (duplicates collapse;
+    NumPy integers count, floats and strings raise ``ValueError``); the
     empty set has probability zero.  Summation runs over increasing index
     with compensated accumulation, so disjoint events add up exactly as
     well as floating point permits.
     """
     table = [float(w) for w in weights]
-    indices = sorted(set(int(i) for i in subset))
+    indices = sorted(set(map(_history_index, subset)))
     for i in indices:
         if not 0 <= i < len(table):
             raise ValueError(f"history index {i} out of range 0..{len(table) - 1}")
     return math.fsum(table[i] for i in indices)
+
+
+def _history_index(i) -> int:
+    """``i`` as an int, through ``operator.index``; anything else is a ``ValueError``."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"history index {i!r} is not an integer") from None
 
 
 def _sibling_leaves(family: BranchingFamily, leaf_a: int, leaf_b: int,

@@ -71,8 +71,9 @@ decides, from (x)P (x)Q = (x)(PQ).
 An :class:`HPOFamily` of factored members finds its distinct factors
 once, on first use (from the member stack :func:`embed_family` gathered,
 where it did), and builds the tree over their ids and its bounds, whose
-norms and sibling traces :func:`_bounds` takes in one batched pass; a
-:func:`sum_hpo` builds the picked members' tree from the same ids.
+norms :func:`_bounds` takes in one batched pass, its sibling pairs by
+:func:`linalg._pair_products`; a :func:`sum_hpo` builds the picked
+members' tree from the same ids.
 Dense totals of factored members (summed matrices and the fallbacks)
 are built by :func:`_kron_sum` on the tree, each distinct subfamily
 once, with siblings over equal subfamilies merged into
@@ -80,8 +81,9 @@ once, with siblings over equal subfamilies merged into
 :func:`is_homogeneous` from Gram matrices: at the first cut of its tree
 with more than one distinct subfamily below it, the singular values of
 the realigned sum are those of a k x k problem built from the per-slot
-factor traces Tr(P_f^dag P_g) (the family's sibling traces, recursed
-over pairs of distinct subfamilies).  Where sigma_1/sigma_0 there
+factor traces Tr(P_f^dag P_g), recursed over pairs of distinct
+subfamilies and all read from one product of the leading factors'
+entries at that cut (:func:`_cut_grams`).  Where sigma_1/sigma_0 there
 exceeds the caller's ``tol`` by the rounding margin of :func:`_splits`,
 the answer is False with no dense matrix; otherwise the dense
 operator-Schmidt recursion decides, so the verdict is always the dense
@@ -110,6 +112,7 @@ from .errors import EmbeddingError
 from .linalg import (
     _CHUNK_BYTES,
     DEFAULT_TOL,
+    _pair_products,
     _projector_norms,
     as_operator,
     is_projector,
@@ -210,7 +213,7 @@ class HistoryProjector:
     base_dim: int
     _matrix: np.ndarray | None
     _stack: np.ndarray | None
-    _summed: tuple[np.ndarray, list, int, dict] | None
+    _summed: tuple[np.ndarray, list, int] | None
 
     def __init__(self, matrix, slots: int, slot_times: Sequence[float], base_dim: int):
         times = _slot_times(slots, slot_times, base_dim)
@@ -244,8 +247,7 @@ class HistoryProjector:
     def _trusted(cls, slots: int, times: tuple[float, ...], base_dim: int, *,
                  matrix=None, stack=None, summed=None) -> "HistoryProjector":
         """The projector held as one of a dense ``matrix``, a ``stack`` of factors or
-        a ``summed`` tree (factors, subfamilies and root of :func:`_id_tree`, and the
-        family's sibling traces of :func:`_bounds`), unchecked."""
+        a ``summed`` tree (factors, subfamilies and root of :func:`_id_tree`), unchecked."""
         self = cls.__new__(cls)
         self._init(slots, times, base_dim, matrix, stack, summed)
         return self
@@ -275,7 +277,7 @@ class HistoryProjector:
         if self._matrix is not None:
             return self._matrix
         if self._stack is None:
-            return _kron_sum(*self._summed[:3], self.dim)
+            return _kron_sum(*self._summed, self.dim)
         _check_dense(self.dim)
         return kron_all(self._stack)
 
@@ -412,7 +414,7 @@ class HPOFamily:
 
 class _Tree(NamedTuple):
     """An all-factored family: :func:`_factor_table`, :func:`_id_tree` over it
-    and the four bounds and sibling traces of :func:`_bounds` on that tree."""
+    and the four bounds of :func:`_bounds` on that tree."""
 
     factors: np.ndarray
     ids: np.ndarray
@@ -422,7 +424,6 @@ class _Tree(NamedTuple):
     herm: float
     idem: float
     norm: float
-    traces: dict
 
     @property
     def clash(self) -> float:
@@ -492,9 +493,8 @@ def is_hpo_family(members, tol: float | None = None) -> bool:
         members = HPOFamily(tuple(members))
     if tol is None:
         tol = members.tol
-    ms = members.members
-    if any(m._stack is None for m in ms):
-        return _mixed_verdict(ms, members.dim, tol)
+    if members._tree is None:
+        return _mixed_verdict(members.members, members.dim, tol)
     verdict, _ = _tree_verdict(members, tol)
     if verdict is None:
         _check_dense(members.dim)  # raises: the total is over budget
@@ -594,24 +594,21 @@ def _id_tree(ids: np.ndarray) -> tuple[list, int]:
     return list(memo), level[()]
 
 
-def _product_slots(subfamilies: list, root: int) -> list[list[int]] | None:
-    """Per slot, the factor ids F_s whose product is the tree's members, or None.
-
-    The members are exactly the rows of F_0 x ... x F_(slots-1), each once,
-    when every node's children share one subfamily and the leaf counts one
-    member; their sum is then (x)_s sum_{f in F_s} P_f.
+def _first_cut(subfamilies: list, root: int) -> tuple[list[list[int]], tuple | int]:
+    """The factor ids F_s of each slot above the tree's first cut with more than one
+    distinct subfamily below it, and its node there, else the member count at the
+    leaves.  A count of 1 means the members are exactly the rows of F_0 x ... x
+    F_(slots-1), each once, and their sum is (x)_s sum_{f in F_s} P_f.
     """
     slots, sub = [], subfamilies[root]
-    while isinstance(sub, tuple):
-        if len({c for _, c in sub}) > 1:
-            return None
+    while isinstance(sub, tuple) and len({c for _, c in sub}) == 1:
         slots.append([f for f, _ in sub])
         sub = subfamilies[sub[0][1]]
-    return slots if sub == 1 else None
+    return slots, sub
 
 
 def _bounds(factors: np.ndarray, subfamilies: list,
-            root: int) -> tuple[float, float, float, float, dict]:
+            root: int) -> tuple[float, float, float, float]:
     """Bounds on factored members and on every sum S of some of them, from their tree.
 
     Bottom up, once per distinct subfamily of :func:`_id_tree` over the
@@ -640,12 +637,10 @@ def _bounds(factors: np.ndarray, subfamilies: list,
       every subset.  A count c at the leaves gives herm 0, idem |c^2 - c|
       and N c, largest at the whole count.
 
-    Returns, for the whole tree, ``complete``, ``herm``, ``idem`` and
-    ``norm``, and the traces Tr(P_f^dag P_g) of its pairs of sibling
-    factors, by (f, g).  The norms come from one batched pass: each
-    factor's P^dag P over P P as one product, the node sums gathered from
-    those, and the ordered pairs of distinct siblings by
-    :func:`_pair_products`, node by node.
+    Returns ``complete``, ``herm``, ``idem`` and ``norm`` for the whole
+    tree.  The norms come from one batched pass: each factor's P^dag P over
+    P P as one product, the node sums gathered from those, and the ordered
+    pairs of distinct siblings by :func:`linalg._pair_products`, node by node.
     """
     k, d = factors.shape[:2]
     nodes = [sub for sub in subfamilies if isinstance(sub, tuple)]
@@ -665,7 +660,6 @@ def _bounds(factors: np.ndarray, subfamilies: list,
         (defects - factors[:, None]).reshape(-1, d, d), sums.reshape(-1, d, d)])).tolist()
     herm_f, idem_f = spectral[:2 * k:2], spectral[1:2 * k:2]
     excess, overlap = spectral[2 * k::2], spectral[2 * k + 1::2]
-    traces = _traces(own)
     hfro, pfro = [], []
     for products in _pair_products(stacked, factors, left, right):
         # ||.||_F of P_f^dag P_g and P_f P_g, as np.linalg.norm takes it.
@@ -673,7 +667,6 @@ def _bounds(factors: np.ndarray, subfamilies: list,
                                     .reshape(-1, 2, d * d), axis=2)).tolist()
         hfro += [h for h, _ in fro]
         pfro += [p for _, p in fro]
-        traces += _traces(products)
 
     complete, herm, idem, norm = [], [], [], []
     j = p0 = 0
@@ -697,33 +690,13 @@ def _bounds(factors: np.ndarray, subfamilies: list,
                     + sum([p * x * y for p, (x, y) in zip(pfro[p0:p1], cross)]))
         norm.append(grow * max(ns))
         j, p0 = j + 1, p1
-    pairs = zip([*range(k), *left], [*range(k), *right])
-    return complete[root], herm[root], idem[root], norm[root], dict(zip(pairs, traces))
+    return complete[root], herm[root], idem[root], norm[root]
 
 
 def _spectral_bounds(stack: np.ndarray) -> np.ndarray:
     """Upper bounds on the spectral norms of an (n, d, d) stack: sqrt(||A||_1 ||A||_inf)."""
     a = np.abs(stack)
     return np.sqrt(a.sum(axis=1).max(axis=1) * a.sum(axis=2).max(axis=1))
-
-
-def _traces(products: np.ndarray) -> list:
-    """Traces of the leading (d, d) blocks of an (n, m d, d) stack, summed as ``np.trace`` does."""
-    n, _, d = products.shape
-    return np.add.reduce(products.reshape(n, -1)[:, :d * d:d + 1], axis=1).tolist()
-
-
-def _pair_products(stacked: np.ndarray, factors: np.ndarray, left: list[int], right: list[int]):
-    """``stacked[f] @ factors[g]`` for each pair f, g of ``left`` and ``right``, in
-    chunks of about ``_CHUNK_BYTES`` of products of two (d, d) blocks each.
-
-    With ``stacked`` each factor's P^dag over P, a product is P_f^dag P_g
-    over P_f P_g; with P^dag alone, P_f^dag P_g.
-    """
-    d = factors.shape[1]
-    step = max(1, _CHUNK_BYTES // (32 * d * d))
-    for i in range(0, len(left), step):
-        yield stacked[left[i:i + step]] @ factors[right[i:i + step]]
 
 
 def _factors_clash(stacks: np.ndarray, tol: float) -> bool:
@@ -837,15 +810,15 @@ def sum_hpo(family: HPOFamily, selector: Sequence) -> HistoryProjector:
             total += family.members[i].matrix
     else:
         subfamilies, root = _id_tree(tree.ids[picked])
-        slots = _product_slots(subfamilies, root)
+        slots, cut = _first_cut(subfamilies, root)
         certified = tree.herm <= family.tol and tree.idem <= family.tol
-        if slots is not None:
+        if cut == 1:
             starts = list(accumulate([len(fs) for fs in slots[:-1]], initial=0))
             stack = np.add.reduceat(tree.factors[[f for fs in slots for f in fs]], starts)
             return HistoryProjector._factored(stack, times, certified or None, family.tol)
         if certified:
             return HistoryProjector._trusted(family.slots, times, family.base_dim,
-                                             summed=(tree.factors, subfamilies, root, tree.traces))
+                                             summed=(tree.factors, subfamilies, root))
         total = _kron_sum(tree.factors, subfamilies, root, family.dim)
     _require_projector(total, family.tol)
     return HistoryProjector._trusted(family.slots, times, family.base_dim, matrix=total)
@@ -887,23 +860,23 @@ def _splits(y: HistoryProjector, tol: float) -> bool:
     sigma_1/sigma_0 above ``tol`` plus dim * slots units of 2^-50 for the
     dense recursion's own rounding.  False means undecided, as do a tree
     with no such cut, one needing more than eight pairs of subfamilies per
-    distinct subfamily, and a G_B that Cholesky or the eigensolver refuses.
+    distinct subfamily, and Gram matrices the eigensolver refuses.
     """
-    factors, subfamilies, root, known = y._summed
-    sub = subfamilies[root]
-    while isinstance(sub, tuple) and len({c for _, c in sub}) == 1:
-        sub = subfamilies[sub[0][1]]
+    factors, subfamilies, root = y._summed
+    _, sub = _first_cut(subfamilies, root)
     if not isinstance(sub, tuple):
         return False
     below: dict[int, list[int]] = {}
     for f, c in sub:
         below.setdefault(c, []).append(f)
-    grams = _cut_grams(factors, subfamilies, below, known)
+    grams = _cut_grams(factors, subfamilies, below)
     if grams is None:
         return False
     gram_b, gram_s, traced = grams
     try:
-        low = np.linalg.cholesky(gram_b)
+        # L = V sqrt(lambda) from G_B's eigenpairs takes a singular G_B, as Cholesky may not.
+        lam, vec = np.linalg.eigh(gram_b)
+        low = vec * np.sqrt(np.maximum(lam, 0.0))
         sigma2 = np.linalg.eigvalsh(low.conj().T @ gram_s.conj() @ low)
     except np.linalg.LinAlgError:
         return False
@@ -913,8 +886,8 @@ def _splits(y: HistoryProjector, tol: float) -> bool:
     return bool(sigma2[-2] - slack > cut * cut * (sigma2[-1] + slack))
 
 
-def _cut_grams(factors: np.ndarray, subfamilies: list, below: dict[int, list[int]],
-               known: dict) -> tuple[np.ndarray, np.ndarray, int] | None:
+def _cut_grams(factors: np.ndarray, subfamilies: list,
+               below: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray, int] | None:
     """The Gram matrices Tr(B_c^dag B_e) and Tr(S_c^dag S_e) of one cut.
 
     ``below`` maps each subfamily c below the cut to the factors f whose
@@ -922,11 +895,11 @@ def _cut_grams(factors: np.ndarray, subfamilies: list, below: dict[int, list[int
     entry of the second is sum_{(f, a) in c, (g, b) in e} Tr(P_f^dag P_g)
     Tr(S_a^dag S_b), taken once per ordered pair of distinct subfamilies
     at each depth, and the product c e of member counts at the leaves.
-    Traces are read from ``known`` (the family's sibling pairs, which in a
-    product family are all pairs at one slot) or computed.  Returns both
-    matrices and the number of factor pairs traced, or None when that
-    would take more than eight pairs of subfamilies per distinct
-    subfamily of the tree.
+    Each trace Tr(P_f^dag P_g) = sum_ij conj(P_f)_ij (P_g)_ij is read from one
+    product of the leading factors' entries.  Returns both matrices and the
+    number of pairs of leading factors at one depth, or None when that
+    would take more than eight pairs of subfamilies per distinct subfamily
+    of the tree.
     """
     # The distinct subfamilies at each depth below the cut, whose pairs are
     # every pair the recursion takes there, and the factors leading to them.
@@ -939,27 +912,23 @@ def _cut_grams(factors: np.ndarray, subfamilies: list, below: dict[int, list[int
         children = [fc for c in levels[-1] for fc in subfamilies[c]]
         leading.append(list(dict.fromkeys(f for f, _ in children)))
         levels.append(list(dict.fromkeys(c for _, c in children)))
-    pairs = {fg for fs in leading for fg in product(fs, fs)}
-    traces = {fg: known.get(fg) for fg in pairs}
-    missing = [fg for fg, t in traces.items() if t is None]
-    if missing:
-        left, right = (list(side) for side in zip(*missing))
-        adjoint = factors.conj().transpose(0, 2, 1)
-        traces.update(zip(missing, (t for products in _pair_products(adjoint, factors, left, right)
-                                    for t in _traces(products))))
-
-    kids = {c: tuple(zip(*subfamilies[c])) for level in levels[:-1] for c in level}
+    # Row and column a of the traces belong to the a-th distinct leading factor.
+    at = {f: a for a, f in enumerate(dict.fromkeys(f for fs in leading for f in fs))}
+    entries = factors[list(at)].reshape(len(at), -1)
+    traces = (entries.conj() @ entries.T).tolist()
+    kids = {c: ([at[f] for f, _ in subfamilies[c]], [a for _, a in subfamilies[c]])
+            for level in levels[:-1] for c in level}
     value = {(c, e): float(subfamilies[c] * subfamilies[e])
              for c, e in product(levels[-1], levels[-1])}
     for level in reversed(levels[:-1]):
         for c, e in product(level, level):
-            value[c, e] = sum(map(mul, map(traces.__getitem__, product(kids[c][0], kids[e][0])),
+            value[c, e] = sum(map(mul, (traces[a][b] for a, b in product(kids[c][0], kids[e][0])),
                                   map(value.__getitem__, product(kids[c][1], kids[e][1]))))
-    tops = levels[0]
-    gram_b = np.array([[sum(map(traces.__getitem__, product(below[c], below[e]))) for e in tops]
-                       for c in tops])
-    gram_s = np.array([[value[c, e] for e in tops] for c in tops], dtype=complex)
-    return gram_b, gram_s, len(traces)
+    tops = [[at[f] for f in below[c]] for c in levels[0]]
+    gram_b = np.array([[sum(traces[a][b] for a, b in product(fs, gs)) for gs in tops]
+                       for fs in tops])
+    gram_s = np.array([[value[c, e] for e in levels[0]] for c in levels[0]], dtype=complex)
+    return gram_b, gram_s, len({fg for fs in leading for fg in product(fs, fs)})
 
 
 def is_homogeneous(y: HistoryProjector, tol: float = RANK1_CUTOFF) -> bool:

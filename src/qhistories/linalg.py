@@ -45,9 +45,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
-# Bytes of matrices per batch in _projector_norms and of pair products per
-# batch in decomposition_defects; 64 MiB batches of pair products validated
-# a dim-32, 1057-node family half as fast.
+# Bytes of matrices per batch in _projector_norms and of products per batch
+# in _pair_products; 64 MiB batches of pair products validated a dim-32,
+# 1057-node family half as fast.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -148,7 +148,7 @@ def decomposition_defects(stack: np.ndarray, norms: np.ndarray, bounds: Sequence
     ``bounds[-1]`` on are in no group.  Returns the (k, 2) array of pairs
     i < j in one group with max|P_i P_j| > tol, in lexicographic order, and
     for each group whether max|sum - I| <= tol.  Only the groups that
-    :func:`_exclusive` leaves open form pair products, ``_CHUNK_BYTES`` at a time.
+    :func:`_exclusive` leaves open form pair products, by :func:`_pair_products`.
     """
     bounds = np.asarray(bounds, dtype=np.intp)
     n = int(bounds[-1])
@@ -170,18 +170,27 @@ def decomposition_defects(stack: np.ndarray, norms: np.ndarray, bounds: Sequence
     later = np.where(np.repeat(exclusive, sizes), 0,
                      np.repeat(bounds[1:], sizes) - np.arange(n) - 1)
     first, pairs = np.cumsum(later) - later, int(later.sum())
-    chunk = max(1, _CHUNK_BYTES // (16 * d * d))
     clashes = [np.empty((0, 2), dtype=np.intp)]
-    for k0 in range(0, pairs, chunk):
-        k = np.arange(k0, min(k0 + chunk, pairs))
+    block = max(1, _CHUNK_BYTES // 16)  # pair indices per block, so they stay small
+    for k0 in range(0, pairs, block):
+        k = np.arange(k0, min(k0 + block, pairs))
         i = np.searchsorted(first, k, side="right") - 1
         j = i + 1 + k - first[i]
-        # One pair multiplies slices, views of the stack, not gathered copies.
-        left, right = ((stack[i], stack[j]) if chunk > 1 else
-                       (stack[i[0]:i[0] + 1], stack[j[0]:j[0] + 1]))
-        bad = np.abs(left @ right).max(axis=(1, 2)) > tol
+        bad = np.concatenate([np.abs(products).max(axis=(1, 2)) > tol
+                              for products in _pair_products(stack, stack, i, j)])
         clashes.append(np.stack([i[bad], j[bad]], axis=1))
     return np.concatenate(clashes), residual <= tol
+
+
+def _pair_products(left: np.ndarray, right: np.ndarray, i, j):
+    """``left[i[p]] @ right[j[p]]`` for each p, in chunks of about ``_CHUNK_BYTES`` of
+    products; a chunk of one pair multiplies slices of the stacks, not gathered copies."""
+    step = max(1, _CHUNK_BYTES // (16 * left.shape[1] * right.shape[2]))
+    for p in range(0, len(i), step):
+        if step == 1:
+            yield left[i[p]:i[p] + 1] @ right[j[p]:j[p] + 1]
+        else:
+            yield left[i[p:p + step]] @ right[j[p:p + step]]
 
 
 def _exclusive(d: int, k, c, s, _, h, a, tol: float):

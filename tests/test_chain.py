@@ -373,6 +373,26 @@ def test_weights_are_invariant_under_relabelling_of_node_ids(seed, kind, data):
             == family_decoherence_matrix(fam).tobytes())
 
 
+# -- the paper's guarantees as properties ---------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(PROVIDER_KINDS))
+def test_weights_and_decoherence_matrix_keep_the_papers_guarantees(seed, kind):
+    # Over random families, providers and initial states: the weights sum
+    # to 1; D is Hermitian, PSD and of trace 1; sibling leaves do not
+    # interfere, as their final projectors are orthogonal.
+    fam = random_family(np.random.default_rng(seed), kind=kind)
+    d = family_decoherence_matrix(fam)
+    assert abs(math.fsum(weight_table(fam)) - 1.0) <= 1e-12
+    assert np.abs(d - d.conj().T).max() <= 1e-12
+    assert abs(np.trace(d) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh((d + d.conj().T) / 2).min() >= -1e-12
+    parents = [leaf.parent for leaf in fam.leaves()]
+    for a, b in zip(*np.triu_indices(len(parents), 1)):
+        if parents[a] == parents[b]:
+            assert abs(d[a, b]) <= 1e-12
+
+
 def test_is_dynamically_impossible():
     prov = TrivialEvolution(2)
     blocked = HistorySequence(((0.0, P1), (1.0, P0)))

@@ -17,6 +17,7 @@ from helpers import (
     random_decomposition,
     random_density,
     random_family,
+    random_provider,
     sibling_merge,
     sibling_merge_weights,
 )
@@ -30,6 +31,7 @@ from qhistories import (
     TrivialEvolution,
     decoherence_matrix,
     event_probability,
+    family_decoherence_matrix,
     from_product,
     intra_branch_sum,
     new_family,
@@ -74,6 +76,19 @@ def test_event_probability_additive_over_disjoint_events():
 def test_event_probability_range_check():
     with pytest.raises(ValueError, match="out of range"):
         event_probability([0.5, 0.5], [2])
+
+
+@pytest.mark.parametrize("index", [1.7, "2", -0.5])
+def test_event_probability_refuses_non_integral_indices(index):
+    # int() truncated floats and parsed strings: these read 0.2, 0.3 and 0.1.
+    with pytest.raises(ValueError, match=f"history index {index!r} is not an integer"):
+        event_probability([0.1, 0.2, 0.3, 0.4], [index])
+
+
+def test_event_probability_takes_numpy_integers():
+    table = [0.1, 0.2, 0.3, 0.4]
+    assert event_probability(table, np.array([1, 3])) == event_probability(table, [1, 3])
+    assert event_probability(table, [np.int32(2)]) == 0.3
 
 
 # -- intra-branch sums --------------------------------------------------------
@@ -224,6 +239,30 @@ def test_interior_merge_discrepancy_matches_decoherence():
             if abs(discrepancy) > 1e-3:
                 found_nontrivial = True
     assert found_nontrivial, "expected at least one interfering pair"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(PROVIDER_KINDS))
+def test_product_discrepancy_is_twice_the_real_decoherence_entry(seed, kind):
+    # Over random product families, providers and initial states, every
+    # pair of histories that differ in one slot merges with a discrepancy
+    # of 2 Re D_ab.
+    rng = np.random.default_rng(seed)
+    dim, steps = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    times = np.cumsum(rng.uniform(0.2, 1.0, size=steps)).tolist()
+    provider = random_provider(dim, rng, kind, grid=[0.0, *times, times[-1] + 1.0])
+    decompositions = [random_decomposition(dim, int(rng.integers(1, dim + 1)), rng)
+                      for _ in times]
+    fam = from_product(dim, times, decompositions, random_density(dim, rng), provider)
+    hists = fam.histories()
+    d = family_decoherence_matrix(fam)
+    for a, b in zip(*np.triu_indices(len(hists), 1)):
+        differ = [not np.array_equal(p, q)
+                  for p, q in zip(hists[a].projectors, hists[b].projectors)]
+        if sum(differ) == 1:
+            _, discrepancy = verify_product_additivity(hists[a], hists[b], provider,
+                                                       fam.initial_state)
+            assert abs(discrepancy - 2.0 * d[a, b].real) <= 1e-12
 
 
 def test_consistent_product_family_merges_additively():

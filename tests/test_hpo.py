@@ -45,7 +45,7 @@ from qhistories import (
 from qhistories.chain import decoherence_matrix
 from qhistories.demos import P0, P1, P_MINUS, P_PLUS, fig2_family
 from qhistories.dynamics import TrivialEvolution
-from qhistories import hpo
+from qhistories import hpo, linalg
 from qhistories.hpo import (
     RANK1_CUTOFF,
     _bounds,
@@ -53,9 +53,9 @@ from qhistories.hpo import (
     _cut_grams,
     _factor_table,
     _factors_clash,
+    _first_cut,
     _id_tree,
     _kron_sum,
-    _product_slots,
     _schmidt_rank_one,
     _splits,
     _telescoped,
@@ -383,6 +383,7 @@ def test_factored_members_match_dense_oracle(kind, dim, slots, monkeypatch):
         _check_sums(rng, members, group)
         with monkeypatch.context() as m:  # one row of R, one factor pair at a time
             m.setattr(hpo, "_CHUNK_BYTES", 0)
+            m.setattr(linalg, "_CHUNK_BYTES", 0)
             assert_allclose(_tree_total(members), total, atol=1e-12)
             assert tree_bounds(stacks) == (clash_bound, bound)
 
@@ -770,9 +771,11 @@ def _bits(values):
 
 
 def _assert_tree_matches_the_reference(stacks, rng):
-    """Factor table, tree, bounds, traces, cut Gram matrices and Gram verdicts of
-    ``stacks`` and of random selections of its rows equal the reference's, bit for
-    bit: the batched pass keeps the reference's arithmetic order."""
+    """Factor table, tree, bounds, first cuts, cut Gram matrices and Gram verdicts of
+    ``stacks`` and of random selections of its rows equal the reference's.  All but
+    the Gram matrices are equal bit for bit, as the batched pass keeps the reference's
+    arithmetic order; the Gram matrices take their traces from one product at the
+    cut, and agree to rounding."""
     factors, ids = _factor_table(stacks)
     ref_factors, ref_ids = reference_factor_table(stacks)
     assert factors.tobytes() == ref_factors.tobytes() and ids.tolist() == ref_ids.tolist()
@@ -781,31 +784,38 @@ def _assert_tree_matches_the_reference(stacks, rng):
     tree = _Tree(factors, ids, subfamilies, root, *_bounds(factors, subfamilies, root))
     *bounds, traces = reference_bounds(factors, subfamilies, root)
     assert _bits([tree.clash, tree.complete, tree.herm, tree.idem, tree.norm]) == _bits(bounds)
-    assert tree.traces.keys() == traces.keys()
-    assert _bits([tree.traces[k] for k in traces]) == _bits(list(traces.values()))
+
+    def reference_grams(factors, subfamilies, below):
+        # The parent path, given the family's sibling traces.
+        return reference_cut_grams(factors, subfamilies, below, traces)
+
     n, slots, d = stacks.shape[:3]
     for _ in range(4):
         picked = [i for i in range(n) if rng.random() < 0.7] or [0]
         sub_tree = _id_tree(ids[picked])
         assert sub_tree == reference_id_tree(ids[picked])
-        sub = sub_tree[0][sub_tree[1]]
+        sub, passed = sub_tree[0][sub_tree[1]], []
         while isinstance(sub, tuple) and len({c for _, c in sub}) == 1:
+            passed.append([f for f, _ in sub])
             sub = sub_tree[0][sub[0][1]]
-        if _product_slots(*sub_tree) is not None or not isinstance(sub, tuple):
+        assert _first_cut(*sub_tree) == (passed, sub)
+        if not isinstance(sub, tuple):
             continue
         below = {}
         for f, c in sub:
             below.setdefault(c, []).append(f)
-        grams = _cut_grams(factors, sub_tree[0], below, tree.traces)
-        ref = reference_cut_grams(factors, sub_tree[0], below, traces)
+        grams = _cut_grams(factors, sub_tree[0], below)
+        ref = reference_grams(factors, sub_tree[0], below)
         assert (grams is None) == (ref is None)
         if grams is not None:
             assert grams[2] == ref[2]
-            assert grams[0].tobytes() == ref[0].tobytes() and grams[1].tobytes() == ref[1].tobytes()
+            for gram, expected in zip(grams[:2], ref[:2]):
+                assert_allclose(gram, expected, rtol=0,
+                                atol=1e-13 * max(1.0, np.abs(expected).max()))
         y = HistoryProjector._trusted(slots, tuple(map(float, range(slots))), d,
-                                      summed=(factors, *sub_tree, tree.traces))
+                                      summed=(factors, *sub_tree))
         for tol in (RANK1_CUTOFF, 0.1, 0.5):
-            with mock.patch.object(hpo, "_cut_grams", reference_cut_grams):
+            with mock.patch.object(hpo, "_cut_grams", reference_grams):
                 expected = _splits(y, tol)
             assert _splits(y, tol) == expected
 

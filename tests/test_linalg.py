@@ -27,6 +27,7 @@ from qhistories import linalg
 from qhistories.linalg import (
     DEFAULT_TOL,
     _exclusive,
+    _pair_products,
     _projector_norms,
     decomposition_defects,
     max_abs,
@@ -379,6 +380,26 @@ def test_one_open_pair_is_multiplied_without_gathered_copies():
         tracemalloc.stop()
     assert clashes.tolist() == [] and complete.tolist() == [True]
     assert peak < 48 << 20
+
+
+def test_one_stacked_pair_is_multiplied_without_gathered_copies():
+    # hpo._bounds multiplies each factor's P^dag over P, a (k, 2d, d) stack,
+    # by the factors.  At d = 512 a chunk holds one such 8 MiB product;
+    # gathering the operands by index would copy 8 MiB and 4 MiB more.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    d = 512
+    p = np.diag((np.arange(d) < d // 2).astype(complex))
+    stack = np.stack([p, np.eye(d) - p])
+    stacked = np.concatenate([stack.conj().transpose(0, 2, 1), stack], axis=1)
+    tracemalloc.start()
+    try:
+        products = list(_pair_products(stacked, stack, [0], [1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(products) == 1 and products[0].shape == (1, 2 * d, d)
+    assert not products[0].any()
+    assert peak < 10 << 20
 
 
 def test_require_helpers_raise_with_context():
