@@ -997,6 +997,42 @@ def test_the_gram_cut_answers_at_the_callers_tol(monkeypatch):
             assert len(calls) > dense, tol
 
 
+E3 = [np.diag(np.eye(3)[i]).astype(complex) for i in range(3)]
+Z3 = np.zeros((3, 3), dtype=complex)
+
+
+@pytest.mark.parametrize("rows", [
+    [(E3[0], E3[0]), (E3[1], E3[1]), (Z3, E3[2])],  # ratio 1
+    [(E3[0], E3[0]), (E3[0], E3[1]), (E3[1], E3[0]), (Z3, E3[2])],  # ratio 0.382
+    [(E3[0], E3[0]), (E3[0], E3[1]), (E3[1], E3[0] + E3[1]), (Z3, E3[2])],  # a product
+], ids=["ratio-1", "ratio-0.382", "product"])
+def test_a_zero_factor_gives_a_singular_gram_matrix_that_the_cut_still_decides(rows, monkeypatch):
+    # The zero factor leads alone to its subfamily, so B_c = 0 and G_B is
+    # singular: Cholesky refuses it, and the cut is decided from its
+    # eigenpairs.  The Gram matrices answer False wherever sigma_1/sigma_0
+    # exceeds tol by more than their margin, and the verdict is the dense
+    # one at every tol.
+    members = [embed(HistorySequence(((0.0, p), (1.0, q)))) for p, q in rows]
+    y = sum_hpo(HPOFamily(tuple(members)), [1] * len(rows))
+    assert y._summed is not None
+    factors, subfamilies, root = y._summed
+    _, sub = _first_cut(subfamilies, root)
+    below = {}
+    for f, c in sub:
+        below.setdefault(c, []).append(f)
+    gram_b = _cut_grams(factors, subfamilies, below)[0]
+    assert np.linalg.eigvalsh(gram_b)[0] == 0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gram_b)
+    s = _realigned_singular_values(y.matrix, 3)
+    ratio = s[1] / s[0]
+    calls = _count_dense_tests(monkeypatch)
+    for tol in (1e-7, 0.1, 0.3, ratio - 1e-4, ratio + 1e-4, 0.5, 2.0):
+        dense = len(calls)
+        assert is_homogeneous(y, tol) == _schmidt_rank_one(y.matrix, 3, 2, tol), tol
+        assert (len(calls) == dense) == (0 < tol <= ratio - 1e-4), tol
+
+
 def test_sum_hpo_checks_at_the_embedding_tol():
     # (1 + 3e-8)|0><0| is a projector within 1e-6 but not within 1e-9: the
     # family embeds at 1e-6, so its sums, factored or not, are checked there.
