@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 invalid family, 2 inconsistent family,
 3 trans-branch summation, 64 usage errors, 66 unreadable or unparseable
 input files, 70 internal errors (any other exception, reported on one
 stderr line as ``internal error: <type>: <message>``, or ``internal
-error: <type>`` when the exception has no message).
+error: <type>`` when the exception has no message), 141 stdout closed
+by its reader (128 + SIGPIPE, as a shell reports a tool the signal
+killed; nothing is written to stderr).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -32,6 +35,7 @@ EXIT_TRANS_BRANCH = 3
 EXIT_USAGE = 64
 EXIT_FILE = 66
 EXIT_SOFTWARE = 70
+EXIT_BROKEN_PIPE = 141
 
 DEMO_NAMES = ("fig2", "branch-no-prod", "isham-hpo", "isham-reversed")
 
@@ -299,7 +303,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so that the
+    interpreter's last flush of what the closed pipe refused stays quiet."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # a stdout with no descriptor
+        pass
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        # In a pipe stdout is block-buffered: a closed reader shows here.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence_stdout()
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -307,6 +334,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        raise
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except InvalidFamilyError as exc:

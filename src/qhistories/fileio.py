@@ -23,18 +23,20 @@ order, every float printed with 17 significant digits.  Canonical bytes
 are a fixed point, so ``serialize(parse(serialize(f)))`` reproduces
 ``serialize(f)`` byte for byte.
 
-The node list is encoded and decoded in bulk, up to ``_SLICE_NUMBERS``
-(4096) numbers at a time, so that the temporary arrays, Python floats and
-lists alive at once stay small.  Writing checks the dynamics, the state
-and the nodes in canonical order, raising ValueError naming the first
-non-finite number, or the first matrix or node the reader would refuse:
-a matrix that is not ``dim`` x ``dim``, a child without a projector, or
-a root with one.  It then prints every matrix entry of the document, dynamics,
-state and projectors in that order, with the bulk printer
-(:func:`_print_numbers`), ``_SLICE_NUMBERS`` numbers at a time.  The
-printer serves both digit counts printed in bulk, 17 for documents and 6
-for the magnitudes ``qhistories consistency`` writes: the digits come from
-arithmetic (double-double at 17 digits) and lookup tables, built exactly
+The node list is encoded in bulk, up to ``_SLICE_NUMBERS`` (4096)
+numbers at a time, so that the temporary arrays, Python floats and lists
+alive at once stay small; it is decoded in bulk too, the same way on the
+tree route and in one flat list on the text route (see below).  Writing
+checks the dynamics, the state and the nodes in canonical order, raising
+ValueError naming the first non-finite number, or the first matrix or
+node the reader would refuse: a matrix that is not ``dim`` x ``dim``, a
+child without a projector, or a root with one.  It then prints every
+matrix entry of the document, dynamics, state and projectors in that
+order, with the bulk printer (:func:`_print_numbers`), ``_SLICE_NUMBERS``
+numbers at a time.  The printer serves both digit counts printed in
+bulk, 17 for documents and 6 for the magnitudes ``qhistories
+consistency`` writes: the digits come from arithmetic (double-double at
+17 digits) and lookup tables, built exactly
 once per process and digit count (the powers of ten from Python integers,
 the digit and exponent text from Python's formatter), each number becomes
 a fixed-width row of words by the word plan of its digit count, and
@@ -56,13 +58,36 @@ converts to.  ``orjson`` recurses natively and crashes the process on
 nesting some tens of thousands of levels deep, so a text that may nest
 deeper than a document does goes to ``json`` directly.
 
-Reading checks the keys and the id, parent and time types of all nodes
-at once, then the types and lengths of all projectors and their rows, so
-that the stack below is allocated only for rows the text holds.  It then
-checks and converts the pairs and numbers a slice of rows at a time, in place,
-into one (N, d, d) stack, zero at the roots, that the family keeps as its
-projector stack; the state and dynamics matrices take the same path one
-matrix at a time.
+A document with no backslash whose child projectors are written as
+``serialize_family`` writes them, ``"projector":[[[`` with no blank,
+takes the text route: each projector's text, up to the last ``]]]``
+before the next quote, is cut out, the string ``"\\u0000"`` is left in
+its place, and ``orjson`` parses the few KB that remain, behind the depth
+guard, which reads only them.  The node list must hold that string as
+the projector of one child per text.  With their number bytes deleted,
+the texts must be the punctuation of ``dim`` x ``dim`` matrices of
+pairs; one flat ``orjson.loads`` of them, brackets blanked, then reads
+every number into the (N, d, d) stack.  Results and errors are those of
+the tree route: a document with no backslash holds no string that
+decodes to "\\u0000" (``orjson`` refuses raw control characters in
+strings); an accepted text holds no quote and is a complete JSON value
+where one stands, its numbers read by the same ``orjson``; the depth
+guard reads the remaining text with ``0``, free of backslashes, for each
+projector; and lengths are compared before anything that grows with
+``dim`` is built.  Any other document, and any the text route refuses
+(a blank, a count or shape mismatch, a duplicate ``projector`` key, any
+``orjson`` or schema refusal), takes the tree route: ``orjson`` parses
+all of it behind the depth guard, then ``json`` where that refuses.
+
+Reading the tree checks the keys and the id, parent and time types of
+all nodes at once, then the types and lengths of all projectors and their
+rows, so that the stack below is allocated only for rows the text holds.
+It then checks and converts the pairs and numbers a slice of rows at a
+time, in place, into one (N, d, d) stack, zero at the roots, that the
+family keeps as its projector stack; the state and dynamics matrices take
+the same path one matrix at a time, on both routes.  Zero rows of nodes
+without a parent that would take more than ``MAX_MATRIX_BYTES`` are a
+schema error at ``nodes``, raised before the stack is allocated.
 The bytes and the values are those of the per-node, per-entry codec.
 A document that fails the bulk check is read node by node, only to name
 its first bad field.
@@ -661,6 +686,90 @@ def _nests_shallowly(data: bytes) -> bool:
     return not nesting
 
 
+# A child projector as ``serialize_family`` writes it, from its key on; the
+# string that stands for its text once cut out, "\u0000", which no document
+# without a backslash holds; and the bytes of the numbers in its text.
+_COMPACT_PROJECTOR = b'"projector":[[['
+_KEY_LENGTH = len(b'"projector":')
+_CUT = "\0"
+_PLACEHOLDER = b'"\\u0000"'
+_NUMBER_BYTES = b"0123456789+-.eE"
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+
+
+class _NotThisRoute(Exception):
+    """A document the route at hand does not read; the next route reads it."""
+
+
+@functools.lru_cache(maxsize=2)
+def _matrix_punctuation(dim: int) -> bytes:
+    """The text of a dim x dim matrix as ``serialize_family`` writes it, its numbers deleted."""
+    row = b"[" + b",".join([b"[,]"] * dim) + b"]"
+    return b"[" + b",".join([row] * dim) + b"]"
+
+
+def _cut_numbers(texts: list, placeholders: list, dim: int) -> np.ndarray:
+    """The numbers of the projector ``texts`` cut out of a document, as one
+    flat array, matrix after matrix, for the node list's ``placeholders``.
+
+    Raises :class:`_NotThisRoute` unless the node list holds exactly one
+    placeholder for each text, every text is a dim x dim matrix with the
+    punctuation of ``serialize_family``, every number is one ``orjson``
+    reads and every number is finite.  The lengths are compared before any
+    text that grows with ``dim`` is built.
+    """
+    n = len(texts)
+    if len(placeholders) != n or placeholders.count(_CUT) != n:
+        raise _NotThisRoute
+    text = bytearray(b",").join(texts)
+    punctuation = text.translate(None, _NUMBER_BYTES)
+    if (len(punctuation) != n * (4 * dim * dim + 2 * dim + 2) - 1
+            or punctuation != b",".join(itertools.repeat(_matrix_punctuation(dim), n))):
+        raise _NotThisRoute
+    # One flat list: the brackets become blanks but the first and the last.
+    numbers = text.translate(_BLANK_BRACKETS)
+    numbers[0], numbers[-1] = text[0], text[-1]
+    out = np.empty(2 * n * dim * dim)
+    try:
+        out[:] = orjson.loads(numbers)
+    except (orjson.JSONDecodeError, OverflowError):
+        raise _NotThisRoute from None
+    if not np.isfinite(out).all():
+        raise _NotThisRoute
+    return out
+
+
+def _read_text(data, tol: float) -> BranchingFamily:
+    """The text route: cut the compact child projectors out of ``data``,
+    parse the rest with orjson and read the projectors' numbers flat."""
+    start = data.find(_COMPACT_PROJECTOR)
+    if start == -1 or b"\\" in data:
+        raise _NotThisRoute
+    view, gaps, texts, end = memoryview(data), [], [], 0
+    while start != -1:
+        start += _KEY_LENGTH
+        # The matrix ends at the last "]]]" before the next quote, or the end.
+        quote = data.find(b'"', start)
+        stop = data.rfind(b"]]]", start, len(data) if quote == -1 else quote) + 3
+        if stop == 2:
+            raise _NotThisRoute
+        gaps.append(view[end:start])
+        texts.append(view[start:stop])
+        end, start = stop, data.find(_COMPACT_PROJECTOR, stop)
+    gaps.append(view[end:])
+    if not _nests_shallowly(b"0".join(gaps)):
+        raise _NotThisRoute
+    return _family_from(orjson.loads(_PLACEHOLDER.join(gaps)), tol,
+                        functools.partial(_cut_numbers, texts))
+
+
+def _read_tree(data, tol: float) -> BranchingFamily:
+    """The tree route: parse all of ``data`` with orjson."""
+    if not _nests_shallowly(data):
+        raise _NotThisRoute
+    return _family_from(orjson.loads(data), tol)
+
+
 def load_document(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamily:
     """Parse a family document, checking syntax and schema but not semantics.
 
@@ -668,15 +777,17 @@ def load_document(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamil
     use :func:`parse_family` when only valid families are acceptable.
     """
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
-    if isinstance(data, (bytes, bytearray)) and _nests_shallowly(data):
+    if isinstance(data, (bytes, bytearray)):
         # The decoded tree holds no cycles and is dropped before return, so
         # the cyclic collector would only walk its many small lists.
         collecting = gc.isenabled()
         gc.disable()
         try:
-            return _family_from(orjson.loads(data), tol)
-        except (orjson.JSONDecodeError, ParseError):
-            pass  # read again by json, only to name the error
+            for read in (_read_text, _read_tree):
+                try:
+                    return read(data, tol)
+                except (_NotThisRoute, orjson.JSONDecodeError, ParseError):
+                    pass  # the next route reads it; json names the error
         finally:
             if collecting:
                 gc.enable()
@@ -698,8 +809,12 @@ def load_document(text: bytes | str, tol: float = DEFAULT_TOL) -> BranchingFamil
     return _family_from(doc, tol)
 
 
-def _family_from(doc, tol: float) -> BranchingFamily:
-    """The family a decoded document describes, or the ParseError of its first bad field."""
+def _family_from(doc, tol: float, projector_numbers=_stack_numbers) -> BranchingFamily:
+    """The family a decoded document describes, or the ParseError of its first bad field.
+
+    ``projector_numbers(projectors, dim)`` reads the child projectors'
+    numbers for :func:`_nodes_in_bulk`.
+    """
     if not isinstance(doc, dict):
         raise _schema("$", "top-level value must be an object")
     _check_keys(doc, {"dim", "initial_state", "dynamics", "nodes"},
@@ -728,20 +843,23 @@ def _family_from(doc, tol: float) -> BranchingFamily:
         raise _schema("nodes", "expected a list of nodes")
     if not raw_nodes:
         raise _schema("nodes", "a family needs at least one node")
-    nodes = _nodes_in_bulk(raw_nodes, dim)
+    nodes = _nodes_in_bulk(raw_nodes, dim, projector_numbers)
     if nodes is None:
         _nodes_one_by_one(raw_nodes, dim)
     return BranchingFamily._trusted(dim, nodes, state, evolution)
 
 
-def _nodes_in_bulk(raw_nodes: list, dim: int) -> _Nodes | None:
+def _nodes_in_bulk(raw_nodes: list, dim: int, projector_numbers) -> _Nodes | None:
     """The node store of a node list, or None if any node fails a check.
 
     Checks every node at once: each is an object with the keys of a root
     (``id``, ``time``) or of a child (also ``parent`` and ``projector``),
     ids are distinct integers, parents integers, times finite numbers, and
-    all child projectors convert as one array, copied into the store's
-    (N, dim, dim) stack, whose rows for the roots stay zero.
+    ``projector_numbers(projectors, dim)`` reads all child projectors as
+    one array, copied into the store's (N, dim, dim) stack, whose rows for
+    the roots stay zero.  Raises a ParseError at ``nodes`` if those zero
+    rows would take more than ``MAX_MATRIX_BYTES``, before the stack is
+    allocated.
     """
     if set(map(type, raw_nodes)) != {dict} or not set(map(len, raw_nodes)) <= {2, 4}:
         return None
@@ -761,9 +879,14 @@ def _nodes_in_bulk(raw_nodes: list, dim: int) -> _Nodes | None:
         times = np.array(times, dtype=float)
     except OverflowError:
         return None
-    numbers = _stack_numbers(projectors, dim)
+    numbers = projector_numbers(projectors, dim)
     if numbers is None or not np.isfinite(times).all():
         return None
+    roots = len(raw_nodes) - len(children)
+    zero_bytes = roots * np.dtype(complex).itemsize * dim * dim
+    if zero_bytes > MAX_MATRIX_BYTES:
+        raise _schema("nodes", f"the zero projector rows of {roots} nodes without a parent "
+                               f"take {zero_bytes} bytes, above the limit of {MAX_MATRIX_BYTES}")
     parents = list(map(dict.get, raw_nodes, itertools.repeat("parent")))
     nodes = _Nodes.of(tuple(ids), parents, times,
                       np.zeros((len(raw_nodes), dim, dim), dtype=complex))

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -544,3 +548,52 @@ def test_unexpected_errors_exit_70_with_one_line(tmp_path, capsys, monkeypatch, 
     # Expected failures keep their own codes.
     monkeypatch.undo()
     assert main(["weights", path]) == 0
+
+
+# -- a reader that closes stdout early -----------------------------------------
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+def test_a_closed_stdout_exits_141_and_silences_stdout(tmp_path, capsys, monkeypatch, fails):
+    # Unbuffered, the closed pipe shows at a print; block-buffered, at main's flush.
+    with open(tmp_path / "pipe", "wb") as pipe:
+
+        class ClosedPipe(io.StringIO):
+            def fileno(self):
+                return pipe.fileno()
+
+        def broken(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        stdout = ClosedPipe()
+        setattr(stdout, fails, broken)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["demo", "fig2"]) == 141
+        monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+        # The descriptor now writes to os.devnull, so a last flush stays quiet.
+        os.write(pipe.fileno(), b"lost")
+    assert (tmp_path / "pipe").read_bytes() == b""
+
+
+def test_a_pipe_closed_before_the_first_byte_ends_the_process_with_141():
+    import qhistories
+
+    src = str(Path(qhistories.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-c", "from qhistories.cli import run; run()",
+                               "demo", "fig2"], stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+def test_several_roots_at_a_small_dim_reach_validate(tmp_path, capsys):
+    path = _write_text(tmp_path, json.dumps({
+        "dim": 2, "dynamics": {"kind": "trivial"}, "initial_state": "maximally_mixed",
+        "nodes": [{"id": k, "time": 0.0} for k in range(3)]}))
+    assert main(["validate", path]) == 1
+    assert "expected exactly one root, found 3" in capsys.readouterr().out

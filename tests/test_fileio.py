@@ -10,6 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,7 @@ from qhistories.demos import (
     P0, P1, P_MINUS, P_PLUS, branch_no_prod_family, fig2_family, isham_reversed_family,
 )
 from qhistories.fileio import MAX_MATRIX_BYTES
+from qhistories.linalg import DEFAULT_TOL
 
 
 # -- round trips -------------------------------------------------------------
@@ -922,9 +924,9 @@ def test_load_document_pauses_the_collector_and_restores_the_callers_state(colle
     seen = []
     family_from = fileio._family_from
 
-    def recording(doc, tol):
+    def recording(doc, tol, *projector_numbers):
         seen.append(gc.isenabled())
-        return family_from(doc, tol)
+        return family_from(doc, tol, *projector_numbers)
 
     was = gc.isenabled()
     try:
@@ -977,6 +979,149 @@ def test_matrix_entries_load_bit_identical_to_the_json_path(dim, data, name):
     got, want = _parse_outcome(lambda: load_document(text)), _json_outcome(text)
     _same_outcome(got, want)
     assert got[0].initial_state.tobytes() == want[0].initial_state.tobytes()
+
+# -- the text route against the tree route -------------------------------------
+
+def _store_bits(family):
+    """The bytes of everything a loaded family holds: ids, parents, times,
+    the projector stack, the state and the provider."""
+    nodes, evolution = family._nodes, family.evolution
+    provider = []
+    if isinstance(evolution, ConstantHamiltonian):
+        provider = [evolution.hamiltonian]
+    elif isinstance(evolution, PiecewiseUnitary):
+        provider = [np.array(evolution.breakpoints), *evolution.unitaries]
+    return (nodes.ids, list(map(type, nodes.ids)), nodes.parent.tobytes(), nodes.time.tobytes(),
+            nodes.projectors.tobytes(), family.initial_state.tobytes(), type(evolution),
+            [np.asarray(m).tobytes() for m in provider])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(PROVIDER_KINDS), st.booleans())
+def test_text_route_reads_what_the_tree_route_reads(seed, kind, mixed):
+    family = random_family(np.random.default_rng(seed), kind=kind)
+    assume(len(family) > 1)
+    if mixed:
+        family = BranchingFamily(family.dim, family.moments,
+                                 np.eye(family.dim, dtype=complex) / family.dim, family.evolution)
+    blob = serialize_family(family)
+    by_text = fileio._read_text(blob, DEFAULT_TOL)
+    by_tree = fileio._read_tree(blob, DEFAULT_TOL)
+    assert _store_bits(by_text) == _store_bits(by_tree)
+    assert serialize_family(by_text) == serialize_family(by_tree) == blob
+
+
+_COMPACT = ('{"dim":2,"dynamics":{"kind":"trivial"},"initial_state":"maximally_mixed","nodes":'
+            '[{"id":0,"time":0},{"id":1,"parent":0,"projector":[[[1,0],[0,0]],[[0,0],[0,0]]],'
+            '"time":1},{"id":2,"parent":0,"projector":[[[0,0],[0,0]],[[0,0],[1,0]]],"time":1}]}')
+_FIRST = "[[[1,0],[0,0]],[[0,0],[0,0]]]"
+
+
+def _first_entry(text):
+    return _COMPACT.replace(_FIRST, f"[[[{text},0],[0,0]],[[0,0],[0,0]]]")
+
+
+# Documents close to the text route's form that it must leave to the tree
+# route: each loads as _COMPACT does (None), or fails with its ParseError.
+_NEAR_MISSES = {
+    "blank-after-key": (_COMPACT.replace('"projector":[[[1', '"projector": [[[1'), None),
+    "wrong-shape": (_COMPACT.replace(_FIRST, "[[[1,0,0],[0]],[[0,0],[0,0]]]"),
+                    ("nodes[1].projector[0][0]", "expected an [re, im] pair", None, None)),
+    "entry-01": (_first_entry("01"), (None, "Expecting ',' delimiter", 1, 136)),
+    "entry-+1": (_first_entry("+1"), (None, "Expecting value", 1, 135)),
+    "entry-.5": (_first_entry(".5"), (None, "Expecting value", 1, 135)),
+    "entry-1.": (_first_entry("1."), (None, "Expecting ',' delimiter", 1, 136)),
+    "entry--": (_first_entry("-"), (None, "Expecting value", 1, 135)),
+    "entry-1e": (_first_entry("1e"), (None, "Expecting ',' delimiter", 1, 136)),
+    "entry-true": (_first_entry("true"),
+                   ("nodes[1].projector[0][0][0]", "expected a number, got True", None, None)),
+    "entry-null": (_first_entry("null"),
+                   ("nodes[1].projector[0][0][0]", "expected a number, got None", None, None)),
+    "entry-1e999": (_first_entry("1e999"),
+                    ("nodes[1].projector[0][0][0]", "expected a finite number, got inf", None, None)),
+    "duplicate-key": (_COMPACT.replace('"projector":' + _FIRST,
+                                       '"projector":' + _FIRST + ',"projector":' + _FIRST), None),
+    "projector-in-dynamics": (
+        _COMPACT.replace('{"kind":"trivial"}', '{"kind":"trivial","projector":' + _FIRST + "}"),
+        ("dynamics", "unknown keys ['projector']", None, None)),
+    "root-projector": (
+        _COMPACT.replace('{"id":0,"time":0}', '{"id":0,"projector":' + _FIRST + ',"time":0}'),
+        ("nodes[0].projector", "a node without a parent must not carry a projector", None, None)),
+    "backslash": (_COMPACT.replace('"maximally_mixed"', '"maximally\\u005fmixed"'), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_MISSES))
+def test_near_misses_leave_the_text_route_and_load_as_the_tree_route(name):
+    text, error = _NEAR_MISSES[name]
+    assert text != _COMPACT
+    with pytest.raises((fileio._NotThisRoute, orjson.JSONDecodeError, ParseError)):
+        fileio._read_text(text.encode(), DEFAULT_TOL)
+    family, got = _parse_outcome(lambda: load_document(text))
+    assert got == error
+    if error is None:
+        assert _store_bits(family) == _store_bits(load_document(_COMPACT))
+    _same_outcome((family, got), _json_outcome(text))
+
+
+def test_compact_document_takes_the_text_route():
+    want = _store_bits(fileio._read_tree(_COMPACT.encode(), DEFAULT_TOL))
+    data = bytearray(_COMPACT.encode())
+    with mock.patch.object(fileio, "_read_tree", side_effect=AssertionError):
+        assert _store_bits(load_document(_COMPACT)) == want
+        assert _store_bits(load_document(data)) == want
+    data += b" "  # no view of the caller's buffer outlives the call
+
+
+@pytest.mark.parametrize("entry", [2 ** 53 + 1, 2 ** 63 - 1, 2 ** 64 - 1, -2 ** 63])
+def test_text_route_reads_64_bit_integer_entries_as_the_tree_route(entry):
+    text = _first_entry(entry).encode()
+    by_text = fileio._read_text(text, DEFAULT_TOL)
+    assert _store_bits(by_text) == _store_bits(fileio._read_tree(text, DEFAULT_TOL))
+    assert by_text._nodes.projectors[1, 0, 0] == float(entry)
+
+
+def test_zero_rows_of_parentless_nodes_are_bounded():
+    # One root takes a whole matrix at most; a short list of roots may not
+    # take more, and the bound holds at every dim.
+    for dim, roots in ((2048, 1), (1024, 4)):
+        nodes = [{"id": k, "time": 0.0} for k in range(roots)]
+        assert len(load_document(_doc(dim=dim, nodes=nodes))) == roots
+        with pytest.raises(ParseError) as exc:
+            load_document(_doc(dim=dim, nodes=nodes + [{"id": roots, "time": 0.0}]))
+        assert exc.value.field == "nodes"
+        assert exc.value.message == (
+            f"the zero projector rows of {roots + 1} nodes without a parent take "
+            f"{(roots + 1) * 16 * dim * dim} bytes, above the limit of {MAX_MATRIX_BYTES}")
+
+
+def test_parentless_rows_and_short_projectors_are_refused_before_allocating(tmp_path):
+    # At dim 2048, 1000 roots would take 62.5 GiB of zero rows, and a text
+    # skeleton for 2000 one-entry projectors would take 32 GiB.
+    pytest.importorskip("resource")
+    head = ('{"dim":2048,"dynamics":{"kind":"trivial"},"initial_state":"maximally_mixed",'
+            '"nodes":[{"id":0,"time":0}')
+    roots = tmp_path / "roots.json"
+    roots.write_text(head + "".join(',{"id":%d,"time":0}' % k for k in range(1, 1000)) + "]}")
+    short = tmp_path / "short.json"
+    short.write_text(head + "".join(',{"id":%d,"parent":0,"projector":[[[1,0]]],"time":1}' % k
+                                    for k in range(1, 2001)) + "]}")
+    result = run_capped(f"""
+        from qhistories import ParseError, cli, load_document
+        for path in {[str(roots), str(short)]!r}:
+            try:
+                load_document(open(path, "rb").read())
+            except ParseError as exc:
+                print(exc.field, exc.message, sep=": ")
+            print(cli.main(["validate", path]))
+    """)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "nodes: the zero projector rows of 1000 nodes without a parent take "
+        f"{1000 * 16 * 2048 ** 2} bytes, above the limit of {MAX_MATRIX_BYTES}", "66",
+        "nodes[1].projector: expected 2048 rows, got 1", "66",
+    ]
+
 
 def test_unknown_dynamics_kind():
     with pytest.raises(ParseError) as exc:
